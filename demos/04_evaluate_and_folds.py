@@ -7,6 +7,7 @@ build chronological cross-validation folds.
 from patchnet import (
     HyperParams,
     Label,
+    PatchDims,
     RawCommit,
     TrainConfig,
     assemble_tensors,
@@ -36,11 +37,7 @@ HP = HyperParams(
     filter_sizes=(1, 2),
     n_filters=4,
     fc_size=8,
-    msg_len=8,
-    files=1,
-    hunks=2,
-    lines=2,
-    words=6,
+    dims=PatchDims(msg_len=8, files=1, hunks=2, lines=2, words=6),
     dropout=0.0,
     l2_reg_lambda=1e-5,
 )

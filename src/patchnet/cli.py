@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -82,6 +83,12 @@ def _resolve_seed(args) -> int:
     return 0
 
 
+def _write_json(path: str, obj) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_manifest(args, seed, inputs, outputs, started_at) -> None:
     """RunManifest JSON beside the primary (first) output path."""
     config = {
@@ -89,20 +96,19 @@ def _write_manifest(args, seed, inputs, outputs, started_at) -> None:
         for k, v in sorted(vars(args).items())
         if k not in ("func", "command", "config")
     }
-    obj = {
-        "command": args.command,
-        "config": config,
-        "seed": seed,
-        "inputs": list(inputs),
-        "outputs": list(outputs),
-        "tool_version": __version__,
-        "started_at": started_at,
-        "finished_at": _utc_now(),
-    }
-    path = outputs[0] + ".manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(
+        outputs[0] + ".manifest.json",
+        {
+            "command": args.command,
+            "config": config,
+            "seed": seed,
+            "inputs": list(inputs),
+            "outputs": list(outputs),
+            "tool_version": __version__,
+            "started_at": started_at,
+            "finished_at": _utc_now(),
+        },
+    )
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -219,22 +225,6 @@ def _truth_to_int(value, where: str) -> int:
     raise DataError(f"{where}: true_label must be 0/1 or stable/non-stable")
 
 
-def _functions_to_json_obj(table: FunctionNameTable) -> dict:
-    return {
-        "retained": sorted(table.retained),
-        "defined_in": {p: sorted(n) for p, n in sorted(table.defined_in.items())},
-    }
-
-
-def _functions_from_json_obj(obj: dict) -> FunctionNameTable:
-    return FunctionNameTable(
-        retained=frozenset(obj.get("retained", ())),
-        defined_in={
-            p: frozenset(names) for p, names in obj.get("defined_in", {}).items()
-        },
-    )
-
-
 def _read_functions_file(path: str) -> FunctionNameTable:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -243,7 +233,7 @@ def _read_functions_file(path: str) -> FunctionNameTable:
         raise DataError(f"cannot read functions file: {exc}")
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: bad JSON: {exc}")
-    return _functions_from_json_obj(obj)
+    return FunctionNameTable.from_json_obj(obj)
 
 
 def _load_commits_checked(path: str) -> list[RawCommit]:
@@ -253,13 +243,25 @@ def _load_commits_checked(path: str) -> list[RawCommit]:
         raise DataError(f"cannot read commits: {exc}")
 
 
+def _check_indices(patches, message_vocab, code_vocab) -> None:
+    """Every token index must address a row of its channel's embedding."""
+    top_msg = max(int(p.message_tokens.max()) for p in patches)
+    top_code = max(int(max(p.removed_code.max(), p.added_code.max())) for p in patches)
+    if top_msg >= len(message_vocab) or top_code >= len(code_vocab):
+        raise DataError(
+            f"tensor indices do not fit the vocabulary: largest message index {top_msg} "
+            f"for {len(message_vocab)} entries, largest code index {top_code} "
+            f"for {len(code_vocab)} entries"
+        )
+
+
 # ---------------------------------------------------------------------------
-# Subcommand handlers
+# Subcommand handlers: each takes the parsed args and the resolved seed
+# (None for commands without --seed) and returns (inputs, outputs) for
+# the manifest; run() owns everything else.
 
 
-def _cmd_ingest(args) -> int:
-    started = _utc_now()
-    seed = _resolve_seed(args)
+def _cmd_ingest(args, seed):
     mainline = _load_commits_checked(args.mainline)
     stable = _load_commits_checked(args.stable)
     rc_ids = read_rc_ids(args.rc_ids) if args.rc_ids else set()
@@ -280,12 +282,10 @@ def _cmd_ingest(args) -> int:
     )
     print(f"provenance: {dataset.provenance}")
     inputs = [args.mainline, args.stable] + ([args.rc_ids] if args.rc_ids else [])
-    _write_manifest(args, seed, inputs, [args.out], started)
-    return EXIT_OK
+    return inputs, [args.out]
 
 
-def _cmd_label(args) -> int:
-    started = _utc_now()
+def _cmd_label(args, seed):
     commits = _load_commits_checked(args.dataset)
     stable = _load_commits_checked(args.stable)
     rc_ids = read_rc_ids(args.rc_ids) if args.rc_ids else set()
@@ -300,22 +300,14 @@ def _cmd_label(args) -> int:
         f"written to {args.out}"
     )
     inputs = [args.dataset, args.stable] + ([args.rc_ids] if args.rc_ids else [])
-    _write_manifest(args, None, inputs, [args.out], started)
-    return EXIT_OK
+    return inputs, [args.out]
 
 
-def _cmd_preprocess(args) -> int:
-    started = _utc_now()
+def _cmd_preprocess(args, seed):
     commits = _load_commits_checked(args.dataset)
     if not commits:
         raise DataError(f"{args.dataset}: no commits")
-    dims = PatchDims(
-        msg_len=args.msg_len,
-        files=args.files,
-        hunks=args.hunks,
-        lines=args.lines,
-        words=args.words,
-    )
+    dims = PatchDims(**{f.name: getattr(args, f.name) for f in fields(PatchDims)})
     table = build_function_table(commits)
     msg_vocab = build_vocab(message_token_stream(commits), "message", args.min_count)
     code_vocab = build_vocab(code_token_stream(commits, table), "code", args.min_count)
@@ -326,24 +318,17 @@ def _cmd_preprocess(args) -> int:
     write_tensor_file(args.out, patches, dims)
     save_vocab_pair(msg_vocab, code_vocab, args.vocab_out)
     functions_out = args.functions_out or args.out + ".functions.json"
-    with open(functions_out, "w", encoding="utf-8") as fh:
-        json.dump(_functions_to_json_obj(table), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(functions_out, table.to_json_obj())
 
     print(
         f"preprocess: {len(patches)} patches -> {args.out} "
         f"(message vocab {len(msg_vocab)}, code vocab {len(code_vocab)}, "
         f"{len(table.retained)} retained functions)"
     )
-    _write_manifest(
-        args, None, [args.dataset], [args.out, args.vocab_out, functions_out], started
-    )
-    return EXIT_OK
+    return [args.dataset], [args.out, args.vocab_out, functions_out]
 
 
-def _cmd_train(args) -> int:
-    started = _utc_now()
-    seed = _resolve_seed(args)
+def _cmd_train(args, seed):
     patches, dims = read_tensor_file(args.tensors)
     if not patches:
         raise DataError(f"{args.tensors}: no patches")
@@ -354,6 +339,7 @@ def _cmd_train(args) -> int:
             f"(first: {unlabeled[0]})"
         )
     msg_vocab, code_vocab = load_vocab_pair(args.vocab)
+    _check_indices(patches, msg_vocab, code_vocab)
     functions = (
         _read_functions_file(args.functions)
         if args.functions
@@ -366,11 +352,7 @@ def _cmd_train(args) -> int:
         filter_sizes=_filter_sizes(args.filter_sizes),
         n_filters=args.filters,
         fc_size=args.fc_size,
-        msg_len=dims.msg_len,
-        files=dims.files,
-        hunks=dims.hunks,
-        lines=dims.lines,
-        words=dims.words,
+        dims=dims,
         dropout=args.dropout,
         l2_reg_lambda=args.l2,
         threshold=args.threshold,
@@ -385,10 +367,7 @@ def _cmd_train(args) -> int:
         shuffle=not args.no_shuffle,
     )
 
-    try:
-        result = train(patches, hp, config, msg_vocab, code_vocab)
-    except IndexError as exc:
-        raise DataError(f"tensor indices do not fit the vocabulary: {exc}")
+    result = train(patches, hp, config, msg_vocab, code_vocab)
     for epoch, value in enumerate(result.history.epoch_losses, start=1):
         print(f"epoch {epoch}: loss {value:.6f}")
     accuracy = dataset_accuracy(patches, result.params, hp)
@@ -401,8 +380,7 @@ def _cmd_train(args) -> int:
     save_checkpoint(args.out, result.params, hp, msg_vocab, code_vocab, functions)
     print(f"checkpoint written to {args.out}")
     inputs = [args.tensors, args.vocab] + ([args.functions] if args.functions else [])
-    _write_manifest(args, seed, inputs, [args.out], started)
-    return EXIT_OK
+    return inputs, [args.out]
 
 
 def _is_tensor_file(path: str) -> bool:
@@ -413,8 +391,7 @@ def _is_tensor_file(path: str) -> bool:
         raise DataError(f"cannot read patches: {exc}")
 
 
-def _cmd_predict(args) -> int:
-    started = _utc_now()
+def _cmd_predict(args, seed):
     bundle = load_checkpoint(args.checkpoint)
     if _is_tensor_file(args.in_path):
         patches, dims = read_tensor_file(args.in_path)
@@ -435,6 +412,7 @@ def _cmd_predict(args) -> int:
         ]
     if not patches:
         raise DataError(f"{args.in_path}: no patches")
+    _check_indices(patches, bundle.message_vocab, bundle.code_vocab)
 
     scores = score_items(patches, bundle.params, bundle.hp)
     rows = []
@@ -451,8 +429,7 @@ def _cmd_predict(args) -> int:
         f"predict: {len(rows)} patches scored "
         f"({n_stable} stable at threshold {bundle.hp.threshold}) -> {args.out}"
     )
-    _write_manifest(args, None, [args.checkpoint, args.in_path], [args.out], started)
-    return EXIT_OK
+    return [args.checkpoint, args.in_path], [args.out]
 
 
 def _report_to_row(path: str, report) -> dict:
@@ -461,8 +438,7 @@ def _report_to_row(path: str, report) -> dict:
     return obj
 
 
-def _cmd_evaluate(args) -> int:
-    started = _utc_now()
+def _cmd_evaluate(args, seed):
     reports = []
     for path in args.scores:
         rows = _read_score_rows(path)
@@ -491,9 +467,7 @@ def _cmd_evaluate(args) -> int:
         }
         summary = None
 
-    with open(args.report, "w", encoding="utf-8") as fh:
-        json.dump(report_obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(args.report, report_obj)
 
     if args.pr_csv:
         if len(reports) != 1:
@@ -517,12 +491,10 @@ def _cmd_evaluate(args) -> int:
             + " ".join(f"{k}={mean[k]:.4f}" for k in SCALAR_METRICS)
         )
     outputs = [args.report] + ([args.pr_csv] if args.pr_csv else [])
-    _write_manifest(args, None, list(args.scores), outputs, started)
-    return EXIT_OK
+    return list(args.scores), outputs
 
 
-def _cmd_baseline(args) -> int:
-    started = _utc_now()
+def _cmd_baseline(args, seed):
     commits = _load_commits_checked(args.dataset)
     if not commits:
         raise DataError(f"{args.dataset}: no commits")
@@ -553,20 +525,16 @@ def _cmd_baseline(args) -> int:
         scores = [1.0 if p is Label.STABLE else 0.0 for p in predictions]
         truth = [c.label.to_int() for c in commits]
         report = metrics(scores, truth, 0.5)
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(report.to_json_obj(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.report, report.to_json_obj())
         print(
             "baseline report: "
             + " ".join(f"{k}={report.to_json_obj()[k]:.4f}" for k in SCALAR_METRICS)
         )
         outputs.append(args.report)
-    _write_manifest(args, None, [args.dataset], outputs, started)
-    return EXIT_OK
+    return [args.dataset], outputs
 
 
-def _cmd_folds(args) -> int:
-    started = _utc_now()
+def _cmd_folds(args, seed):
     commits = _load_commits_checked(args.dataset)
     try:
         splits = chrono_folds(commits, args.n)
@@ -576,28 +544,23 @@ def _cmd_folds(args) -> int:
     outputs = []
     for i, (train_items, test_items) in enumerate(splits, start=1):
         path = f"{prefix}{i}.json"
-        obj = {
-            "fold": i,
-            "n_folds": args.n,
-            "train_ids": [c.commit_id for c in train_items],
-            "test_ids": [c.commit_id for c in test_items],
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(
+            path,
+            {
+                "fold": i,
+                "n_folds": args.n,
+                "train_ids": [c.commit_id for c in train_items],
+                "test_ids": [c.commit_id for c in test_items],
+            },
+        )
         outputs.append(path)
     sizes = ", ".join(str(len(test)) for _, test in splits)
     print(f"folds: {len(splits)} splits (test sizes {sizes}) -> {prefix}1..{len(splits)}.json")
-    _write_manifest(args, None, [args.dataset], outputs, started)
-    return EXIT_OK
+    return [args.dataset], outputs
 
 
 # ---------------------------------------------------------------------------
 # Parser
-
-
-def _add_common(sub) -> None:
-    sub.add_argument("--config", help="flat key=value file overriding defaults")
 
 
 def build_parser():
@@ -608,41 +571,36 @@ def build_parser():
     subparsers = parser.add_subparsers(dest="command", required=True)
     by_name = {}
 
-    sub = subparsers.add_parser("ingest", help="filter, label, and balance commits")
+    def command(name, func, help):
+        sub = subparsers.add_parser(name, help=help)
+        sub.add_argument("--config", help="flat key=value file overriding defaults")
+        sub.set_defaults(func=func)
+        by_name[name] = sub
+        return sub
+
+    sub = command("ingest", _cmd_ingest, "filter, label, and balance commits")
     sub.add_argument("--mainline", required=True, help="mainline commits (export or JSONL)")
     sub.add_argument("--stable", required=True, help="stable-tree commits (export or JSONL)")
     sub.add_argument("--rc-ids", help="file of release-candidate commit ids")
     sub.add_argument("--out", required=True, help="output dataset JSONL")
     sub.add_argument("--seed", type=int, help="tie-break seed recorded in provenance")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_ingest)
-    by_name["ingest"] = sub
 
-    sub = subparsers.add_parser("label", help="label commits against stable-tree evidence")
+    sub = command("label", _cmd_label, "label commits against stable-tree evidence")
     sub.add_argument("--dataset", required=True, help="commits to label (export or JSONL)")
     sub.add_argument("--stable", required=True, help="stable-tree commits")
     sub.add_argument("--rc-ids", help="file of release-candidate commit ids")
     sub.add_argument("--out", required=True, help="output labeled JSONL")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_label)
-    by_name["label"] = sub
 
-    sub = subparsers.add_parser("preprocess", help="build index tensors and vocabularies")
+    sub = command("preprocess", _cmd_preprocess, "build index tensors and vocabularies")
     sub.add_argument("--dataset", required=True, help="labeled dataset JSONL")
     sub.add_argument("--out", required=True, help="output tensors.bin")
     sub.add_argument("--vocab-out", required=True, help="output vocab.json")
-    sub.add_argument("--functions-out", help="retained function names JSON (default: <out>.functions.json)")
+    sub.add_argument("--functions-out", help="function table JSON (default: <out>.functions.json)")
     sub.add_argument("--min-count", type=int, default=1, help="minimum token count kept in vocabularies")
-    sub.add_argument("--msg-len", type=int, default=512)
-    sub.add_argument("--files", type=int, default=5)
-    sub.add_argument("--hunks", type=int, default=8)
-    sub.add_argument("--lines", type=int, default=10)
-    sub.add_argument("--words", type=int, default=120)
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_preprocess)
-    by_name["preprocess"] = sub
+    for f in fields(PatchDims):
+        sub.add_argument("--" + f.name.replace("_", "-"), type=int, default=f.default)
 
-    sub = subparsers.add_parser("train", help="fit the model on preprocessed tensors")
+    sub = command("train", _cmd_train, "fit the model on preprocessed tensors")
     sub.add_argument("--tensors", required=True, help="tensors.bin from preprocess")
     sub.add_argument("--vocab", required=True, help="vocab.json from preprocess")
     sub.add_argument("--functions", help="functions JSON from preprocess")
@@ -662,48 +620,37 @@ def build_parser():
     sub.add_argument("--learning-rate", type=float, default=1e-3)
     sub.add_argument("--no-shuffle", action="store_true", help="keep input order within epochs")
     sub.add_argument("--seed", type=int, help="seed for init, shuffling, and dropout")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_train)
-    by_name["train"] = sub
 
-    sub = subparsers.add_parser("predict", help="score patches with a checkpoint")
+    sub = command("predict", _cmd_predict, "score patches with a checkpoint")
     sub.add_argument("--checkpoint", required=True, help="checkpoint from train")
     sub.add_argument("--in", dest="in_path", required=True, help="tensors.bin or commits (export or JSONL)")
     sub.add_argument("--out", required=True, help="output scores JSONL")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_predict)
-    by_name["predict"] = sub
 
-    sub = subparsers.add_parser("evaluate", help="metrics from scored patches")
+    sub = command("evaluate", _cmd_evaluate, "metrics from scored patches")
     sub.add_argument("--scores", required=True, nargs="+", help="scores JSONL (several files aggregate as folds)")
     sub.add_argument("--report", required=True, help="output report JSON")
     sub.add_argument("--pr-csv", help="also write recall,precision lines")
     sub.add_argument("--threshold", type=float, default=0.5)
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_evaluate)
-    by_name["evaluate"] = sub
 
-    sub = subparsers.add_parser("baseline", help="keyword baseline labels")
+    sub = command("baseline", _cmd_baseline, "keyword baseline labels")
     sub.add_argument("--dataset", required=True, help="commits (export or JSONL)")
     sub.add_argument("--out", required=True, help="output labels JSONL")
     sub.add_argument("--report", help="also write metrics JSON (needs true labels)")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_baseline)
-    by_name["baseline"] = sub
 
-    sub = subparsers.add_parser("folds", help="chronological cross-validation splits")
+    sub = command("folds", _cmd_folds, "chronological cross-validation splits")
     sub.add_argument("--dataset", required=True, help="commits (export or JSONL)")
     sub.add_argument("--n", type=int, default=5, help="number of folds")
     sub.add_argument("--out-prefix", help="split file prefix (default: <dataset>.fold)")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_folds)
-    by_name["folds"] = sub
 
     return parser, by_name
 
 
 def run(argv=None) -> int:
-    """Parse argv and execute one subcommand; returns the exit code."""
+    """Parse argv and execute one subcommand; returns the exit code.
+
+    This is the one place that stamps start time, resolves the seed,
+    writes the manifest and maps errors to exit codes.
+    """
     if argv is None:
         argv = sys.argv[1:]
     parser, by_name = build_parser()
@@ -711,28 +658,17 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
             args = _apply_config(parser, by_name, args, argv)
+        started = _utc_now()
+        seed = _resolve_seed(args) if "seed" in vars(args) else None
+        inputs, outputs = args.func(args, seed)
+        _write_manifest(args, seed, inputs, outputs, started)
+        return EXIT_OK
+    except SystemExit as exc:  # --help and --version
+        return int(exc.code or 0)
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except SystemExit as exc:
-        code = exc.code if exc.code is not None else 0
-        return int(code)
-
-    try:
-        return args.func(args)
-    except UsageError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_USAGE
-    except (DataError, ParseError, TrainingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (ValueError, OSError) as exc:
+    except (DataError, ParseError, TrainingError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -81,6 +81,23 @@ class FunctionNameTable:
     def empty(cls) -> "FunctionNameTable":
         return cls(retained=frozenset(), defined_in={})
 
+    def to_json_obj(self) -> dict:
+        return {
+            "retained": sorted(self.retained),
+            "defined_in": {p: sorted(n) for p, n in sorted(self.defined_in.items())},
+        }
+
+    @classmethod
+    def from_json_obj(cls, obj) -> "FunctionNameTable":
+        """Inverse of to_json_obj; any other shape is a ValueError."""
+        try:
+            return cls(
+                retained=frozenset(obj.get("retained", ())),
+                defined_in={p: frozenset(n) for p, n in obj.get("defined_in", {}).items()},
+            )
+        except (AttributeError, TypeError) as exc:
+            raise ValueError(f"not a function table: {exc}") from exc
+
 
 def strip_comments_strings(source: str) -> str:
     """Replace comments with a space and empty out string/char literals.
@@ -328,7 +345,11 @@ def build_function_table(corpus: "list[RawCommit] | tuple[RawCommit, ...]") -> F
 
 
 def strip_comments_strings_line(text: str) -> str:
-    """Single-line variant: strips // tails, inline /* */, literal contents."""
+    """strip_comments_strings without its unterminated-construct warnings.
+
+    Diff lines and snapshots are fragments, so an unterminated comment
+    or literal there is expected, not a fault worth a warning.
+    """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return strip_comments_strings(text)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .core import Label
 from .textprep import message_tokens
@@ -76,14 +75,16 @@ def auc_roc(scores, labels) -> float:
     """Probability a random positive outranks a random negative.
 
     Midranks handle ties, so this equals the pairwise statistic with
-    ties worth half.  Single-class labels give NaN.
+    ties worth half.  Single-class labels or a NaN score give NaN.
     """
     s, y = _pair(scores, labels)
     n_pos = int(y.sum())
     n_neg = y.size - n_pos
-    if n_pos == 0 or n_neg == 0:
+    if n_pos == 0 or n_neg == 0 or np.isnan(s).any():
         return float("nan")
-    ranks = rankdata(s)
+    # 1-based midranks: a group of tied scores shares its mean rank.
+    _, group, counts = np.unique(s, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[group]
     return float((ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 

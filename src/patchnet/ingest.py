@@ -508,17 +508,22 @@ def commit_from_json_obj(obj: dict) -> RawCommit:
     )
 
 
-def read_commits_jsonl(path: str) -> list[RawCommit]:
+def _commits_from_jsonl(lines) -> list[RawCommit]:
+    """One commit per non-blank line; a bad record is a ParseError."""
     commits = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                commits.append(commit_from_json_obj(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise ParseError(f"bad JSONL record: {exc}", lineno=lineno) from exc
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            commits.append(commit_from_json_obj(json.loads(line)))
+        except (KeyError, ValueError, TypeError, AttributeError) as exc:
+            raise ParseError(f"bad JSONL record: {exc}", lineno=lineno) from exc
     return commits
+
+
+def read_commits_jsonl(path: str) -> list[RawCommit]:
+    with open(path, encoding="utf-8") as fh:
+        return _commits_from_jsonl(fh)
 
 
 def write_commits_jsonl(path: str, items) -> None:
@@ -540,15 +545,7 @@ def load_commits(path: str) -> list[RawCommit]:
         text = fh.read()
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        commits = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                commits.append(commit_from_json_obj(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise ParseError(f"bad JSONL record: {exc}", lineno=lineno) from exc
-        return commits
+        return _commits_from_jsonl(text.splitlines())
     return parse_commit_stream(text)
 
 

@@ -15,7 +15,7 @@ sigmoid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -46,11 +46,7 @@ class HyperParams:
     filter_sizes: tuple[int, ...] = (1, 2)
     n_filters: int = 64
     fc_size: int = 100
-    msg_len: int = 512
-    files: int = 5
-    hunks: int = 8
-    lines: int = 10
-    words: int = 120
+    dims: PatchDims = PatchDims()
     dropout: float = 0.5
     l2_reg_lambda: float = 1e-5
     threshold: float = 0.5
@@ -58,10 +54,7 @@ class HyperParams:
     share_line_module: bool = True
 
     def __post_init__(self) -> None:
-        for name in (
-            "d_msg", "d_code", "n_filters", "fc_size", "msg_len",
-            "files", "hunks", "lines", "words",
-        ):
+        for name in ("d_msg", "d_code", "n_filters", "fc_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
         if not self.filter_sizes or any(k < 1 for k in self.filter_sizes):
@@ -77,7 +70,7 @@ class HyperParams:
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
         kmax = max(self.filter_sizes)
-        if self.msg_len < kmax or self.words < kmax or self.hunks < kmax:
+        if min(self.dims.msg_len, self.dims.words, self.dims.hunks) < kmax:
             raise ValueError("sequence dims must be >= the largest filter size")
 
     @property
@@ -91,7 +84,7 @@ class HyperParams:
 
     @property
     def code_dim(self) -> int:
-        return self.files * self.file_dim
+        return self.dims.files * self.file_dim
 
     @property
     def e_dim(self) -> int:
@@ -102,40 +95,23 @@ class HyperParams:
             return self.code_dim
         return self.line_embed_dim + self.code_dim
 
-    @property
-    def dims(self) -> PatchDims:
-        return PatchDims(
-            msg_len=self.msg_len,
-            files=self.files,
-            hunks=self.hunks,
-            lines=self.lines,
-            words=self.words,
-        )
-
     def to_json_obj(self) -> dict:
-        return {
-            "d_msg": self.d_msg,
-            "d_code": self.d_code,
-            "filter_sizes": list(self.filter_sizes),
-            "n_filters": self.n_filters,
-            "fc_size": self.fc_size,
-            "msg_len": self.msg_len,
-            "files": self.files,
-            "hunks": self.hunks,
-            "lines": self.lines,
-            "words": self.words,
-            "dropout": self.dropout,
-            "l2_reg_lambda": self.l2_reg_lambda,
-            "threshold": self.threshold,
-            "variant": self.variant,
-            "share_line_module": self.share_line_module,
-        }
+        """Flat JSON object: the dims fields sit beside the others."""
+        obj = asdict(self)
+        obj.update(obj.pop("dims"))
+        obj["filter_sizes"] = list(self.filter_sizes)
+        return obj
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "HyperParams":
+        """Inverse of to_json_obj; a missing or unknown key is a ValueError."""
+        expected = cls().to_json_obj().keys()
+        if not isinstance(obj, dict) or obj.keys() != expected:
+            raise ValueError(f"hyperparameters must have exactly the keys {sorted(expected)}")
         obj = dict(obj)
+        dims = PatchDims(**{f.name: obj.pop(f.name) for f in fields(PatchDims)})
         obj["filter_sizes"] = tuple(obj["filter_sizes"])
-        return cls(**obj)
+        return cls(dims=dims, **obj)
 
 
 @dataclass(frozen=True)
@@ -194,7 +170,7 @@ def param_specs(
     for side in ("removed", "added"):
         for k in hp.filter_sizes:
             specs.append(
-                (f"hunk_filters_{side}_k{k}", (hp.n_filters, k, hp.lines, hp.line_embed_dim))
+                (f"hunk_filters_{side}_k{k}", (hp.n_filters, k, hp.dims.lines, hp.line_embed_dim))
             )
             specs.append((f"hunk_bias_{side}_k{k}", (hp.n_filters,)))
     specs.append(("w_hidden", (hp.fc_size, hp.e_dim)))

@@ -8,7 +8,6 @@ the changed lines alone and degrade toward Normal.
 from __future__ import annotations
 
 import struct
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -16,7 +15,7 @@ import numpy as np
 from .codeprep import (
     FunctionNameTable,
     classify_line_kinds,
-    strip_comments_strings,
+    strip_comments_strings_line,
     tokenize_code_line,
 )
 from .core import CodeLine, FileDiff, Label, LineKind, RawCommit
@@ -59,27 +58,14 @@ class PreprocessedPatch:
     label: "Label | None" = None
 
 
-def _strip_quiet(source: str) -> str:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return strip_comments_strings(source)
-
-
 def _snapshot_kinds(c: RawCommit, path: str) -> tuple[dict | None, dict | None]:
     """(old-side, new-side) line-kind maps from file snapshots, if any."""
     for snap in c.file_snapshots:
         if snap.path == path:
-            old = (
-                classify_line_kinds(_strip_quiet(snap.before))
-                if snap.before is not None
-                else None
+            return tuple(
+                None if text is None else classify_line_kinds(strip_comments_strings_line(text))
+                for text in (snap.before, snap.after)
             )
-            new = (
-                classify_line_kinds(_strip_quiet(snap.after))
-                if snap.after is not None
-                else None
-            )
-            return old, new
     return None, None
 
 
@@ -87,38 +73,27 @@ def _fallback_kinds(lines: tuple[CodeLine, ...]) -> list[LineKind]:
     """Kinds from a scan of the changed lines alone (no snapshot)."""
     if not lines:
         return []
-    text = _strip_quiet("\n".join(line.text for line in lines))
+    text = strip_comments_strings_line("\n".join(line.text for line in lines))
     kinds = classify_line_kinds(text)
     return [kinds.get(i + 1, LineKind.NORMAL) for i in range(len(lines))]
+
+
+def _annotate_side(lines: tuple[CodeLine, ...], kinds: dict | None) -> tuple[CodeLine, ...]:
+    """One side's lines with kinds from its snapshot map, else the fallback scan."""
+    if kinds is not None:
+        return tuple(
+            replace(line, kind=kinds.get(line.line_number, LineKind.NORMAL)) for line in lines
+        )
+    return tuple(replace(line, kind=k) for line, k in zip(lines, _fallback_kinds(lines)))
 
 
 def annotate_file_lines(c: RawCommit, fd: FileDiff) -> list[tuple[CodeLine, ...]]:
     """Kind-annotated (removed, added) line tuples per hunk of one file."""
     old_kinds, new_kinds = _snapshot_kinds(c, fd.path)
-    out = []
-    for h in fd.hunks:
-        if old_kinds is not None:
-            removed = tuple(
-                replace(line, kind=old_kinds.get(line.line_number, LineKind.NORMAL))
-                for line in h.removed
-            )
-        else:
-            removed = tuple(
-                replace(line, kind=k)
-                for line, k in zip(h.removed, _fallback_kinds(h.removed))
-            )
-        if new_kinds is not None:
-            added = tuple(
-                replace(line, kind=new_kinds.get(line.line_number, LineKind.NORMAL))
-                for line in h.added
-            )
-        else:
-            added = tuple(
-                replace(line, kind=k)
-                for line, k in zip(h.added, _fallback_kinds(h.added))
-            )
-        out.append((removed, added))
-    return out
+    return [
+        (_annotate_side(h.removed, old_kinds), _annotate_side(h.added, new_kinds))
+        for h in fd.hunks
+    ]
 
 
 def _relevant_files(c: RawCommit) -> list[FileDiff]:
@@ -230,6 +205,8 @@ def read_tensor_file(path: str) -> tuple[list[PreprocessedPatch], PatchDims]:
         blob = fh.read()
     if blob[:4] != TENSOR_MAGIC:
         raise ValueError(f"{path}: not a tensor file (bad magic)")
+    if len(blob) < 32:
+        raise ValueError(f"{path}: truncated tensor file header")
     version, count = struct.unpack_from("<II", blob, 4)
     if version != TENSOR_VERSION:
         raise ValueError(f"{path}: unsupported tensor file version {version}")

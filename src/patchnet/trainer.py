@@ -240,9 +240,10 @@ def save_checkpoint(
 ) -> None:
     """Binary checkpoint: magic, version, JSON header, float32 arrays.
 
-    The header embeds both vocabulary word lists and the retained
-    function names so a checkpoint alone can preprocess and score raw
-    commits.  Arrays follow in header-manifest order, little endian.
+    The header embeds both vocabulary word lists and the whole function
+    table, so a checkpoint alone preprocesses raw commits exactly as
+    `preprocess` did and scores them.  Arrays follow in header-manifest
+    order, little endian.
     """
     functions = functions if functions is not None else FunctionNameTable.empty()
     named = params.named()
@@ -250,7 +251,7 @@ def save_checkpoint(
         "hyperparams": hp.to_json_obj(),
         "message_vocab": list(message_vocab.words),
         "code_vocab": list(code_vocab.words),
-        "retained_functions": sorted(functions.retained),
+        "functions": functions.to_json_obj(),
         "manifest": [
             {"name": name, "shape": list(t.data.shape)} for name, t in named
         ],
@@ -281,15 +282,15 @@ def load_checkpoint(path: str) -> CheckpointBundle:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"corrupt checkpoint header: {exc}") from exc
 
-    hp = HyperParams.from_json_obj(header["hyperparams"])
-    message_vocab = Vocabulary.from_words("message", header["message_vocab"])
-    code_vocab = Vocabulary.from_words("code", header["code_vocab"])
-    functions = FunctionNameTable(
-        retained=frozenset(header["retained_functions"]), defined_in={}
-    )
-
-    expected = param_specs(hp, len(message_vocab), len(code_vocab))
-    stored = [(e["name"], tuple(e["shape"])) for e in header["manifest"]]
+    try:
+        hp = HyperParams.from_json_obj(header["hyperparams"])
+        message_vocab = Vocabulary.from_words("message", header["message_vocab"])
+        code_vocab = Vocabulary.from_words("code", header["code_vocab"])
+        functions = FunctionNameTable.from_json_obj(header["functions"])
+        expected = param_specs(hp, len(message_vocab), len(code_vocab))
+        stored = [(e["name"], tuple(e["shape"])) for e in header["manifest"]]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"corrupt checkpoint header: {exc!r}") from exc
     if stored != expected:
         raise ValueError(
             "parameter manifest mismatch between header and hyperparameters"

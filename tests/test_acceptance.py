@@ -78,11 +78,7 @@ FD_HP = HyperParams(
     filter_sizes=(1, 2),
     n_filters=2,
     fc_size=4,
-    msg_len=6,
-    files=2,
-    hunks=2,
-    lines=2,
-    words=4,
+    dims=PatchDims(msg_len=6, files=2, hunks=2, lines=2, words=4),
     dropout=0.5,
     l2_reg_lambda=1e-4,
 )
@@ -197,11 +193,7 @@ TOY_HP = HyperParams(
     filter_sizes=(1, 2),
     n_filters=4,
     fc_size=8,
-    msg_len=8,
-    files=1,
-    hunks=2,
-    lines=2,
-    words=6,
+    dims=PatchDims(msg_len=8, files=1, hunks=2, lines=2, words=6),
     dropout=0.0,
     l2_reg_lambda=1e-5,
 )

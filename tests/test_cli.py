@@ -2,14 +2,23 @@
 
 import json
 import math
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from conftest import KMEMDUP_EXPORT, SAMPLE_EXPORTS, export_record, hex_id, simple_diff
+import patchnet
+from conftest import KMEMDUP_EXPORT, SAMPLE_EXPORTS, export_record, hex_id, make_commit, simple_diff
 from patchnet import __version__
 from patchnet.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, run
+from patchnet.core import Label
 from patchnet.evalkit import keyword_baseline
-from patchnet.ingest import load_commits
+from patchnet.ingest import load_commits, write_commits_jsonl
+from patchnet.model import HyperParams
+from patchnet.preprocess import read_tensor_file, write_tensor_file
 
 STABLE_BOUND = 4
 NON_STABLE = 5
@@ -245,6 +254,43 @@ def test_predict_from_commits_file(pipeline, tmp_path):
     assert "true_label" not in rows[0]  # raw exports carry no labels
 
 
+def test_predict_on_commits_matches_tensors_for_same_file_definitions(tmp_path):
+    # ring_alloc is called often enough to be retained, but drivers/b.c
+    # defines it, so preprocess writes IDENT for its uses there.  predict
+    # on raw commits must rebuild exactly those tensors from the checkpoint.
+    def commit(n, path, added, label):
+        diff = simple_diff(path=path, removed=(), added=added)
+        return make_commit(n, date=1_500_000_000 + n, diff=diff, label=label)
+
+    commits = [
+        commit(1, "drivers/a.c", ("\tring_alloc(1);", "\tring_alloc(2);"), Label.STABLE),
+        commit(2, "drivers/a.c", ("\tring_alloc(3);", "\tx = 1;"), Label.STABLE),
+        commit(3, "drivers/b.c", ("ring_alloc(int n)", "\tring_alloc(n - 1);"), Label.NON_STABLE),
+        commit(4, "drivers/b.c", ("\tring_alloc(4);", "\ty = 2;"), Label.NON_STABLE),
+    ]
+    dataset = str(tmp_path / "data.jsonl")
+    write_commits_jsonl(dataset, commits)
+    tensors, vocab = str(tmp_path / "t.bin"), str(tmp_path / "v.json")
+    ckpt = str(tmp_path / "m.ckpt")
+    assert run(["preprocess", "--dataset", dataset, "--out", tensors, "--vocab-out", vocab,
+                *PREPROCESS_DIMS]) == EXIT_OK
+    functions = json.load(open(tensors + ".functions.json"))
+    assert functions["retained"] == ["ring_alloc"]
+    assert functions["defined_in"] == {"drivers/b.c": ["ring_alloc"]}
+    # Enough line filters that the renamed token wins some max-pool, so a
+    # tensor that differs also scores differently.
+    assert run(["train", "--tensors", tensors, "--vocab", vocab,
+                "--functions", tensors + ".functions.json", "--out", ckpt,
+                *TRAIN_FLAGS, "--d-code", "8", "--filters", "32", "--fc-size", "8"]) == EXIT_OK
+
+    scores = {}
+    for source in (tensors, dataset):
+        out = str(tmp_path / "scores.jsonl")
+        assert run(["predict", "--checkpoint", ckpt, "--in", source, "--out", out]) == EXIT_OK
+        scores[source] = {r["commit_id"]: r["score"] for r in _read_jsonl(out)}
+    assert scores[dataset] == scores[tensors]
+
+
 # ---------------------------------------------------------------------------
 # Exit codes
 
@@ -289,6 +335,101 @@ def test_predict_dim_mismatch_exits_data(pipeline, tmp_path):
     assert rc == EXIT_OK
     assert run(["predict", "--checkpoint", pipeline["checkpoint"],
                 "--in", tensors, "--out", str(tmp_path / "s.jsonl")]) == EXIT_DATA
+
+
+def _predict_argv(p, tmp_path, checkpoint=None, in_path=None):
+    return ["predict", "--checkpoint", checkpoint or p["checkpoint"],
+            "--in", in_path or p["tensors"], "--out", str(tmp_path / "s.jsonl")]
+
+
+def _short_tensor_file(p, tmp_path):
+    path = tmp_path / "short.bin"
+    path.write_bytes(b"PNTD\x01\x00\x00\x00\x02")
+    return _predict_argv(p, tmp_path, in_path=str(path))
+
+
+def _checkpoint_with_header(header):
+    def case(p, tmp_path):
+        payload = json.dumps(header).encode("utf-8")
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(b"PNET" + struct.pack("<II", 1, len(payload)) + payload)
+        return _predict_argv(p, tmp_path, checkpoint=str(path))
+
+    return case
+
+
+def _index_past_vocabulary(command):
+    def case(p, tmp_path):
+        patches, dims = read_tensor_file(p["tensors"])
+        patches[0].added_code[0, 0, 0, 0] = 10**6
+        path = str(tmp_path / "big.bin")
+        write_tensor_file(path, patches, dims)
+        if command == "predict":
+            return _predict_argv(p, tmp_path, in_path=path)
+        return ["train", "--tensors", path, "--vocab", p["vocab"],
+                "--out", str(tmp_path / "m.ckpt"), *TRAIN_FLAGS]
+
+    return case
+
+
+def _functions_array(p, tmp_path):
+    path = tmp_path / "functions.json"
+    path.write_text('["kmalloc"]\n')
+    return ["train", "--tensors", p["tensors"], "--vocab", p["vocab"], "--functions",
+            str(path), "--out", str(tmp_path / "m.ckpt"), *TRAIN_FLAGS]
+
+
+def _non_object_commit_record(p, tmp_path):
+    path = tmp_path / "commits.jsonl"
+    path.write_text(open(p["dataset"]).readline() + "[1, 2]\n")
+    return _predict_argv(p, tmp_path, in_path=str(path))
+
+
+_HP = HyperParams().to_json_obj()
+
+
+@pytest.mark.parametrize(
+    "make_argv",
+    [
+        _short_tensor_file,
+        _checkpoint_with_header({}),
+        _checkpoint_with_header([]),
+        _checkpoint_with_header({"hyperparams": {**_HP, "bogus": 1}}),
+        _checkpoint_with_header({"hyperparams": {k: v for k, v in _HP.items() if k != "words"}}),
+        _index_past_vocabulary("predict"),
+        _index_past_vocabulary("train"),
+        _functions_array,
+        _non_object_commit_record,
+    ],
+    ids=[
+        "tensor-file-under-32-bytes",
+        "checkpoint-header-without-keys",
+        "checkpoint-header-list",
+        "checkpoint-unknown-hyperparameter",
+        "checkpoint-missing-hyperparameter",
+        "predict-index-past-vocabulary",
+        "train-index-past-vocabulary",
+        "functions-file-array",
+        "commits-jsonl-non-object",
+    ],
+)
+def test_bad_input_exits_data_without_traceback(pipeline, tmp_path, capsys, make_argv):
+    argv = make_argv(pipeline, tmp_path)
+    capsys.readouterr()
+    assert run(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_cli_import_leaves_scipy_out():
+    # Every CLI process pays for what patchnet.cli imports; SciPy alone
+    # cost over a second per process and nothing needs it.
+    src = str(Path(patchnet.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import patchnet.cli, sys; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_train_rejects_unlabeled_tensors(tmp_path):

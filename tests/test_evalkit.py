@@ -139,6 +139,10 @@ def test_auc_single_class_is_nan():
     assert math.isnan(auc_roc([0.2, 0.8], [0, 0]))
 
 
+def test_auc_nan_score_is_nan():
+    assert math.isnan(auc_roc([0.2, float("nan"), 0.7], [1, 0, 1]))
+
+
 def test_auc_matches_pairwise_oracle_with_ties():
     rng = np.random.default_rng(4242)
     for _ in range(25):

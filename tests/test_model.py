@@ -1,5 +1,7 @@
 """Tests for the patch-scoring network."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -27,11 +29,7 @@ TINY = HyperParams(
     filter_sizes=(1, 2),
     n_filters=2,
     fc_size=3,
-    msg_len=4,
-    files=2,
-    hunks=2,
-    lines=2,
-    words=3,
+    dims=PatchDims(msg_len=4, files=2, hunks=2, lines=2, words=3),
     dropout=0.0,
 )
 
@@ -97,7 +95,7 @@ def test_hyperparams_validation():
     with pytest.raises(ValueError, match="variant"):
         HyperParams(variant="both")
     with pytest.raises(ValueError, match="filter size"):
-        HyperParams(hunks=1, filter_sizes=(1, 2))
+        HyperParams(dims=PatchDims(hunks=1), filter_sizes=(1, 2))
 
 
 def test_ablation_variants():
@@ -162,9 +160,7 @@ def test_param_specs_order_and_shapes():
 
 
 def test_param_specs_unshared_line_module():
-    hp = HyperParams(
-        **{**TINY.to_json_obj(), "share_line_module": False}
-    )
+    hp = replace(TINY, share_line_module=False)
     names = [n for n, _ in param_specs(hp, 7, 9)]
     assert "line_filters_removed_k1" in names
     assert "line_filters_added_k2" in names
@@ -173,7 +169,7 @@ def test_param_specs_unshared_line_module():
 
 def test_param_specs_variant_changes_hidden_width():
     for variant in VARIANTS:
-        hp = HyperParams(**{**TINY.to_json_obj(), "variant": variant})
+        hp = replace(TINY, variant=variant)
         assert dict(param_specs(hp, 7, 9))["w_hidden"] == (3, hp.e_dim)
 
 
@@ -198,7 +194,7 @@ def test_shared_line_module_aliases_sides():
     f_add, b_add = params.line_filters("added", 1)
     assert f_rem is f_add and b_rem is b_add
 
-    hp = HyperParams(**{**TINY.to_json_obj(), "share_line_module": False})
+    hp = replace(TINY, share_line_module=False)
     params = init_params(hp, 7, 9, np.random.default_rng(0))
     f_rem, _ = params.line_filters("removed", 1)
     f_add, _ = params.line_filters("added", 1)
@@ -226,7 +222,7 @@ def test_forward_variants_run_and_differ():
     patch = rand_patch(rng, TINY)
     zs = {}
     for variant in VARIANTS:
-        hp = HyperParams(**{**TINY.to_json_obj(), "variant": variant})
+        hp = replace(TINY, variant=variant)
         params = init_params(hp, 7, 9, np.random.default_rng(11))
         zs[variant] = float(forward(patch, params, hp).data)
     assert 0.0 < min(zs.values()) and max(zs.values()) < 1.0
@@ -265,14 +261,14 @@ def test_forward_mode_validation():
 
 
 def test_train_mode_dropout_is_seeded_and_optional():
-    hp = HyperParams(**{**TINY.to_json_obj(), "dropout": 0.5})
+    hp = replace(TINY, dropout=0.5)
     params = init_params(hp, 7, 9, np.random.default_rng(5))
     patch = rand_patch(np.random.default_rng(6), hp)
     z1 = forward(patch, params, hp, mode="train", rng=np.random.default_rng(42))
     z2 = forward(patch, params, hp, mode="train", rng=np.random.default_rng(42))
     assert float(z1.data) == float(z2.data)
 
-    no_drop = HyperParams(**{**TINY.to_json_obj(), "dropout": 0.0})
+    no_drop = replace(TINY, dropout=0.0)
     params0 = init_params(no_drop, 7, 9, np.random.default_rng(5))
     patch0 = rand_patch(np.random.default_rng(6), no_drop)
     z_train = forward(patch0, params0, no_drop, mode="train", rng=np.random.default_rng(0))

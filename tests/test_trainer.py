@@ -1,6 +1,7 @@
 """Tests for minibatch training, early stopping, and checkpoints."""
 
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from patchnet.codeprep import FunctionNameTable
 from patchnet.core import Label
 from patchnet.model import HyperParams, ModelParams, init_params, param_specs, predict
 from patchnet.nnkit import Tensor
-from patchnet.preprocess import PreprocessedPatch
+from patchnet.preprocess import PatchDims, PreprocessedPatch
 from patchnet.trainer import (
     CHECKPOINT_MAGIC,
     EarlyStopping,
@@ -30,11 +31,7 @@ TINY = HyperParams(
     filter_sizes=(1, 2),
     n_filters=2,
     fc_size=3,
-    msg_len=4,
-    files=1,
-    hunks=2,
-    lines=2,
-    words=3,
+    dims=PatchDims(msg_len=4, files=1, hunks=2, lines=2, words=3),
     dropout=0.0,
     l2_reg_lambda=1e-5,
 )
@@ -174,7 +171,7 @@ def test_train_restores_best_epoch_parameters():
     # after that epoch, and the rng consumption up to it is the same.
     items = tiny_dataset()
     base = dict(batch_size=4, seed=9, learning_rate=0.05)
-    hp = HyperParams(**{**TINY.to_json_obj(), "dropout": 0.3})
+    hp = replace(TINY, dropout=0.3)
     full = train(items, hp, TrainConfig(max_epochs=6, **base), MSG_VOCAB, CODE_VOCAB)
     k = full.history.best_epoch
     assert 1 <= k <= 6
@@ -282,7 +279,7 @@ def test_checkpoint_round_trip(tmp_path):
     assert bundle.message_vocab.index_to_word == msg_vocab.index_to_word
     assert bundle.code_vocab.index_to_word == code_vocab.index_to_word
     assert bundle.functions.retained == {"kfree", "kmalloc"}
-    assert bundle.functions.defined_in == {}  # per-file map is not persisted
+    assert bundle.functions == table  # the per-file map is persisted too
     for (name, orig), (_, loaded) in zip(params.named(), bundle.params.named()):
         assert orig.data.shape == loaded.data.shape
         assert np.allclose(orig.data, loaded.data, rtol=0, atol=1e-7), name
@@ -371,7 +368,7 @@ def test_checkpoint_manifest_mismatch(tmp_path):
     # Header hyperparameters that disagree with the stored manifest must
     # be refused before any array is interpreted.
     items_hp = TINY
-    other_hp = HyperParams(**{**TINY.to_json_obj(), "n_filters": 4})
+    other_hp = replace(TINY, n_filters=4)
     msg_vocab = build_vocab(["fix"], "message")
     code_vocab = build_vocab(["IDENT@nrm"], "code")
     params = init_params(
