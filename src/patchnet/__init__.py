@@ -27,7 +27,6 @@ from .ingest import (
     load_commits,
     parse_commit_stream,
     parse_unified_diff,
-    read_commits_jsonl,
     write_commits_jsonl,
 )
 from .stemmer import porter_stem
@@ -53,7 +52,6 @@ from .model import (
     HyperParams,
     ModelParams,
     Score,
-    ablation_variant,
     init_params,
     predict,
 )
@@ -102,7 +100,6 @@ __all__ = [
     "TrainHistory",
     "TrainResult",
     "Vocabulary",
-    "ablation_variant",
     "assemble_tensors",
     "auc_roc",
     "backward",
@@ -130,7 +127,6 @@ __all__ = [
     "porter_stem",
     "pr_curve",
     "predict",
-    "read_commits_jsonl",
     "read_tensor_file",
     "save_checkpoint",
     "save_vocab_pair",

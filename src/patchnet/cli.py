@@ -32,7 +32,7 @@ from .ingest import (
     read_rc_ids,
     write_commits_jsonl,
 )
-from .model import HyperParams
+from .model import VARIANTS, HyperParams
 from .preprocess import PatchDims, assemble_tensors, code_token_stream, message_token_stream, read_tensor_file, write_tensor_file
 from .trainer import (
     TrainConfig,
@@ -50,6 +50,13 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 
 SCALAR_METRICS = ("accuracy", "precision", "recall", "f1", "auc")
+
+# train flag (argparse dest) -> the field it sets; the field's default
+# is the flag's default.
+_HP_FLAGS = {"d_msg": "d_msg", "d_code": "d_code", "filters": "n_filters", "fc_size": "fc_size",
+             "dropout": "dropout", "l2": "l2_reg_lambda", "threshold": "threshold"}
+_CONFIG_FLAGS = {"batch_size": "batch_size", "epochs": "max_epochs", "patience": "patience",
+                 "learning_rate": "learning_rate"}
 
 
 class UsageError(Exception):
@@ -202,10 +209,18 @@ def _read_score_rows(path: str) -> list[dict]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}:{lineno}: bad JSON: {exc}")
+        if not isinstance(obj, dict):
+            raise DataError(f"{path}:{lineno}: expected a JSON object")
         if "score" not in obj:
             raise DataError(f"{path}:{lineno}: missing 'score'")
         if "true_label" not in obj:
             raise DataError(f"{path}:{lineno}: missing 'true_label'")
+        try:
+            obj["score"] = float(obj["score"])
+        except (TypeError, ValueError):
+            raise DataError(f"{path}:{lineno}: score {obj['score']!r} is not a number")
+        if not np.isfinite(obj["score"]):
+            raise DataError(f"{path}:{lineno}: score {obj['score']} is not finite")
         rows.append(obj)
     if not rows:
         raise DataError(f"{path}: no score rows")
@@ -328,6 +343,22 @@ def _cmd_preprocess(args, seed):
     return [args.dataset], [args.out, args.vocab_out, functions_out]
 
 
+def _train_settings(args, dims: PatchDims, seed: int) -> tuple[HyperParams, TrainConfig]:
+    """The HyperParams and TrainConfig that train's flags describe."""
+    hp = HyperParams(
+        dims=dims,
+        filter_sizes=_filter_sizes(args.filter_sizes),
+        variant=args.variant,
+        **{name: getattr(args, dest) for dest, name in _HP_FLAGS.items()},
+    )
+    config = TrainConfig(
+        seed=seed,
+        shuffle=not args.no_shuffle,
+        **{name: getattr(args, dest) for dest, name in _CONFIG_FLAGS.items()},
+    )
+    return hp, config
+
+
 def _cmd_train(args, seed):
     patches, dims = read_tensor_file(args.tensors)
     if not patches:
@@ -346,27 +377,7 @@ def _cmd_train(args, seed):
         else FunctionNameTable.empty()
     )
 
-    hp = HyperParams(
-        d_msg=args.d_msg,
-        d_code=args.d_code,
-        filter_sizes=_filter_sizes(args.filter_sizes),
-        n_filters=args.filters,
-        fc_size=args.fc_size,
-        dims=dims,
-        dropout=args.dropout,
-        l2_reg_lambda=args.l2,
-        threshold=args.threshold,
-        variant=args.variant,
-    )
-    config = TrainConfig(
-        batch_size=args.batch_size,
-        max_epochs=args.epochs,
-        patience=args.patience,
-        learning_rate=args.learning_rate,
-        seed=seed,
-        shuffle=not args.no_shuffle,
-    )
-
+    hp, config = _train_settings(args, dims, seed)
     result = train(patches, hp, config, msg_vocab, code_vocab)
     for epoch, value in enumerate(result.history.epoch_losses, start=1):
         print(f"epoch {epoch}: loss {value:.6f}")
@@ -442,7 +453,7 @@ def _cmd_evaluate(args, seed):
     reports = []
     for path in args.scores:
         rows = _read_score_rows(path)
-        scores = [float(r["score"]) for r in rows]
+        scores = [r["score"] for r in rows]
         labels = [
             _truth_to_int(r["true_label"], f"{path} row {i + 1}")
             for i, r in enumerate(rows)
@@ -605,19 +616,15 @@ def build_parser():
     sub.add_argument("--vocab", required=True, help="vocab.json from preprocess")
     sub.add_argument("--functions", help="functions JSON from preprocess")
     sub.add_argument("--out", required=True, help="output checkpoint path")
-    sub.add_argument("--d-msg", type=int, default=50)
-    sub.add_argument("--d-code", type=int, default=50)
-    sub.add_argument("--filter-sizes", default="1,2", help="comma-separated window sizes")
-    sub.add_argument("--filters", type=int, default=64, help="filters per window size")
-    sub.add_argument("--fc-size", type=int, default=100)
-    sub.add_argument("--dropout", type=float, default=0.5)
-    sub.add_argument("--l2", type=float, default=1e-5, help="L2 regularization strength")
-    sub.add_argument("--threshold", type=float, default=0.5)
-    sub.add_argument("--variant", choices=("full", "code", "message"), default="full")
-    sub.add_argument("--batch-size", type=int, default=32)
-    sub.add_argument("--epochs", type=int, default=50)
-    sub.add_argument("--patience", type=int, default=5)
-    sub.add_argument("--learning-rate", type=float, default=1e-3)
+    hp, config = HyperParams(), TrainConfig()
+    for owner, flags in ((hp, _HP_FLAGS), (config, _CONFIG_FLAGS)):
+        for dest, name in flags.items():
+            default = getattr(owner, name)
+            sub.add_argument("--" + dest.replace("_", "-"), type=type(default), default=default,
+                             help=f"{type(owner).__name__}.{name}")
+    sub.add_argument("--filter-sizes", default=",".join(map(str, hp.filter_sizes)),
+                     help="comma-separated window sizes")
+    sub.add_argument("--variant", choices=VARIANTS, default=hp.variant)
     sub.add_argument("--no-shuffle", action="store_true", help="keep input order within epochs")
     sub.add_argument("--seed", type=int, help="seed for init, shuffling, and dropout")
 

@@ -96,8 +96,7 @@ class FileDiff:
 
     ``language_relevant`` marks files whose path ends in .c or .h; only
     those feed the code channel of the model.  A binary or otherwise
-    opaque change is represented with an empty ``hunks`` tuple, which
-    validation reports but parsing permits.  ``old_path`` is the ---
+    opaque change is represented with an empty ``hunks`` tuple.  ``old_path`` is the ---
     side ("" when the file is newly added); ``path`` prefers the +++
     side and falls back to the --- side for deletions.
     """
@@ -165,46 +164,3 @@ class LabeledDataset:
         """(stable, non_stable) item counts."""
         stable = sum(1 for _, lab in self.items if lab is Label.STABLE)
         return stable, len(self.items) - stable
-
-
-def validate_commit(c: RawCommit) -> list[str]:
-    """Check structural invariants of a RawCommit.
-
-    Returns a list of violation descriptions; an empty list means the
-    commit is well formed.  Violations are data findings, not faults:
-    callers decide whether to skip, repair, or abort.
-    """
-    violations: list[str] = []
-    if len(c.commit_id) != 40:
-        violations.append(f"commit_id length {len(c.commit_id)} != 40")
-    elif not COMMIT_ID_RE.match(c.commit_id):
-        violations.append("commit_id charset not lowercase hex")
-    for p in c.parent_ids:
-        if not COMMIT_ID_RE.match(p):
-            violations.append(f"parent id malformed: {p!r}")
-    if "\n" in c.subject:
-        violations.append("subject newline")
-    if c.date < 0:
-        violations.append(f"date negative: {c.date}")
-    return violations
-
-
-def validate_file_diff(fd: FileDiff) -> list[str]:
-    """Check structural invariants of a FileDiff (empty list = well formed)."""
-    violations: list[str] = []
-    if not fd.hunks:
-        violations.append(f"file {fd.path}: no hunks")
-    for i, h in enumerate(fd.hunks, start=1):
-        if h.index != i:
-            violations.append(f"file {fd.path}: hunk index {h.index} at position {i}")
-        for line in h.removed:
-            if line.sign != "-":
-                violations.append(
-                    f"file {fd.path} hunk {h.index}: removed line with sign {line.sign!r}"
-                )
-        for line in h.added:
-            if line.sign != "+":
-                violations.append(
-                    f"file {fd.path} hunk {h.index}: added line with sign {line.sign!r}"
-                )
-    return violations

@@ -508,24 +508,6 @@ def commit_from_json_obj(obj: dict) -> RawCommit:
     )
 
 
-def _commits_from_jsonl(lines) -> list[RawCommit]:
-    """One commit per non-blank line; a bad record is a ParseError."""
-    commits = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            commits.append(commit_from_json_obj(json.loads(line)))
-        except (KeyError, ValueError, TypeError, AttributeError) as exc:
-            raise ParseError(f"bad JSONL record: {exc}", lineno=lineno) from exc
-    return commits
-
-
-def read_commits_jsonl(path: str) -> list[RawCommit]:
-    with open(path, encoding="utf-8") as fh:
-        return _commits_from_jsonl(fh)
-
-
 def write_commits_jsonl(path: str, items) -> None:
     """Write commits (or (commit, label) pairs, or a LabeledDataset)."""
     if isinstance(items, LabeledDataset):
@@ -540,13 +522,23 @@ def write_commits_jsonl(path: str, items) -> None:
 
 
 def load_commits(path: str) -> list[RawCommit]:
-    """Read commits from either supported format, sniffing by first byte."""
+    """Read commits from either supported format, sniffing by first byte.
+
+    JSONL holds one commit per non-blank line; a bad record is a ParseError.
+    """
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return _commits_from_jsonl(text.splitlines())
-    return parse_commit_stream(text)
+    if not text.lstrip().startswith("{"):
+        return parse_commit_stream(text)
+    commits = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            commits.append(commit_from_json_obj(json.loads(line)))
+        except (KeyError, ValueError, TypeError, AttributeError) as exc:
+            raise ParseError(f"bad JSONL record: {exc}", lineno=lineno) from exc
+    return commits
 
 
 def read_rc_ids(path: str) -> set[str]:

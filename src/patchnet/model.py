@@ -5,17 +5,19 @@ Message channel: embed 512 tokens, convolve with 1- and 2-gram filters,
 max-pool per filter, concatenate (e_m, 128 dims by default).
 
 Code channel, per file and side: embed every line's 120 tokens, run the
-line module (same structure as the message module) to get one vector
-per line, arrange them as a hunks × lines × E block, convolve windows
-of hunks in 3-D, max-pool, concatenate (e_r / e_a, 128 dims); a file is
-e_r ⊕ e_a (256) and the patch code vector e_c concatenates five file
-slots (1280).  Classification: dropout(e_m ⊕ e_c) → dense(100, ReLU) →
-sigmoid.
+line module (same structure as the message module, one set of filters
+for both sides) to get one vector per line, arrange them as a hunks ×
+lines × E block, convolve windows of hunks in 3-D with per-side filters,
+max-pool, concatenate (e_r / e_a, 128 dims); a file is e_r ⊕ e_a (256)
+and the patch code vector e_c concatenates five file slots (1280).
+Classification: dropout(e_m ⊕ e_c) → dense(100, ReLU) → sigmoid.
+
+Every convolution stage is "conv per filter size → max-pool → concat".
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -51,7 +53,6 @@ class HyperParams:
     l2_reg_lambda: float = 1e-5
     threshold: float = 0.5
     variant: str = "full"
-    share_line_module: bool = True
 
     def __post_init__(self) -> None:
         for name in ("d_msg", "d_code", "n_filters", "fc_size"):
@@ -126,24 +127,10 @@ class Score:
         return cls(z=z, label=Label.STABLE if z >= threshold else Label.NON_STABLE)
 
 
-def ablation_variant(hp: HyperParams, which: str) -> HyperParams:
-    """Wiring for the ablations: C = code only, M = message only.
-
-    NN returns full wiring unchanged: its knob is preprocessing with an
-    empty FunctionNameTable so every function name becomes IDENT.
-    """
-    key = which.upper()
-    if key == "C":
-        return replace(hp, variant="code")
-    if key == "M":
-        return replace(hp, variant="message")
-    if key == "NN":
-        return replace(hp, variant="full")
-    raise ValueError(f"unknown ablation {which!r} (expected C, M, or NN)")
-
-
-def _line_sides(hp: HyperParams) -> tuple[str, ...]:
-    return ("shared",) if hp.share_line_module else ("removed", "added")
+def _conv_names(layer: str, k: int, side: str = "") -> tuple[str, str]:
+    """Filter and bias parameter names of one conv stage's window size k."""
+    tag = f"_{side}" if side else ""
+    return f"{layer}_filters{tag}_k{k}", f"{layer}_bias{tag}_k{k}"
 
 
 def param_specs(
@@ -160,19 +147,14 @@ def param_specs(
         ("msg_embed", (msg_vocab_size, hp.d_msg)),
         ("code_embed", (code_vocab_size, hp.d_code)),
     ]
-    for k in hp.filter_sizes:
-        specs.append((f"msg_filters_k{k}", (hp.n_filters, k, hp.d_msg)))
-        specs.append((f"msg_bias_k{k}", (hp.n_filters,)))
-    for side in _line_sides(hp):
+    hunk_tail = (hp.dims.lines, hp.line_embed_dim)
+    stages = [("msg", "", (hp.d_msg,)), ("line", "shared", (hp.d_code,)),
+              ("hunk", "removed", hunk_tail), ("hunk", "added", hunk_tail)]
+    for layer, side, tail in stages:
         for k in hp.filter_sizes:
-            specs.append((f"line_filters_{side}_k{k}", (hp.n_filters, k, hp.d_code)))
-            specs.append((f"line_bias_{side}_k{k}", (hp.n_filters,)))
-    for side in ("removed", "added"):
-        for k in hp.filter_sizes:
-            specs.append(
-                (f"hunk_filters_{side}_k{k}", (hp.n_filters, k, hp.dims.lines, hp.line_embed_dim))
-            )
-            specs.append((f"hunk_bias_{side}_k{k}", (hp.n_filters,)))
+            filters, bias = _conv_names(layer, k, side)
+            specs.append((filters, (hp.n_filters, k, *tail)))
+            specs.append((bias, (hp.n_filters,)))
     specs.append(("w_hidden", (hp.fc_size, hp.e_dim)))
     specs.append(("b_hidden", (hp.fc_size,)))
     specs.append(("w_out", (hp.fc_size,)))
@@ -184,7 +166,6 @@ class ModelParams:
 
     def __init__(self, tensors: "dict[str, Tensor]", hp: HyperParams):
         self._tensors = dict(tensors)
-        self._shared_lines = hp.share_line_module
         self.filter_sizes = tuple(hp.filter_sizes)
 
     def named(self) -> list[tuple[str, Tensor]]:
@@ -195,42 +176,6 @@ class ModelParams:
 
     def __getitem__(self, name: str) -> Tensor:
         return self._tensors[name]
-
-    @property
-    def msg_embed(self) -> Tensor:
-        return self._tensors["msg_embed"]
-
-    @property
-    def code_embed(self) -> Tensor:
-        return self._tensors["code_embed"]
-
-    def msg_filters(self, k: int) -> tuple[Tensor, Tensor]:
-        return self._tensors[f"msg_filters_k{k}"], self._tensors[f"msg_bias_k{k}"]
-
-    def line_filters(self, side: str, k: int) -> tuple[Tensor, Tensor]:
-        key = "shared" if self._shared_lines else side
-        return (
-            self._tensors[f"line_filters_{key}_k{k}"],
-            self._tensors[f"line_bias_{key}_k{k}"],
-        )
-
-    def hunk_filters(self, side: str, k: int) -> tuple[Tensor, Tensor]:
-        return (
-            self._tensors[f"hunk_filters_{side}_k{k}"],
-            self._tensors[f"hunk_bias_{side}_k{k}"],
-        )
-
-    @property
-    def w_hidden(self) -> Tensor:
-        return self._tensors["w_hidden"]
-
-    @property
-    def b_hidden(self) -> Tensor:
-        return self._tensors["b_hidden"]
-
-    @property
-    def w_out(self) -> Tensor:
-        return self._tensors["w_out"]
 
 
 def init_params(
@@ -252,24 +197,28 @@ def init_params(
 # Forward pieces
 
 
+def _conv_pool(x, conv, params: ModelParams, layer: str, side: str = "") -> Tensor:
+    """Convolve x once per filter size, max-pool each map, concatenate."""
+    parts = []
+    for k in params.filter_sizes:
+        filters, bias = (params[name] for name in _conv_names(layer, k, side))
+        parts.append(max_pool(conv(x, filters, bias)))
+    return concat(parts, axis=-1)
+
+
 def message_embedding(tokens, params: ModelParams) -> Tensor:
     """e_m: embed 512 tokens, convolve per filter size, pool, concatenate."""
-    emb = embed_lookup(params.msg_embed, np.asarray(tokens))
-    parts = []
-    for k in params.filter_sizes:
-        filters, bias = params.msg_filters(k)
-        parts.append(max_pool(conv_text(emb, filters, bias)))
-    return concat(parts, axis=-1)
+    emb = embed_lookup(params["msg_embed"], np.asarray(tokens))
+    return _conv_pool(emb, conv_text, params, "msg")
 
 
-def line_embedding(line_tokens, params: ModelParams, side: str = "removed") -> Tensor:
-    """One line's E-dim vector; batches over leading axes of (..., L)."""
-    emb = embed_lookup(params.code_embed, np.asarray(line_tokens))
-    parts = []
-    for k in params.filter_sizes:
-        filters, bias = params.line_filters(side, k)
-        parts.append(max_pool(conv_text(emb, filters, bias)))
-    return concat(parts, axis=-1)
+def line_embedding(line_tokens, params: ModelParams) -> Tensor:
+    """One line's E-dim vector; batches over leading axes of (..., L).
+
+    Removed and added lines share this one line module.
+    """
+    emb = embed_lookup(params["code_embed"], np.asarray(line_tokens))
+    return _conv_pool(emb, conv_text, params, "line", "shared")
 
 
 def code_side_embedding(B, params: ModelParams, side: str) -> Tensor:
@@ -281,12 +230,8 @@ def code_side_embedding(B, params: ModelParams, side: str) -> Tensor:
     """
     if side not in ("removed", "added"):
         raise ValueError(f"side must be 'removed' or 'added', got {side!r}")
-    b_hat = line_embedding(B, params, side)  # (..., H, N, E)
-    parts = []
-    for k in params.filter_sizes:
-        filters, bias = params.hunk_filters(side, k)
-        parts.append(max_pool(conv3d_hunks(b_hat, filters, bias)))
-    return concat(parts, axis=-1)
+    b_hat = line_embedding(B, params)  # (..., H, N, E)
+    return _conv_pool(b_hat, conv3d_hunks, params, "hunk", side)
 
 
 def file_embedding(file_tensors, params: ModelParams) -> Tensor:
@@ -340,17 +285,11 @@ def forward(
         parts.append(code_embedding((p.removed_code, p.added_code), params))
     e = concat(parts, axis=-1) if len(parts) > 1 else parts[0]
     e = dropout(e, hp.dropout, rng, training)
-    h = dense(e, params.w_hidden, params.b_hidden)
-    return sigmoid_score(h, params.w_out)
+    h = dense(e, params["w_hidden"], params["b_hidden"])
+    return sigmoid_score(h, params["w_out"])
 
 
-def predict(
-    p: PreprocessedPatch,
-    params: ModelParams,
-    hp: HyperParams,
-    mode: str = "infer",
-    rng: "np.random.Generator | None" = None,
-) -> Score:
-    """Score one patch; the label applies threshold with the >= rule."""
-    z = forward(p, params, hp, mode, rng)
+def predict(p: PreprocessedPatch, params: ModelParams, hp: HyperParams) -> Score:
+    """Score one patch in inference mode; the label applies threshold with >=."""
+    z = forward(p, params, hp)
     return Score.from_z(float(z.data), hp.threshold)

@@ -34,11 +34,9 @@ class TrainConfig:
     batch_size: int = 32
     max_epochs: int = 50
     patience: int = 5
-    min_delta: float = 1e-9
     learning_rate: float = 1e-3
     seed: int = 0
     shuffle: bool = True
-    init_scale: float = 0.1
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
@@ -47,12 +45,8 @@ class TrainConfig:
             raise ValueError("max_epochs must be positive")
         if self.patience < 1:
             raise ValueError("patience must be positive")
-        if self.min_delta < 0.0:
-            raise ValueError("min_delta must be non-negative")
         if self.learning_rate <= 0.0:
             raise ValueError("learning_rate must be positive")
-        if self.init_scale <= 0.0:
-            raise ValueError("init_scale must be positive")
 
 
 @dataclass(frozen=True)
@@ -151,15 +145,12 @@ def train(
 
     rng = np.random.default_rng(config.seed)
     if params is None:
-        params = init_params(
-            hp, _vocab_size(message_vocab), _vocab_size(code_vocab), rng,
-            scale=config.init_scale,
-        )
+        params = init_params(hp, _vocab_size(message_vocab), _vocab_size(code_vocab), rng)
     named = params.named()
     tensors = [t for _, t in named]
     states = [AdamState.for_param(t, learning_rate=config.learning_rate) for t in tensors]
 
-    stopper = EarlyStopping(patience=config.patience, min_delta=config.min_delta)
+    stopper = EarlyStopping(patience=config.patience)
     best = _snapshot(params)
     epoch_losses: list[float] = []
     stopped_early = False
@@ -202,7 +193,7 @@ def train(
 
 def score_items(items, params: ModelParams, hp: HyperParams) -> list[Score]:
     """Inference-mode scores in input order."""
-    return [predict(p, params, hp, mode="infer") for p in items]
+    return [predict(p, params, hp) for p in items]
 
 
 def dataset_accuracy(items, params: ModelParams, hp: HyperParams) -> float:

@@ -69,39 +69,29 @@ def index_of(v: Vocabulary, word: str) -> int:
     return v.word_to_index.get(word, UNK_INDEX)
 
 
-def save_vocab(v: Vocabulary, path: str) -> None:
-    """Write one vocabulary as {channel, words} (position = index - 2)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(vocab_to_json_obj(v), fh)
-        fh.write("\n")
-
-
-def load_vocab(path: str) -> Vocabulary:
-    with open(path, encoding="utf-8") as fh:
-        return vocab_from_json_obj(json.load(fh))
-
-
-def vocab_to_json_obj(v: Vocabulary) -> dict:
-    return {"channel": v.channel, "words": list(v.words)}
-
-
-def vocab_from_json_obj(obj: dict) -> Vocabulary:
-    return Vocabulary.from_words(obj["channel"], obj["words"])
-
-
 def save_vocab_pair(message_vocab: Vocabulary, code_vocab: Vocabulary, path: str) -> None:
-    """Write both channels to one file as a two-element JSON array."""
+    """Write both channels to one file as a JSON array of {channel, words}
+    objects (position in words = index - 2)."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump([vocab_to_json_obj(message_vocab), vocab_to_json_obj(code_vocab)], fh)
+        objs = [{"channel": v.channel, "words": list(v.words)} for v in (message_vocab, code_vocab)]
+        json.dump(objs, fh)
         fh.write("\n")
 
 
 def load_vocab_pair(path: str) -> tuple[Vocabulary, Vocabulary]:
+    """Read what save_vocab_pair wrote; any other shape is a ValueError."""
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     if isinstance(data, dict):
         data = [data]
-    by_channel = {obj["channel"]: vocab_from_json_obj(obj) for obj in data}
+    try:
+        by_channel = {
+            obj["channel"]: Vocabulary.from_words(obj["channel"], obj["words"]) for obj in data
+        }
+    except (KeyError, TypeError) as exc:
+        raise ValueError(
+            f"vocabulary file {path}: expected a list of {{channel, words}} objects ({exc!r})"
+        ) from exc
     missing = [c for c in CHANNELS if c not in by_channel]
     if missing:
         raise ValueError(f"vocabulary file {path} missing channels: {missing}")

@@ -19,7 +19,6 @@ from patchnet.evalkit import auc_roc, chrono_folds, keyword_baseline, metrics
 from patchnet.ingest import check_eligibility, parse_commit_stream, parse_unified_diff
 from patchnet.model import (
     HyperParams,
-    ablation_variant,
     forward,
     init_params,
     predict,
@@ -306,10 +305,10 @@ def test_04_toy_learnability_and_ablation():
     # Single-channel wirings on the split corpus: within each planted-flag
     # group the visible tensors are identical, so 24/32 is their ceiling.
     acc_c, _, _ = _train_until(
-        split_patches, ablation_variant(TOY_HP, "C"), (mv3, cv3), 1.01, 60
+        split_patches, replace(TOY_HP, variant="code"), (mv3, cv3), 1.01, 60
     )
     acc_m, _, _ = _train_until(
-        split_patches, ablation_variant(TOY_HP, "M"), (mv3, cv3), 1.01, 60
+        split_patches, replace(TOY_HP, variant="message"), (mv3, cv3), 1.01, 60
     )
 
     elapsed = time.perf_counter() - start

@@ -13,12 +13,13 @@ import pytest
 import patchnet
 from conftest import KMEMDUP_EXPORT, SAMPLE_EXPORTS, export_record, hex_id, make_commit, simple_diff
 from patchnet import __version__
-from patchnet.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, run
+from patchnet.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _train_settings, build_parser, run
 from patchnet.core import Label
 from patchnet.evalkit import keyword_baseline
 from patchnet.ingest import load_commits, write_commits_jsonl
 from patchnet.model import HyperParams
-from patchnet.preprocess import read_tensor_file, write_tensor_file
+from patchnet.preprocess import PatchDims, read_tensor_file, write_tensor_file
+from patchnet.trainer import TrainConfig
 
 STABLE_BOUND = 4
 NON_STABLE = 5
@@ -385,6 +386,16 @@ def _non_object_commit_record(p, tmp_path):
     return _predict_argv(p, tmp_path, in_path=str(path))
 
 
+def _vocab_file(text):
+    def case(p, tmp_path):
+        path = tmp_path / "vocab.json"
+        path.write_text(text)
+        return ["train", "--tensors", p["tensors"], "--vocab", str(path),
+                "--out", str(tmp_path / "m.ckpt"), *TRAIN_FLAGS]
+
+    return case
+
+
 _HP = HyperParams().to_json_obj()
 
 
@@ -400,6 +411,8 @@ _HP = HyperParams().to_json_obj()
         _index_past_vocabulary("train"),
         _functions_array,
         _non_object_commit_record,
+        _vocab_file("[1]\n"),
+        _vocab_file('[{"channel": "message"}, {"channel": "code", "words": []}]\n'),
     ],
     ids=[
         "tensor-file-under-32-bytes",
@@ -411,6 +424,8 @@ _HP = HyperParams().to_json_obj()
         "train-index-past-vocabulary",
         "functions-file-array",
         "commits-jsonl-non-object",
+        "vocab-non-object-entry",
+        "vocab-entry-without-words",
     ],
 )
 def test_bad_input_exits_data_without_traceback(pipeline, tmp_path, capsys, make_argv):
@@ -500,6 +515,35 @@ def test_evaluate_input_validation(tmp_path):
     assert run(["evaluate", "--scores", str(empty), "--report", report]) == EXIT_DATA
     assert run(["evaluate", "--scores", str(tmp_path / "ghost.jsonl"),
                 "--report", report]) == EXIT_DATA
+    numeric_string = tmp_path / "string.jsonl"
+    numeric_string.write_text('{"score": "0.75", "true_label": 1}\n')
+    assert run(["evaluate", "--scores", str(numeric_string), "--report", report]) == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "row",
+    ['{"score": NaN, "true_label": 1}', '{"score": null, "true_label": 1}',
+     '{"score": Infinity, "true_label": 1}', "5"],
+    ids=["nan", "null", "infinity", "non-object"],
+)
+def test_evaluate_bad_score_row_exits_data_without_traceback(tmp_path, capsys, row):
+    scores = tmp_path / "scores.jsonl"
+    scores.write_text('{"score": 0.2, "true_label": 0}\n' + row + "\n")
+    assert run(["evaluate", "--scores", str(scores),
+                "--report", str(tmp_path / "r.json")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {scores}:2: ") and "Traceback" not in err
+
+
+def test_train_defaults_come_from_hyperparams_and_train_config():
+    parser, _ = build_parser()
+    args = parser.parse_args(["train", "--tensors", "t.bin", "--vocab", "v.json",
+                              "--out", "m.ckpt"])
+    dims = PatchDims(msg_len=8, files=1, hunks=2, lines=2, words=6)
+    hp, config = _train_settings(args, dims, seed=11)
+    assert hp == HyperParams(dims=dims)
+    assert config == TrainConfig(seed=11)
+    assert args.filter_sizes == "1,2"
 
 
 # ---------------------------------------------------------------------------

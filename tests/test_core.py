@@ -1,4 +1,4 @@
-"""Domain type invariants and validators."""
+"""Domain type invariants."""
 
 import pytest
 
@@ -10,9 +10,6 @@ from patchnet.core import (
     Label,
     LabeledDataset,
     LineKind,
-    RawCommit,
-    validate_commit,
-    validate_file_diff,
 )
 
 
@@ -76,48 +73,6 @@ class TestRawCommit:
     def test_message_without_body_is_subject(self):
         c = make_commit(1, subject="x: subject", body="")
         assert c.message == "x: subject"
-
-
-class TestValidateCommit:
-    def test_well_formed_commit_passes(self):
-        assert validate_commit(make_commit(5)) == []
-
-    def test_flags_bad_id_length(self):
-        c = make_commit(1)
-        bad = RawCommit(**{**c.__dict__, "commit_id": "abc"})
-        assert any("length" in v for v in validate_commit(bad))
-
-    def test_flags_uppercase_id(self):
-        c = make_commit(1)
-        bad = RawCommit(**{**c.__dict__, "commit_id": "A" * 40})
-        assert any("charset" in v for v in validate_commit(bad))
-
-    def test_flags_malformed_parent(self):
-        c = make_commit(1, parents=("zzz",))
-        assert any("parent" in v for v in validate_commit(c))
-
-    def test_flags_subject_newline_and_negative_date(self):
-        c = make_commit(1)
-        bad = RawCommit(**{**c.__dict__, "subject": "a\nb", "date": -4})
-        violations = validate_commit(bad)
-        assert any("newline" in v for v in violations)
-        assert any("negative" in v for v in violations)
-
-
-class TestValidateFileDiff:
-    def test_no_hunks_flagged(self):
-        fd = FileDiff("a.bin", (), False)
-        assert any("no hunks" in v for v in validate_file_diff(fd))
-
-    def test_nonconsecutive_hunk_index_flagged(self):
-        h = Hunk(2, 1, 1, 1, 1, (), ())
-        fd = FileDiff("a.c", (h,), True)
-        assert any("hunk index" in v for v in validate_file_diff(fd))
-
-    def test_sign_consistency_flagged(self):
-        h = Hunk(1, 1, 1, 1, 1, (CodeLine(1, "x", "+"),), ())
-        fd = FileDiff("a.c", (h,), True)
-        assert any("sign" in v for v in validate_file_diff(fd))
 
 
 class TestLabeledDataset:

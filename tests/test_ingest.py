@@ -35,7 +35,6 @@ from patchnet.ingest import (
     load_commits,
     parse_commit_stream,
     parse_unified_diff,
-    read_commits_jsonl,
     read_rc_ids,
     write_commits_jsonl,
 )
@@ -544,7 +543,7 @@ class TestJsonlRoundTrip:
         ]
         path = tmp_path / "ds.jsonl"
         write_commits_jsonl(str(path), items)
-        back = read_commits_jsonl(str(path))
+        back = load_commits(str(path))
         assert [c.commit_id for c in back] == [hex_id(1), hex_id(2)]
         assert [c.label for c in back] == [Label.STABLE, Label.NON_STABLE]
 

@@ -11,7 +11,6 @@ from patchnet.model import (
     HyperParams,
     ModelParams,
     Score,
-    ablation_variant,
     code_side_embedding,
     forward,
     init_params,
@@ -99,12 +98,6 @@ def test_hyperparams_validation():
 
 
 def test_ablation_variants():
-    hp = HyperParams()
-    assert ablation_variant(hp, "C").variant == "code"
-    assert ablation_variant(hp, "m").variant == "message"
-    assert ablation_variant(hp, "NN").variant == "full"
-    with pytest.raises(ValueError, match="ablation"):
-        ablation_variant(hp, "X")
     assert set(VARIANTS) == {"full", "code", "message"}
 
 
@@ -159,14 +152,6 @@ def test_param_specs_order_and_shapes():
     assert shapes["w_out"] == (3,)
 
 
-def test_param_specs_unshared_line_module():
-    hp = replace(TINY, share_line_module=False)
-    names = [n for n, _ in param_specs(hp, 7, 9)]
-    assert "line_filters_removed_k1" in names
-    assert "line_filters_added_k2" in names
-    assert not any("shared" in n for n in names)
-
-
 def test_param_specs_variant_changes_hidden_width():
     for variant in VARIANTS:
         hp = replace(TINY, variant=variant)
@@ -186,19 +171,6 @@ def test_init_params_walks_manifest_deterministically():
         assert np.array_equal(ta.data, tb.data)
         assert np.abs(ta.data).max() <= 0.05
     assert [n for n, _ in a.named()] == [n for n, _ in param_specs(TINY, 7, 9)]
-
-
-def test_shared_line_module_aliases_sides():
-    params = init_params(TINY, 7, 9, np.random.default_rng(0))
-    f_rem, b_rem = params.line_filters("removed", 1)
-    f_add, b_add = params.line_filters("added", 1)
-    assert f_rem is f_add and b_rem is b_add
-
-    hp = replace(TINY, share_line_module=False)
-    params = init_params(hp, 7, 9, np.random.default_rng(0))
-    f_rem, _ = params.line_filters("removed", 1)
-    f_add, _ = params.line_filters("added", 1)
-    assert f_rem is not f_add
 
 
 # ---------------------------------------------------------------------------

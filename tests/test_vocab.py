@@ -1,5 +1,6 @@
 """Tests for vocabulary construction and persistence."""
 
+import json
 import random
 
 import pytest
@@ -12,9 +13,7 @@ from patchnet.vocab import (
     Vocabulary,
     build_vocab,
     index_of,
-    load_vocab,
     load_vocab_pair,
-    save_vocab,
     save_vocab_pair,
 )
 
@@ -72,16 +71,6 @@ def test_build_is_deterministic_under_shuffle():
         assert build_vocab(stream, "message") == reference
 
 
-def test_save_load_round_trip(tmp_path):
-    v = build_vocab(["fix", "fix", "leak", "race"], "message")
-    path = str(tmp_path / "vocab.json")
-    save_vocab(v, path)
-    loaded = load_vocab(path)
-    assert loaded.channel == v.channel
-    assert loaded.index_to_word == v.index_to_word
-    assert index_of(loaded, "leak") == index_of(v, "leak")
-
-
 def test_pair_round_trip(tmp_path):
     msg = build_vocab(["fix", "leak"], "message")
     code = build_vocab(["IDENT@nrm", "if@chk"], "code")
@@ -93,8 +82,8 @@ def test_pair_round_trip(tmp_path):
 
 
 def test_pair_missing_channel_rejected(tmp_path):
-    msg = build_vocab(["fix"], "message")
     path = str(tmp_path / "only-msg.json")
-    save_vocab(msg, path)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"channel": "message", "words": ["fix"]}, fh)
     with pytest.raises(ValueError, match="code"):
         load_vocab_pair(path)
