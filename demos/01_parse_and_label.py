@@ -95,14 +95,16 @@ def main():
         verdict = "keep" if report.eligible else f"drop ({', '.join(report.reasons)})"
         print(f"  {c.commit_id[:12]} {c.subject[:40]:42} {verdict}")
         if report.eligible:
-            eligible.append(c)
+            eligible.append((c, report.changed_lines))
     print()
 
     evidence = extract_stable_evidence(parse_commit_stream(STABLE))
     print(f"stable evidence: {len(evidence.back_links)} back link(s)")
-    labeled = [(c, label_commit(c, evidence)) for c in eligible]
-    for c, label in labeled:
-        print(f"  {c.commit_id[:12]} -> {label.value}")
+    # Balancing matches on the changed-line count the eligibility check
+    # already took from its one parse of the diff.
+    labeled = [(c, label_commit(c, evidence), size) for c, size in eligible]
+    for c, label, size in labeled:
+        print(f"  {c.commit_id[:12]} -> {label.value} ({size} changed lines)")
     print()
 
     dataset = build_balanced_dataset(labeled, seed=0)

@@ -13,11 +13,10 @@ from patchnet import (
     PatchDims,
     RawCommit,
     assemble_tensors,
-    build_function_table,
-    build_vocab,
     classify_line_kinds,
     message_tokens,
     porter_stem,
+    preprocess_commits,
     read_tensor_file,
     strip_comments_strings,
     strip_tags,
@@ -25,7 +24,6 @@ from patchnet import (
     write_tensor_file,
 )
 from patchnet.core import CodeLine, Label, LineKind
-from patchnet.preprocess import code_token_stream, message_token_stream
 
 MESSAGE = """net: fix a use-after-free in the ring teardown
 
@@ -123,27 +121,26 @@ def demo_tensors():
                     removed_line="\tring_free(old);"),
         make_commit(5, "net: plug the ring leak", "\tring_free(p);", Label.STABLE),
     ]
-    table = build_function_table(commits)
+    # One pass: parse each diff, build the function table, tokenize each
+    # message and line, count both vocabularies, then index the tensors.
+    dims = PatchDims(msg_len=8, files=2, hunks=2, lines=3, words=8)
+    patches, table, (msg_vocab, code_vocab), unparsable = preprocess_commits(commits, dims)
     print(f"retained function names (called enough to keep): {sorted(table.retained)}")
-
-    msg_vocab = build_vocab(message_token_stream(commits), "message")
-    code_vocab = build_vocab(code_token_stream(commits, table), "code")
     print(f"message vocabulary: {len(msg_vocab)} entries")
     print(f"code vocabulary:    {len(code_vocab)} entries")
+    print(f"diffs that did not parse: {unparsable}")
 
-    dims = PatchDims(msg_len=8, files=2, hunks=2, lines=3, words=8)
-    patch = assemble_tensors(commits[0], table, (msg_vocab, code_vocab), dims)
+    patch = patches[0]
     print(f"message tensor shape: {patch.message_tokens.shape}")
     print(f"code tensor shapes:   {patch.removed_code.shape} (removed and added)")
     decoded = [msg_vocab.index_to_word[i] for i in patch.message_tokens]
     print(f"decoded message row:  {decoded}")
+    # A single new commit (as `predict` sees it) goes through the same steps.
+    again = assemble_tensors(commits[0], table, (msg_vocab, code_vocab), dims)
+    print(f"assemble_tensors rebuilds it: {(again.added_code == patch.added_code).all()}")
 
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "tensors.bin")
-        patches = [
-            assemble_tensors(c, table, (msg_vocab, code_vocab), dims)
-            for c in commits
-        ]
         write_tensor_file(path, patches, dims)
         loaded, loaded_dims = read_tensor_file(path)
         print(

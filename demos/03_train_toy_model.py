@@ -16,16 +16,13 @@ from patchnet import (
     PatchDims,
     RawCommit,
     TrainConfig,
-    assemble_tensors,
-    build_function_table,
-    build_vocab,
     load_checkpoint,
     predict,
+    preprocess_commits,
     save_checkpoint,
     train,
 )
-from patchnet.preprocess import code_token_stream, message_token_stream
-from patchnet.trainer import dataset_accuracy
+from patchnet.trainer import score_items
 
 DIFF = (
     "diff --git a/drivers/net/ring.c b/drivers/net/ring.c\n"
@@ -76,12 +73,7 @@ def toy_corpus():
 
 def main():
     commits = toy_corpus()
-    table = build_function_table(commits)
-    msg_vocab = build_vocab(message_token_stream(commits), "message")
-    code_vocab = build_vocab(code_token_stream(commits, table), "code")
-    patches = [
-        assemble_tensors(c, table, (msg_vocab, code_vocab), HP.dims) for c in commits
-    ]
+    patches, table, (msg_vocab, code_vocab), _ = preprocess_commits(commits, HP.dims)
     print(f"corpus: {len(patches)} patches, message vocab {len(msg_vocab)}")
 
     config = TrainConfig(
@@ -91,7 +83,8 @@ def main():
     losses = result.history.epoch_losses
     for epoch in (1, 5, 10, 20, len(losses)):
         print(f"  epoch {epoch:2}: loss {losses[epoch - 1]:.4f}")
-    accuracy = dataset_accuracy(patches, result.params, HP)
+    scores = score_items(patches, result.params, HP)
+    accuracy = sum(s.label is p.label for p, s in zip(patches, scores)) / len(patches)
     print(f"train accuracy after {result.history.epochs_run} epochs: {accuracy:.2f}")
     print()
 

@@ -10,15 +10,12 @@ from patchnet import (
     PatchDims,
     RawCommit,
     TrainConfig,
-    assemble_tensors,
-    build_function_table,
-    build_vocab,
     chrono_folds,
     keyword_baseline,
     metrics,
+    preprocess_commits,
     train,
 )
-from patchnet.preprocess import code_token_stream, message_token_stream
 from patchnet.trainer import score_items
 
 DIFF = (
@@ -89,12 +86,7 @@ def show_report(name, report):
 
 def main():
     commits = corpus()
-    table = build_function_table(commits)
-    msg_vocab = build_vocab(message_token_stream(commits), "message")
-    code_vocab = build_vocab(code_token_stream(commits, table), "code")
-    patches = [
-        assemble_tensors(c, table, (msg_vocab, code_vocab), HP.dims) for c in commits
-    ]
+    patches, _, (msg_vocab, code_vocab), _ = preprocess_commits(commits, HP.dims)
     truth = [c.label.to_int() for c in commits]
 
     config = TrainConfig(

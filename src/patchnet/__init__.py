@@ -44,6 +44,7 @@ from .preprocess import (
     PatchDims,
     PreprocessedPatch,
     assemble_tensors,
+    preprocess_commits,
     read_tensor_file,
     write_tensor_file,
 )
@@ -127,6 +128,7 @@ __all__ = [
     "porter_stem",
     "pr_curve",
     "predict",
+    "preprocess_commits",
     "read_tensor_file",
     "save_checkpoint",
     "save_vocab_pair",

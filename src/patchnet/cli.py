@@ -19,8 +19,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .codeprep import FunctionNameTable, build_function_table
-from .core import Label, RawCommit
+from .codeprep import FunctionNameTable
+from .core import Label, RawCommit, atomic_write
 from .evalkit import chrono_folds, keyword_baseline, metrics
 from .ingest import (
     ParseError,
@@ -33,17 +33,9 @@ from .ingest import (
     write_commits_jsonl,
 )
 from .model import VARIANTS, HyperParams
-from .preprocess import PatchDims, assemble_tensors, code_token_stream, message_token_stream, read_tensor_file, write_tensor_file
-from .trainer import (
-    TrainConfig,
-    TrainingError,
-    dataset_accuracy,
-    load_checkpoint,
-    save_checkpoint,
-    score_items,
-    train,
-)
-from .vocab import build_vocab, load_vocab_pair, save_vocab_pair
+from .preprocess import PatchDims, assemble_tensors, preprocess_commits, read_tensor_file, write_tensor_file
+from .trainer import TrainConfig, TrainingError, load_checkpoint, save_checkpoint, score_items, train
+from .vocab import load_vocab_pair, save_vocab_pair
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -91,7 +83,7 @@ def _resolve_seed(args) -> int:
 
 
 def _write_json(path: str, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -188,7 +180,7 @@ def _filter_sizes(text: str) -> tuple[int, ...]:
 
 
 def _write_jsonl(path: str, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for row in rows:
             fh.write(json.dumps(row, sort_keys=True))
             fh.write("\n")
@@ -282,17 +274,18 @@ def _cmd_ingest(args, seed):
     rc_ids = read_rc_ids(args.rc_ids) if args.rc_ids else set()
     evidence = extract_stable_evidence(stable, rc_ids)
 
-    eligible = [c for c in mainline if check_eligibility(c).eligible]
-    labeled = [
-        (c, c.label if c.label is not None else label_commit(c, evidence))
-        for c in eligible
-    ]
+    labeled = []
+    for c in mainline:
+        report = check_eligibility(c)
+        if report.eligible:
+            label = c.label if c.label is not None else label_commit(c, evidence)
+            labeled.append((c, label, report.changed_lines))
     dataset = build_balanced_dataset(labeled, seed=seed)
     write_commits_jsonl(args.out, dataset)
 
     n_stable, n_non = dataset.counts()
     print(
-        f"ingest: {len(mainline)} mainline, {len(eligible)} eligible, "
+        f"ingest: {len(mainline)} mainline, {len(labeled)} eligible, "
         f"{n_stable} stable + {n_non} non-stable written to {args.out}"
     )
     print(f"provenance: {dataset.provenance}")
@@ -323,13 +316,9 @@ def _cmd_preprocess(args, seed):
     if not commits:
         raise DataError(f"{args.dataset}: no commits")
     dims = PatchDims(**{f.name: getattr(args, f.name) for f in fields(PatchDims)})
-    table = build_function_table(commits)
-    msg_vocab = build_vocab(message_token_stream(commits), "message", args.min_count)
-    code_vocab = build_vocab(code_token_stream(commits, table), "code", args.min_count)
-
-    patches = [
-        assemble_tensors(c, table, (msg_vocab, code_vocab), dims) for c in commits
-    ]
+    patches, table, (msg_vocab, code_vocab), unparsable = preprocess_commits(
+        commits, dims, args.min_count
+    )
     write_tensor_file(args.out, patches, dims)
     save_vocab_pair(msg_vocab, code_vocab, args.vocab_out)
     functions_out = args.functions_out or args.out + ".functions.json"
@@ -338,7 +327,7 @@ def _cmd_preprocess(args, seed):
     print(
         f"preprocess: {len(patches)} patches -> {args.out} "
         f"(message vocab {len(msg_vocab)}, code vocab {len(code_vocab)}, "
-        f"{len(table.retained)} retained functions)"
+        f"{len(table.retained)} retained functions, {unparsable} unparsable diffs)"
     )
     return [args.dataset], [args.out, args.vocab_out, functions_out]
 
@@ -381,12 +370,10 @@ def _cmd_train(args, seed):
     result = train(patches, hp, config, msg_vocab, code_vocab)
     for epoch, value in enumerate(result.history.epoch_losses, start=1):
         print(f"epoch {epoch}: loss {value:.6f}")
-    accuracy = dataset_accuracy(patches, result.params, hp)
     print(
         f"train: {result.history.epochs_run} epochs "
         f"(best {result.history.best_epoch}, loss {result.history.best_loss:.6f}, "
-        f"stopped_early={result.history.stopped_early}), "
-        f"train accuracy {accuracy:.4f}"
+        f"stopped_early={result.history.stopped_early})"
     )
     save_checkpoint(args.out, result.params, hp, msg_vocab, code_vocab, functions)
     print(f"checkpoint written to {args.out}")
@@ -411,16 +398,9 @@ def _cmd_predict(args, seed):
                 f"tensor dims {dims} do not match checkpoint dims {bundle.hp.dims}"
             )
     else:
-        commits = _load_commits_checked(args.in_path)
-        patches = [
-            assemble_tensors(
-                c,
-                bundle.functions,
-                (bundle.message_vocab, bundle.code_vocab),
-                bundle.hp.dims,
-            )
-            for c in commits
-        ]
+        vocabularies = (bundle.message_vocab, bundle.code_vocab)
+        patches = [assemble_tensors(c, bundle.functions, vocabularies, bundle.hp.dims)
+                   for c in _load_commits_checked(args.in_path)]
     if not patches:
         raise DataError(f"{args.in_path}: no patches")
     _check_indices(patches, bundle.message_vocab, bundle.code_vocab)
@@ -483,7 +463,7 @@ def _cmd_evaluate(args, seed):
     if args.pr_csv:
         if len(reports) != 1:
             raise UsageError("--pr-csv needs exactly one scores file")
-        with open(args.pr_csv, "w", encoding="utf-8") as fh:
+        with atomic_write(args.pr_csv) as fh:
             for recall, precision in reports[0][1].pr_points:
                 fh.write(f"{recall},{precision}\n")
 
@@ -682,3 +662,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -12,9 +12,10 @@ from __future__ import annotations
 import bisect
 import re
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .core import CodeLine, LineKind, RawCommit
+from .core import CodeLine, FileDiff, LineKind
 
 C_KEYWORDS = frozenset((
     "auto", "break", "case", "char", "const", "continue", "default", "do",
@@ -91,12 +92,16 @@ class FunctionNameTable:
     def from_json_obj(cls, obj) -> "FunctionNameTable":
         """Inverse of to_json_obj; any other shape is a ValueError."""
         try:
-            return cls(
+            table = cls(
                 retained=frozenset(obj.get("retained", ())),
                 defined_in={p: frozenset(n) for p, n in obj.get("defined_in", {}).items()},
             )
         except (AttributeError, TypeError) as exc:
             raise ValueError(f"not a function table: {exc}") from exc
+        names = [*table.retained, *table.defined_in, *(n for ns in table.defined_in.values() for n in ns)]
+        if not all(isinstance(n, str) for n in names):
+            raise ValueError("not a function table: names and paths must be strings")
+        return table
 
 
 def strip_comments_strings(source: str) -> str:
@@ -309,34 +314,28 @@ def classify_line_kinds(file_text: str) -> dict[int, LineKind]:
     return {i + 1: kinds[i] for i in range(len(lines))}
 
 
-def build_function_table(corpus: "list[RawCommit] | tuple[RawCommit, ...]") -> FunctionNameTable:
-    """Count call sites across all changed lines; retain frequent names.
+def build_function_table(files: Iterable[FileDiff]) -> FunctionNameTable:
+    """Count call sites across the changed lines of the corpus's file
+    diffs (every file, not only .c/.h); retain frequent names.
 
     A name is retained when it is called at least 5 times corpus-wide;
     uses inside a file that also defines the name (a `name(` at column
     0 of a definition-shaped changed line) are suppressed per file.
     """
-    from .ingest import ParseError, parse_unified_diff
-
     counts: dict[str, int] = {}
     defined: dict[str, set[str]] = {}
-    for c in corpus:
-        try:
-            files = parse_unified_diff(c.diff_text)
-        except ParseError:
-            continue
-        for fd in files:
-            for h in fd.hunks:
-                for line in (*h.removed, *h.added):
-                    text = strip_comments_strings_line(line.text)
-                    dm = RE_DEFINITION.match(text)
-                    if dm and dm.group(1) not in C_KEYWORDS:
-                        defined.setdefault(fd.path, set()).add(dm.group(1))
-                    for cm in RE_CALL.finditer(text):
-                        name = cm.group(1)
-                        if name in C_KEYWORDS:
-                            continue
-                        counts[name] = counts.get(name, 0) + 1
+    for fd in files:
+        for h in fd.hunks:
+            for line in (*h.removed, *h.added):
+                text = strip_comments_strings_line(line.text)
+                dm = RE_DEFINITION.match(text)
+                if dm and dm.group(1) not in C_KEYWORDS:
+                    defined.setdefault(fd.path, set()).add(dm.group(1))
+                for cm in RE_CALL.finditer(text):
+                    name = cm.group(1)
+                    if name in C_KEYWORDS:
+                        continue
+                    counts[name] = counts.get(name, 0) + 1
     retained = frozenset(n for n, k in counts.items() if k >= MIN_CALL_COUNT)
     return FunctionNameTable(
         retained=retained,

@@ -1,4 +1,5 @@
-"""Domain types for commit ingestion and patch classification.
+"""Domain types for commit ingestion and patch classification, and the
+one atomic-write helper every output file goes through.
 
 Everything downstream (parsing, preprocessing, the model, evaluation)
 speaks in terms of these types.  They are deliberately plain: frozen
@@ -8,7 +9,9 @@ and serialize without ceremony.
 
 from __future__ import annotations
 
+import contextlib
 import enum
+import os
 import re
 from dataclasses import dataclass, field
 
@@ -164,3 +167,19 @@ class LabeledDataset:
         """(stable, non_stable) item counts."""
         stable = sum(1 for _, lab in self.items if lab is Label.STABLE)
         return stable, len(self.items) - stable
+
+
+@contextlib.contextmanager
+def atomic_write(path: str, mode: str = "w"):
+    """Write to a temporary file beside `path` and os.replace it onto
+    `path` when the block exits cleanly; on an exception remove it, so
+    `path` holds its old content or the whole new one, never a part."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise

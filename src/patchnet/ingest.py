@@ -36,6 +36,7 @@ from .core import (
     Label,
     LabeledDataset,
     RawCommit,
+    atomic_write,
 )
 
 COMMIT_SEP = "\x01COMMIT\x01"
@@ -79,18 +80,15 @@ class ParseError(Exception):
 
 @dataclass(frozen=True)
 class EligibilityReport:
-    """Outcome of the dataset filters for one commit."""
+    """Outcome of the dataset filters for one commit, with the changed-line
+    count that balancing matches on (0 when the diff does not parse)."""
 
-    eligible: bool
     reasons: tuple[str, ...]
+    changed_lines: int
 
-    def __post_init__(self) -> None:
-        if self.eligible != (len(self.reasons) == 0):
-            raise ValueError("eligible must hold exactly when reasons is empty")
-
-    @classmethod
-    def from_reasons(cls, reasons: tuple[str, ...]) -> "EligibilityReport":
-        return cls(eligible=not reasons, reasons=reasons)
+    @property
+    def eligible(self) -> bool:
+        return not self.reasons
 
 
 @dataclass(frozen=True)
@@ -326,26 +324,18 @@ def parse_unified_diff(diff_text: str) -> list[FileDiff]:
     return files
 
 
-def diff_reported_length(diff_text: str) -> int:
+def diff_reported_length(files: list[FileDiff]) -> int:
     """Diff length as a diff tool reports it: changed plus context lines.
 
     Per hunk this equals old_count + len(added): old_count covers the
     context and removed lines, added lines are the rest.
     """
-    total = 0
-    for fd in parse_unified_diff(diff_text):
-        for h in fd.hunks:
-            total += h.old_count + len(h.added)
-    return total
+    return sum(h.old_count + len(h.added) for fd in files for h in fd.hunks)
 
 
-def changed_line_count(diff_text: str) -> int:
+def changed_line_count(files: list[FileDiff]) -> int:
     """Number of '-' and '+' lines inside hunks (context excluded)."""
-    total = 0
-    for fd in parse_unified_diff(diff_text):
-        for h in fd.hunks:
-            total += len(h.removed) + len(h.added)
-    return total
+    return sum(len(h.removed) + len(h.added) for fd in files for h in fd.hunks)
 
 
 def check_eligibility(c: RawCommit) -> EligibilityReport:
@@ -356,16 +346,17 @@ def check_eligibility(c: RawCommit) -> EligibilityReport:
         reasons.append(MERGE_COMMIT)
     try:
         files = parse_unified_diff(c.diff_text)
-        relevant = [fd for fd in files if fd.language_relevant]
-        if not relevant:
-            reasons.append(NO_C_OR_H_FILE_MODIFIED)
-        elif not any(fd.is_modification for fd in relevant):
-            reasons.append(ONLY_ADDS_OR_REMOVES_FILES)
-        if diff_reported_length(c.diff_text) > MAX_REPORTED_DIFF_LINES:
-            reasons.append(TOO_LONG)
     except ParseError as exc:
         reasons.append(f"{OTHER}: {exc}")
-    return EligibilityReport.from_reasons(tuple(reasons))
+        return EligibilityReport(tuple(reasons), 0)
+    relevant = [fd for fd in files if fd.language_relevant]
+    if not relevant:
+        reasons.append(NO_C_OR_H_FILE_MODIFIED)
+    elif not any(fd.is_modification for fd in relevant):
+        reasons.append(ONLY_ADDS_OR_REMOVES_FILES)
+    if diff_reported_length(files) > MAX_REPORTED_DIFF_LINES:
+        reasons.append(TOO_LONG)
+    return EligibilityReport(tuple(reasons), changed_line_count(files))
 
 
 def extract_stable_evidence(
@@ -400,10 +391,13 @@ def label_commit(c: RawCommit, ev: StableEvidence) -> Label:
 
 
 def build_balanced_dataset(
-    labeled: "list[tuple[RawCommit, Label]]", seed: int = 0
+    labeled: "list[tuple[RawCommit, Label, int]]", seed: int = 0
 ) -> LabeledDataset:
     """Keep every stable commit and match each with the unused non-stable
     commit of closest changed-line count.
+
+    Entries are (commit, label, changed-line count), the count as
+    check_eligibility reports it.
 
     Stable commits are processed in (date, commit_id) order; candidate
     ties break to the earlier date, then the lexicographically smaller
@@ -413,11 +407,11 @@ def build_balanced_dataset(
     if not labeled:
         raise ValueError("labeled sequence is empty")
 
-    seen: set[str] = set()
+    size_of: dict[str, int] = {}
     unique: list[tuple[RawCommit, Label]] = []
-    for c, lab in labeled:
-        if c.commit_id not in seen:
-            seen.add(c.commit_id)
+    for c, lab, size in labeled:
+        if c.commit_id not in size_of:
+            size_of[c.commit_id] = size
             unique.append((c, lab))
 
     stable = sorted(
@@ -441,13 +435,13 @@ def build_balanced_dataset(
             )
         chosen = list(range(len(pool)))
     else:
-        sizes = np.array([changed_line_count(c.diff_text) for c in pool], dtype=np.int64)
+        sizes = np.array([size_of[c.commit_id] for c in pool], dtype=np.int64)
         dates = np.array([c.date for c in pool], dtype=np.int64)
         ids = np.array([c.commit_id for c in pool], dtype="U40")
         used = np.zeros(len(pool), dtype=bool)
         chosen = []
         for s in stable:
-            dist = np.abs(sizes - changed_line_count(s.diff_text))
+            dist = np.abs(sizes - size_of[s.commit_id])
             order = np.lexsort((ids, dates, dist))
             for idx in order:
                 if not used[idx]:
@@ -489,12 +483,14 @@ def commit_to_json_obj(c: RawCommit, label: Label | None = None) -> dict:
 
 
 def commit_from_json_obj(obj: dict) -> RawCommit:
+    """Inverse of commit_to_json_obj.  A missing id or date, or a text
+    field that is not a string, is a ValueError or TypeError."""
     snapshots = tuple(
         FileSnapshot(f["path"], f.get("before"), f.get("after"))
         for f in obj.get("files", [])
     )
     label = Label.from_string(obj["label"]) if "label" in obj else None
-    return RawCommit(
+    c = RawCommit(
         commit_id=obj["commit_id"],
         parent_ids=tuple(obj.get("parents", [])),
         author_name=obj.get("author_name", ""),
@@ -506,13 +502,19 @@ def commit_from_json_obj(obj: dict) -> RawCommit:
         file_snapshots=snapshots,
         label=label,
     )
+    texts = [c.commit_id, *c.parent_ids, c.author_name, c.author_email, c.subject, c.body,
+             c.diff_text, *(s.path for s in snapshots),
+             *(t for s in snapshots for t in (s.before, s.after) if t is not None)]
+    if not all(isinstance(t, str) for t in texts):
+        raise TypeError("ids, names, message, diff and file texts must be strings")
+    return c
 
 
 def write_commits_jsonl(path: str, items) -> None:
     """Write commits (or (commit, label) pairs, or a LabeledDataset)."""
     if isinstance(items, LabeledDataset):
         items = items.items
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for entry in items:
             if isinstance(entry, tuple):
                 c, label = entry
@@ -536,7 +538,7 @@ def load_commits(path: str) -> list[RawCommit]:
             continue
         try:
             commits.append(commit_from_json_obj(json.loads(line)))
-        except (KeyError, ValueError, TypeError, AttributeError) as exc:
+        except (KeyError, ValueError, TypeError, AttributeError, OverflowError) as exc:
             raise ParseError(f"bad JSONL record: {exc}", lineno=lineno) from exc
     return commits
 

@@ -14,13 +14,15 @@ import numpy as np
 
 from .codeprep import (
     FunctionNameTable,
+    build_function_table,
     classify_line_kinds,
     strip_comments_strings_line,
     tokenize_code_line,
 )
-from .core import CodeLine, FileDiff, Label, LineKind, RawCommit
-from .textprep import PAD_TOKEN, message_tokens, normalize_message, strip_tags
-from .vocab import PAD_INDEX, Vocabulary, index_of
+from .core import CodeLine, FileDiff, Label, LineKind, RawCommit, atomic_write
+from .ingest import ParseError, parse_unified_diff
+from .textprep import message_tokens, strip_tags
+from .vocab import PAD_INDEX, Vocabulary, build_vocab, index_of
 
 TENSOR_MAGIC = b"PNTD"
 TENSOR_VERSION = 1
@@ -96,14 +98,56 @@ def annotate_file_lines(c: RawCommit, fd: FileDiff) -> list[tuple[CodeLine, ...]
     ]
 
 
-def _relevant_files(c: RawCommit) -> list[FileDiff]:
-    from .ingest import ParseError, parse_unified_diff
-
+def _parse(c: RawCommit) -> list[FileDiff] | None:
+    """The commit's file diffs, or None when its diff does not parse."""
     try:
-        files = parse_unified_diff(c.diff_text)
+        return parse_unified_diff(c.diff_text)
     except ParseError:
-        return []
-    return [fd for fd in files if fd.language_relevant]
+        return None
+
+
+def _tokenize(c: RawCommit, files: list[FileDiff], table: FunctionNameTable,
+              dims: PatchDims | None = None):
+    """(message tokens, code tokens).
+
+    Code tokens nest as relevant file -> hunk -> (removed, added) ->
+    line -> annotated token texts, files and hunks in diff order.  With
+    dims, code lines past the tensor slots are left out, since only the
+    vocabularies read them; without, nothing is truncated.
+    """
+    n_files, n_hunks, n_lines = (dims.files, dims.hunks, dims.lines) if dims else (None,) * 3
+    code = [
+        [
+            tuple([[t.text for t in tokenize_code_line(line, table, fd.path)] for line in side[:n_lines]]
+                  for side in sides)
+            for sides in annotate_file_lines(c, fd)[:n_hunks]
+        ]
+        for fd in [f for f in files if f.language_relevant][:n_files]
+    ]
+    return message_tokens(strip_tags(c.message)), code
+
+
+def _index(c: RawCommit, tokens, vocabularies: tuple[Vocabulary, Vocabulary],
+           dims: PatchDims) -> PreprocessedPatch:
+    """Index tensors from _tokenize's output.
+
+    Extra files, hunks, lines, and tokens are truncated; everything
+    shorter is PAD-filled.  Unknown words map to UNK, never a fault.
+    """
+    msg_vocab, code_vocab = vocabularies
+    message, code = tokens
+    message = message[: dims.msg_len]
+    msg_idx = np.full(dims.msg_len, PAD_INDEX, dtype=np.int64)
+    msg_idx[: len(message)] = [index_of(msg_vocab, t) for t in message]
+    removed = np.full(dims.code_shape, PAD_INDEX, dtype=np.int64)
+    added = np.full(dims.code_shape, PAD_INDEX, dtype=np.int64)
+    for v, hunks in enumerate(code[: dims.files]):
+        for h, sides in enumerate(hunks[: dims.hunks]):
+            for target, lines in zip((removed, added), sides):
+                for n, words in enumerate(lines[: dims.lines]):
+                    words = words[: dims.words]
+                    target[v, h, n, : len(words)] = [index_of(code_vocab, w) for w in words]
+    return PreprocessedPatch(c.commit_id, msg_idx, removed, added, c.label)
 
 
 def assemble_tensors(
@@ -112,54 +156,39 @@ def assemble_tensors(
     vocabularies: tuple[Vocabulary, Vocabulary],
     dims: PatchDims = PatchDims(),
 ) -> PreprocessedPatch:
-    """Build the (msg_len,) and (files, hunks, lines, words) index tensors.
+    """Build the (msg_len,) and (files, hunks, lines, words) index tensors
+    of one commit, exactly as preprocess_commits builds them.
 
-    Language-relevant files in diff order fill the file slots; extra
-    files, hunks, lines, and tokens are truncated; everything shorter is
-    PAD-filled.  Unknown words map to UNK, never a fault.
+    Language-relevant files in diff order fill the file slots.  A diff
+    that does not parse gives an empty (all-PAD) code channel.
     """
-    msg_vocab, code_vocab = vocabularies
-    message = normalize_message(strip_tags(c.message), dims.msg_len)
-    msg_idx = np.fromiter(
-        (PAD_INDEX if t == PAD_TOKEN else index_of(msg_vocab, t) for t in message),
-        dtype=np.int64,
-        count=dims.msg_len,
+    return _index(c, _tokenize(c, _parse(c) or [], table, dims), vocabularies, dims)
+
+
+def preprocess_commits(commits, dims: PatchDims = PatchDims(), min_count: int = 1):
+    """The preprocess recipe: function table, both vocabularies, tensors.
+
+    Each diff is parsed once and each message and line tokenized once.
+    Vocabularies count every token; tensors hold the truncated slots.
+    Returns (patches, table, (message_vocab, code_vocab), unparsable),
+    where unparsable counts the commits whose diff raised ParseError;
+    their code channel is empty.
+    """
+    commits = list(commits)
+    parsed = [_parse(c) for c in commits]
+    unparsable = sum(files is None for files in parsed)
+    parsed = [files or [] for files in parsed]
+    table = build_function_table(fd for files in parsed for fd in files)
+    tokens = [_tokenize(c, files, table) for c, files in zip(commits, parsed)]
+    message_words = (t for message, _ in tokens for t in message)
+    code_words = (t for _, code in tokens for hunks in code for sides in hunks
+                  for lines in sides for words in lines for t in words)
+    vocabularies = (
+        build_vocab(message_words, "message", min_count),
+        build_vocab(code_words, "code", min_count),
     )
-
-    removed = np.full(dims.code_shape, PAD_INDEX, dtype=np.int64)
-    added = np.full(dims.code_shape, PAD_INDEX, dtype=np.int64)
-    for v, fd in enumerate(_relevant_files(c)[: dims.files]):
-        per_hunk = annotate_file_lines(c, fd)[: dims.hunks]
-        for h, (rem_lines, add_lines) in enumerate(per_hunk):
-            for target, lines in ((removed, rem_lines), (added, add_lines)):
-                for n, line in enumerate(lines[: dims.lines]):
-                    tokens = tokenize_code_line(line, table, fd.path)[: dims.words]
-                    for w, tok in enumerate(tokens):
-                        target[v, h, n, w] = index_of(code_vocab, tok.text)
-
-    return PreprocessedPatch(
-        commit_id=c.commit_id,
-        message_tokens=msg_idx,
-        removed_code=removed,
-        added_code=added,
-        label=c.label,
-    )
-
-
-def message_token_stream(commits):
-    """All normalized message tokens (unpadded), for vocabulary building."""
-    for c in commits:
-        yield from message_tokens(strip_tags(c.message))
-
-
-def code_token_stream(commits, table: FunctionNameTable):
-    """All annotated code tokens (untruncated), for vocabulary building."""
-    for c in commits:
-        for fd in _relevant_files(c):
-            for rem_lines, add_lines in annotate_file_lines(c, fd):
-                for line in (*rem_lines, *add_lines):
-                    for tok in tokenize_code_line(line, table, fd.path):
-                        yield tok.text
+    patches = [_index(c, t, vocabularies, dims) for c, t in zip(commits, tokens)]
+    return patches, table, vocabularies, unparsable
 
 
 # ---------------------------------------------------------------------------
@@ -173,30 +202,19 @@ def write_tensor_file(path: str, patches, dims: PatchDims = PatchDims()) -> None
     message, removed, added index arrays as little-endian u32.
     """
     patches = list(patches)
-    with open(path, "wb") as fh:
-        fh.write(TENSOR_MAGIC)
-        fh.write(struct.pack("<II", TENSOR_VERSION, len(patches)))
-        fh.write(
-            struct.pack(
-                "<5I", dims.msg_len, dims.files, dims.hunks, dims.lines, dims.words
-            )
-        )
+    with atomic_write(path, "wb") as fh:
+        fh.write(TENSOR_MAGIC + struct.pack("<7I", TENSOR_VERSION, len(patches), dims.msg_len,
+                                            dims.files, dims.hunks, dims.lines, dims.words))
         for p in patches:
             cid = p.commit_id.encode("ascii")
             if len(cid) != 40:
                 raise ValueError(f"commit id must be 40 bytes, got {p.commit_id!r}")
-            fh.write(cid)
             label_byte = NO_LABEL_BYTE if p.label is None else p.label.to_int()
-            fh.write(struct.pack("<B", label_byte))
-            for arr, shape in (
-                (p.message_tokens, (dims.msg_len,)),
-                (p.removed_code, dims.code_shape),
-                (p.added_code, dims.code_shape),
-            ):
+            fh.write(cid + struct.pack("<B", label_byte))
+            for arr, shape in ((p.message_tokens, (dims.msg_len,)), (p.removed_code, dims.code_shape),
+                               (p.added_code, dims.code_shape)):
                 if tuple(arr.shape) != shape:
-                    raise ValueError(
-                        f"patch {p.commit_id}: array shape {arr.shape} != {shape}"
-                    )
+                    raise ValueError(f"patch {p.commit_id}: array shape {arr.shape} != {shape}")
                 fh.write(np.ascontiguousarray(arr, dtype="<u4").tobytes())
 
 
@@ -210,40 +228,18 @@ def read_tensor_file(path: str) -> tuple[list[PreprocessedPatch], PatchDims]:
     version, count = struct.unpack_from("<II", blob, 4)
     if version != TENSOR_VERSION:
         raise ValueError(f"{path}: unsupported tensor file version {version}")
-    d = struct.unpack_from("<5I", blob, 12)
-    dims = PatchDims(msg_len=d[0], files=d[1], hunks=d[2], lines=d[3], words=d[4])
+    dims = PatchDims(*struct.unpack_from("<5I", blob, 12))
     code_elems = int(np.prod(dims.code_shape))
-    record = 40 + 1 + 4 * (dims.msg_len + 2 * code_elems)
-    offset = 32
-    if len(blob) != offset + count * record:
+    elems = dims.msg_len + 2 * code_elems
+    record = 40 + 1 + 4 * elems
+    if len(blob) != 32 + count * record:
         raise ValueError(f"{path}: truncated tensor file")
     patches = []
-    for _ in range(count):
-        cid = blob[offset : offset + 40].decode("ascii")
+    for offset in range(32, len(blob), record):
+        arrays = np.frombuffer(blob, dtype="<u4", count=elems, offset=offset + 41).astype(np.int64)
+        msg, rem, add = np.split(arrays, [dims.msg_len, dims.msg_len + code_elems])
         label_byte = blob[offset + 40]
-        pos = offset + 41
-        msg = np.frombuffer(blob, dtype="<u4", count=dims.msg_len, offset=pos).astype(np.int64)
-        pos += 4 * dims.msg_len
-        rem = (
-            np.frombuffer(blob, dtype="<u4", count=code_elems, offset=pos)
-            .astype(np.int64)
-            .reshape(dims.code_shape)
-        )
-        pos += 4 * code_elems
-        add = (
-            np.frombuffer(blob, dtype="<u4", count=code_elems, offset=pos)
-            .astype(np.int64)
-            .reshape(dims.code_shape)
-        )
         label = None if label_byte == NO_LABEL_BYTE else Label.from_int(label_byte)
-        patches.append(
-            PreprocessedPatch(
-                commit_id=cid,
-                message_tokens=msg,
-                removed_code=rem,
-                added_code=add,
-                label=label,
-            )
-        )
-        offset += record
+        patches.append(PreprocessedPatch(blob[offset : offset + 40].decode("ascii"), msg,
+                                         rem.reshape(dims.code_shape), add.reshape(dims.code_shape), label))
     return patches, dims

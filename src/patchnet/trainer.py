@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codeprep import FunctionNameTable
-from .core import Label
+from .core import Label, atomic_write
 from .model import HyperParams, ModelParams, Score, forward, init_params, param_specs, predict
 from .nnkit import AdamState, Tensor, adam_step, backward, loss, stack
 from .preprocess import PreprocessedPatch
@@ -196,16 +196,6 @@ def score_items(items, params: ModelParams, hp: HyperParams) -> list[Score]:
     return [predict(p, params, hp) for p in items]
 
 
-def dataset_accuracy(items, params: ModelParams, hp: HyperParams) -> float:
-    """Fraction of labeled items whose thresholded score matches."""
-    labeled = [p for p in items if p.label is not None]
-    if not labeled:
-        raise ValueError("no labeled items to score")
-    scores = score_items(labeled, params, hp)
-    hits = sum(1 for p, s in zip(labeled, scores) if s.label is p.label)
-    return hits / len(labeled)
-
-
 # ---------------------------------------------------------------------------
 # Checkpoints
 
@@ -249,7 +239,7 @@ def save_checkpoint(
         "dtype": "float32",
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(header_bytes)))
         fh.write(header_bytes)
@@ -295,6 +285,8 @@ def load_checkpoint(path: str) -> CheckpointBundle:
         if offset + nbytes > len(blob):
             raise ValueError("truncated checkpoint file")
         arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
+        if not np.isfinite(arr).all():
+            raise ValueError(f"non-finite values in checkpoint parameter {name}")
         tensors[name] = Tensor(arr.astype(np.float64).reshape(shape))
         offset += nbytes
     if offset != len(blob):

@@ -11,6 +11,8 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 
+from .core import atomic_write
+
 PAD_INDEX = 0
 UNK_INDEX = 1
 PAD_WORD = "<pad>"
@@ -72,7 +74,7 @@ def index_of(v: Vocabulary, word: str) -> int:
 def save_vocab_pair(message_vocab: Vocabulary, code_vocab: Vocabulary, path: str) -> None:
     """Write both channels to one file as a JSON array of {channel, words}
     objects (position in words = index - 2)."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         objs = [{"channel": v.channel, "words": list(v.words)} for v in (message_vocab, code_vocab)]
         json.dump(objs, fh)
         fh.write("\n")

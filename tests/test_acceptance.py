@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 
 from conftest import SAMPLE_EXPORTS, hex_id, make_commit, simple_diff
-from patchnet.codeprep import FunctionNameTable, build_function_table, classify_line_kinds
+from patchnet.codeprep import classify_line_kinds
 from patchnet.core import Label, LineKind
 from patchnet.evalkit import auc_roc, chrono_folds, keyword_baseline, metrics
 from patchnet.ingest import check_eligibility, parse_commit_stream, parse_unified_diff
@@ -29,17 +29,15 @@ from patchnet.preprocess import (
     PatchDims,
     PreprocessedPatch,
     assemble_tensors,
-    code_token_stream,
-    message_token_stream,
+    preprocess_commits,
 )
 from patchnet.trainer import (
     TrainConfig,
-    dataset_accuracy,
     load_checkpoint,
     save_checkpoint,
+    score_items,
     train,
 )
-from patchnet.vocab import build_vocab
 from test_codeprep import SNIPPETS
 from test_nnkit import naive_conv3d, naive_conv_text
 
@@ -258,12 +256,7 @@ def _split_corpus():
 
 
 def _preprocess_corpus(commits, hp):
-    table = build_function_table(commits)
-    msg_vocab = build_vocab(message_token_stream(commits), "message")
-    code_vocab = build_vocab(code_token_stream(commits, table), "code")
-    patches = [
-        assemble_tensors(c, table, (msg_vocab, code_vocab), hp.dims) for c in commits
-    ]
+    patches, table, (msg_vocab, code_vocab), _ = preprocess_commits(commits, hp.dims)
     return patches, msg_vocab, code_vocab, table
 
 
@@ -284,7 +277,8 @@ def _train_until(patches, hp, vocabs, target, max_epochs, seed=0):
         )
         params = train(patches, hp, config, msg_vocab, code_vocab, params=params).params
         used += stage
-        accuracy = dataset_accuracy(patches, params, hp)
+        scores = score_items(patches, params, hp)
+        accuracy = sum(s.label is p.label for p, s in zip(patches, scores)) / len(patches)
         if accuracy >= target:
             break
     return accuracy, used, params
@@ -516,7 +510,6 @@ def test_08_tensor_shape_fuzz():
     start = time.perf_counter()
     rng = np.random.default_rng(4096)
     dims = PatchDims(msg_len=512, files=5, hunks=8, lines=10, words=120)
-    table = FunctionNameTable.empty()
 
     seed_commits = []
     for i in range(200):
@@ -532,8 +525,11 @@ def test_08_tensor_shape_fuzz():
                 diff=_fuzz_diff(rng),
             )
         )
-    msg_vocab = build_vocab(message_token_stream(seed_commits), "message")
-    code_vocab = build_vocab(code_token_stream(seed_commits, table), "code")
+    # Only the table and vocabularies of the seed commits are used, so
+    # their own tensors are built at the smallest dims.
+    _, table, (msg_vocab, code_vocab), _ = preprocess_commits(
+        seed_commits, PatchDims(msg_len=1, files=1, hunks=1, lines=1, words=1)
+    )
 
     faults = 0
     bad_shapes = 0

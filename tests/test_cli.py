@@ -3,23 +3,27 @@
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import patchnet
 from conftest import KMEMDUP_EXPORT, SAMPLE_EXPORTS, export_record, hex_id, make_commit, simple_diff
 from patchnet import __version__
+from patchnet import cli
 from patchnet.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _train_settings, build_parser, run
 from patchnet.core import Label
 from patchnet.evalkit import keyword_baseline
 from patchnet.ingest import load_commits, write_commits_jsonl
 from patchnet.model import HyperParams
-from patchnet.preprocess import PatchDims, read_tensor_file, write_tensor_file
-from patchnet.trainer import TrainConfig
+from patchnet.preprocess import PatchDims, PreprocessedPatch, read_tensor_file, write_tensor_file
+from patchnet.trainer import TrainConfig, load_checkpoint, save_checkpoint
+from patchnet.vocab import Vocabulary, load_vocab_pair, save_vocab_pair
 
 STABLE_BOUND = 4
 NON_STABLE = 5
@@ -359,6 +363,14 @@ def _checkpoint_with_header(header):
     return case
 
 
+def _checkpoint_with_nan_parameter(p, tmp_path):
+    blob = bytearray(open(p["checkpoint"], "rb").read())
+    blob[-4:] = struct.pack("<f", float("nan"))
+    path = tmp_path / "nan.ckpt"
+    path.write_bytes(bytes(blob))
+    return _predict_argv(p, tmp_path, checkpoint=str(path))
+
+
 def _index_past_vocabulary(command):
     def case(p, tmp_path):
         patches, dims = read_tensor_file(p["tensors"])
@@ -386,6 +398,24 @@ def _non_object_commit_record(p, tmp_path):
     return _predict_argv(p, tmp_path, in_path=str(path))
 
 
+def _commit_record_with(**fields):
+    def case(p, tmp_path):
+        obj = {**json.loads(open(p["dataset"]).readline()), **fields}
+        path = tmp_path / "commits.jsonl"
+        path.write_text(json.dumps(obj) + "\n")
+        return ["preprocess", "--dataset", str(path), "--out", str(tmp_path / "t.bin"),
+                "--vocab-out", str(tmp_path / "v.json"), *PREPROCESS_DIMS]
+
+    return case
+
+
+def _functions_file_with_mixed_names(p, tmp_path):
+    path = tmp_path / "functions.json"
+    path.write_text('{"retained": ["kfree", 1], "defined_in": {}}\n')
+    return ["train", "--tensors", p["tensors"], "--vocab", p["vocab"], "--functions",
+            str(path), "--out", str(tmp_path / "m.ckpt"), *TRAIN_FLAGS]
+
+
 def _vocab_file(text):
     def case(p, tmp_path):
         path = tmp_path / "vocab.json"
@@ -407,10 +437,15 @@ _HP = HyperParams().to_json_obj()
         _checkpoint_with_header([]),
         _checkpoint_with_header({"hyperparams": {**_HP, "bogus": 1}}),
         _checkpoint_with_header({"hyperparams": {k: v for k, v in _HP.items() if k != "words"}}),
+        _checkpoint_with_nan_parameter,
         _index_past_vocabulary("predict"),
         _index_past_vocabulary("train"),
         _functions_array,
+        _functions_file_with_mixed_names,
         _non_object_commit_record,
+        _commit_record_with(subject=5),
+        _commit_record_with(date=float("inf")),
+        _commit_record_with(files=[{"path": "drivers/net/foo.c", "before": 5}]),
         _vocab_file("[1]\n"),
         _vocab_file('[{"channel": "message"}, {"channel": "code", "words": []}]\n'),
     ],
@@ -420,10 +455,15 @@ _HP = HyperParams().to_json_obj()
         "checkpoint-header-list",
         "checkpoint-unknown-hyperparameter",
         "checkpoint-missing-hyperparameter",
+        "checkpoint-nan-parameter",
         "predict-index-past-vocabulary",
         "train-index-past-vocabulary",
         "functions-file-array",
+        "functions-file-mixed-names",
         "commits-jsonl-non-object",
+        "commits-jsonl-subject-not-string",
+        "commits-jsonl-infinite-date",
+        "commits-jsonl-snapshot-not-string",
         "vocab-non-object-entry",
         "vocab-entry-without-words",
     ],
@@ -434,6 +474,24 @@ def test_bad_input_exits_data_without_traceback(pipeline, tmp_path, capsys, make
     assert run(argv) == EXIT_DATA
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_module_entry_point_runs_the_cli(pipeline, tmp_path):
+    src = str(Path(patchnet.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def module(*args):
+        return subprocess.run([sys.executable, "-m", "patchnet.cli", *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    proc = module("--version")
+    assert proc.returncode == EXIT_OK
+    assert proc.stdout.strip() == f"patchnet {__version__}"
+    proc = module("predict", "--checkpoint", str(tmp_path / "missing.ckpt"),
+                  "--in", pipeline["tensors"], "--out", str(tmp_path / "s.jsonl"))
+    assert proc.returncode == EXIT_DATA
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert not (tmp_path / "s.jsonl").exists()
 
 
 def test_cli_import_leaves_scipy_out():
@@ -628,3 +686,85 @@ def test_stdout_summaries(pipeline, tmp_path, capsys):
     assert run(["baseline", "--dataset", pipeline["dataset"], "--out", out]) == EXIT_OK
     captured = capsys.readouterr().out
     assert captured.startswith(f"baseline: {STABLE_BOUND} stable")
+
+
+def test_train_summary_line(pipeline, tmp_path, capsys):
+    out = str(tmp_path / "m.ckpt")
+    capsys.readouterr()
+    assert run(["train", "--tensors", pipeline["tensors"], "--vocab", pipeline["vocab"],
+                "--out", out, *TRAIN_FLAGS]) == EXIT_OK
+    (summary,) = [line for line in capsys.readouterr().out.splitlines() if line.startswith("train:")]
+    # No second inference pass: the line ends with the history, not an accuracy.
+    assert re.fullmatch(r"train: 2 epochs \(best [12], loss \d+\.\d{6}, stopped_early=False\)",
+                        summary)
+
+
+def test_preprocess_reports_unparsable_diffs(tmp_path, capsys):
+    dataset = str(tmp_path / "d.jsonl")
+    bad = make_commit(1, diff="@@ not a hunk header\n", label=Label.STABLE)
+    write_commits_jsonl(dataset, [bad, make_commit(2, label=Label.NON_STABLE)])
+    tensors = str(tmp_path / "t.bin")
+    capsys.readouterr()
+    assert run(["preprocess", "--dataset", dataset, "--out", tensors,
+                "--vocab-out", str(tmp_path / "v.json"), *PREPROCESS_DIMS]) == EXIT_OK
+    assert "1 unparsable diffs)" in capsys.readouterr().out
+    (p_bad, p_good), _ = read_tensor_file(tensors)
+    assert not p_bad.removed_code.any() and not p_bad.added_code.any()
+    assert p_good.added_code.any()
+
+
+# ---------------------------------------------------------------------------
+# Outputs appear whole or not at all
+
+
+def _raising_rows(first):
+    yield first
+    raise RuntimeError("writer failed mid-write")
+
+
+def _tensors_then_bad_shape(p, path):
+    patches, dims = read_tensor_file(p["tensors"])
+    bad = PreprocessedPatch(patches[0].commit_id, patches[0].message_tokens[:1],
+                            patches[0].removed_code, patches[0].added_code)
+    write_tensor_file(path, [patches[0], bad], dims)
+
+
+def _commits_then_raise(p, path):
+    write_commits_jsonl(path, _raising_rows(load_commits(p["dataset"])[0]))
+
+
+def _vocab_with_unserialisable_word(p, path):
+    msg, code = load_vocab_pair(p["vocab"])
+    save_vocab_pair(msg, Vocabulary.from_words("code", [*code.words, object()]), path)
+
+
+def _checkpoint_with_unconvertible_array(p, path):
+    bundle = load_checkpoint(p["checkpoint"])
+    bundle.params.all()[-1].data = np.array(["x"], dtype=object)
+    save_checkpoint(path, bundle.params, bundle.hp, bundle.message_vocab, bundle.code_vocab)
+
+
+def _json_with_unserialisable_value(p, path):
+    cli._write_json(path, {"a": 1, "z": object()})
+
+
+def _jsonl_then_raise(p, path):
+    cli._write_jsonl(path, _raising_rows({"commit_id": "x", "score": 0.5}))
+
+
+@pytest.mark.parametrize(
+    "write",
+    [_tensors_then_bad_shape, _commits_then_raise, _vocab_with_unserialisable_word,
+     _checkpoint_with_unconvertible_array, _json_with_unserialisable_value, _jsonl_then_raise],
+    ids=["tensors", "commits-jsonl", "vocab", "checkpoint", "json", "scores-jsonl"],
+)
+def test_failed_write_leaves_previous_file(pipeline, tmp_path, write):
+    target = tmp_path / "out"
+    with pytest.raises(Exception):
+        write(pipeline, str(target))
+    assert os.listdir(tmp_path) == []
+    target.write_bytes(b"previous content\n")
+    with pytest.raises(Exception):
+        write(pipeline, str(target))
+    assert os.listdir(tmp_path) == ["out"]
+    assert target.read_bytes() == b"previous content\n"

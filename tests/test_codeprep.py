@@ -25,6 +25,8 @@ from patchnet.codeprep import (
     tokenize_code_line,
 )
 from patchnet.core import CodeLine, LineKind
+from patchnet.ingest import parse_unified_diff
+from patchnet.preprocess import preprocess_commits
 
 from conftest import make_commit, simple_diff
 
@@ -503,24 +505,22 @@ def _call_diff(name, times, path="drivers/a.c"):
     return simple_diff(path=path, removed=("\told_call();",), added=added)
 
 
+def _table(*diffs):
+    return build_function_table(fd for d in diffs for fd in parse_unified_diff(d))
+
+
 def test_function_table_retains_frequent_names():
-    commits = [make_commit(1, diff=_call_diff("helper_fn", MIN_CALL_COUNT))]
-    table = build_function_table(commits)
+    table = _table(_call_diff("helper_fn", MIN_CALL_COUNT))
     assert "helper_fn" in table.retained
     assert "old_call" not in table.retained
 
 
 def test_function_table_threshold_boundary():
-    commits = [make_commit(1, diff=_call_diff("almost", MIN_CALL_COUNT - 1))]
-    assert "almost" not in build_function_table(commits).retained
+    assert "almost" not in _table(_call_diff("almost", MIN_CALL_COUNT - 1)).retained
 
 
 def test_function_table_counts_across_commits():
-    commits = [
-        make_commit(i, diff=_call_diff("shared_util", 1, path=f"fs/f{i}.c"))
-        for i in range(MIN_CALL_COUNT)
-    ]
-    table = build_function_table(commits)
+    table = _table(*(_call_diff("shared_util", 1, path=f"fs/f{i}.c") for i in range(MIN_CALL_COUNT)))
     assert "shared_util" in table.retained
 
 
@@ -528,7 +528,7 @@ def test_function_table_keywords_never_counted():
     diff = simple_diff(
         added=tuple(f"\tif (x{i}) while (y{i}) sizeof (z{i});" for i in range(6))
     )
-    table = build_function_table([make_commit(1, diff=diff)])
+    table = _table(diff)
     assert "if" not in table.retained
     assert "while" not in table.retained
     assert "sizeof" not in table.retained
@@ -537,17 +537,23 @@ def test_function_table_keywords_never_counted():
 def test_function_table_definition_suppression():
     lines = tuple(f"\tlocal_fn({i});" for i in range(MIN_CALL_COUNT))
     diff = simple_diff(path="lib/impl.c", added=("local_fn(int a)",) + lines)
-    table = build_function_table([make_commit(1, diff=diff)])
+    table = _table(diff)
     assert "local_fn" in table.retained
     assert not table.is_retained("local_fn", "lib/impl.c")
     assert table.is_retained("local_fn", "lib/other.c")
 
 
 def test_function_table_skips_unparseable_diffs():
-    bad = make_commit(2, diff="not a diff at all\n")
+    bad = make_commit(2, diff="@@ not a hunk header\n")
     good = make_commit(1, diff=_call_diff("fine_fn", MIN_CALL_COUNT))
-    table = build_function_table([bad, good])
+    _, table, _, unparsable = preprocess_commits([bad, good])
     assert "fine_fn" in table.retained
+    assert unparsable == 1
+
+
+def test_function_table_counts_non_c_files():
+    table = _table(_call_diff("script_fn", MIN_CALL_COUNT, path="tools/run.py"))
+    assert "script_fn" in table.retained
 
 
 def test_empty_table():

@@ -40,6 +40,16 @@ from patchnet.ingest import (
 )
 
 
+def size_of(c) -> int:
+    return changed_line_count(parse_unified_diff(c.diff_text))
+
+
+def sized(labeled):
+    """(commit, label) pairs as build_balanced_dataset takes them, with
+    the changed-line count that check_eligibility reports."""
+    return [(c, lab, check_eligibility(c).changed_lines) for c, lab in labeled]
+
+
 def sized_diff(n_added: int, path: str = "kernel/sched.c") -> str:
     """Diff whose changed-line count is exactly n_added."""
     assert n_added >= 1
@@ -297,22 +307,23 @@ class TestParseUnifiedDiff:
 class TestDiffLengths:
     def test_reported_length_counts_context_plus_added(self):
         # old_count covers context and removals; added lines are extra.
-        assert diff_reported_length(simple_diff()) == 3 + 2
+        assert diff_reported_length(parse_unified_diff(simple_diff())) == 3 + 2
 
     def test_reported_length_on_sample_patches(self):
-        assert diff_reported_length(ERRNO_FIX_DIFF) == (7 + 1) * 2
-        assert diff_reported_length(KMEMDUP_DIFF) == 11 + 3
-        assert diff_reported_length(POWER_REG_DIFF) == 10
+        assert diff_reported_length(parse_unified_diff(ERRNO_FIX_DIFF)) == (7 + 1) * 2
+        assert diff_reported_length(parse_unified_diff(KMEMDUP_DIFF)) == 11 + 3
+        assert diff_reported_length(parse_unified_diff(POWER_REG_DIFF)) == 10
 
     def test_changed_line_count_ignores_context(self):
-        assert changed_line_count(simple_diff()) == 3
-        assert changed_line_count(sized_diff(17)) == 17
+        assert changed_line_count(parse_unified_diff(simple_diff())) == 3
+        assert changed_line_count(parse_unified_diff(sized_diff(17))) == 17
 
 
 class TestEligibility:
     def test_ordinary_fix_is_eligible(self):
         report = check_eligibility(make_commit(1))
         assert report.eligible and report.reasons == ()
+        assert report.changed_lines == 3
 
     def test_merge_commit_rejected(self):
         c = make_commit(1, parents=(hex_id(2), hex_id(3)))
@@ -364,6 +375,7 @@ class TestEligibility:
         bad = "diff --git a/x.c b/x.c\n--- a/x.c\n+++ b/x.c\n@@ nope @@\n"
         report = check_eligibility(make_commit(1, diff=bad))
         assert any(r.startswith(f"{OTHER}:") for r in report.reasons)
+        assert not report.eligible and report.changed_lines == 0
 
 
 class TestLabeling:
@@ -412,11 +424,11 @@ def oracle_balance(labeled):
         used = set()
         chosen = []
         for s in stable:
-            target = changed_line_count(s.diff_text)
+            target = size_of(s)
             best = min(
                 (c for c in pool if c.commit_id not in used),
                 key=lambda c: (
-                    abs(changed_line_count(c.diff_text) - target),
+                    abs(size_of(c) - target),
                     c.date,
                     c.commit_id,
                 ),
@@ -439,9 +451,9 @@ class TestBalancedDataset:
             (make_commit(4, date=40, diff=sized_diff(50)), Label.NON_STABLE),
             (make_commit(5, date=50, diff=sized_diff(91)), Label.NON_STABLE),
         ]
-        ds = build_balanced_dataset(labeled)
+        ds = build_balanced_dataset(sized(labeled))
         picked = [
-            changed_line_count(c.diff_text)
+            size_of(c)
             for c, lab in ds.items
             if lab is Label.NON_STABLE
         ]
@@ -455,16 +467,16 @@ class TestBalancedDataset:
             (make_commit(3, date=20, diff=sized_diff(11)), Label.NON_STABLE),
             (make_commit(4, date=40, diff=sized_diff(30)), Label.NON_STABLE),
         ]
-        ds = build_balanced_dataset(labeled)
+        ds = build_balanced_dataset(sized(labeled))
         match = [c for c, lab in ds.items if lab is Label.NON_STABLE]
-        assert changed_line_count(match[0].diff_text) == 11
+        assert size_of(match[0]) == 11
 
     def test_duplicate_ids_keep_first(self):
         a = make_commit(1, date=10, diff=sized_diff(3))
         dup = make_commit(1, date=99, diff=sized_diff(40))
         b = make_commit(2, date=20, diff=sized_diff(3))
         ds = build_balanced_dataset(
-            [(a, Label.STABLE), (dup, Label.STABLE), (b, Label.NON_STABLE)]
+            sized([(a, Label.STABLE), (dup, Label.STABLE), (b, Label.NON_STABLE)])
         )
         stable_items = [c for c, lab in ds.items if lab is Label.STABLE]
         assert len(stable_items) == 1
@@ -476,7 +488,7 @@ class TestBalancedDataset:
             (make_commit(2, diff=sized_diff(5)), Label.STABLE),
             (make_commit(3, diff=sized_diff(4)), Label.NON_STABLE),
         ]
-        ds = build_balanced_dataset(labeled)
+        ds = build_balanced_dataset(sized(labeled))
         assert ds.counts() == (2, 1)
         assert "WARNING" in ds.provenance
 
@@ -498,7 +510,7 @@ class TestBalancedDataset:
                     )
                 )
             expected = oracle_balance(labeled)
-            got = build_balanced_dataset(labeled).items
+            got = build_balanced_dataset(sized(labeled)).items
             assert [(c.commit_id, lab) for c, lab in got] == [
                 (c.commit_id, lab) for c, lab in expected
             ]
@@ -516,10 +528,10 @@ class TestBalancedDataset:
             )
             for i in range(12)
         ]
-        base = build_balanced_dataset(labeled).items
+        base = build_balanced_dataset(sized(labeled)).items
         for _ in range(5):
             perm = [labeled[i] for i in rng.permutation(len(labeled))]
-            assert build_balanced_dataset(perm).items == base
+            assert build_balanced_dataset(sized(perm)).items == base
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):

@@ -15,8 +15,7 @@ from patchnet.preprocess import (
     PreprocessedPatch,
     annotate_file_lines,
     assemble_tensors,
-    code_token_stream,
-    message_token_stream,
+    preprocess_commits,
     read_tensor_file,
     write_tensor_file,
 )
@@ -27,12 +26,8 @@ from conftest import make_commit, simple_diff
 
 
 def build_vocabs(commits):
-    from patchnet.codeprep import FunctionNameTable
-
-    table = FunctionNameTable.empty()
-    msg = build_vocab(message_token_stream(commits), "message")
-    code = build_vocab(code_token_stream(commits, table), "code")
-    return table, (msg, code)
+    _, table, vocabs, _ = preprocess_commits(commits)
+    return table, vocabs
 
 
 # ---------------------------------------------------------------------------
@@ -197,24 +192,55 @@ def test_annotate_fallback_finds_structure_in_changed_lines():
     assert [line.kind for line in removed] == [LineKind.NORMAL]
 
 
-def test_code_token_stream_carries_kinds():
+def test_code_vocab_carries_kinds():
     diff = simple_diff(added=("\tif (err)", "\t\tgoto out;"))
-    c = make_commit(1, diff=diff)
-    from patchnet.codeprep import FunctionNameTable
-
-    toks = list(code_token_stream([c], FunctionNameTable.empty()))
-    assert "if@chk" in toks
-    assert "goto@hnd" in toks
-    assert "IDENT@nrm" in toks  # from the removed line
+    _, vocabs = build_vocabs([make_commit(1, diff=diff)])
+    words = set(vocabs[1].words)
+    assert "if@chk" in words
+    assert "goto@hnd" in words
+    assert "IDENT@nrm" in words  # from the removed line
 
 
-def test_message_token_stream_matches_textprep():
+def test_message_vocab_matches_textprep():
     commits = [make_commit(1), make_commit(2, subject="mm: fix the leak", body="Fast fix.")]
-    toks = list(message_token_stream(commits))
-    expected = []
-    for c in commits:
-        expected.extend(message_tokens(strip_tags(c.message)))
-    assert toks == expected
+    _, vocabs = build_vocabs(commits)
+    expected = build_vocab(
+        (t for c in commits for t in message_tokens(strip_tags(c.message))), "message"
+    )
+    assert vocabs[0] == expected
+
+
+def test_vocabularies_count_tokens_past_the_tensor_slots():
+    long_lines = tuple(f"\tcall_{i}(x);" for i in range(3))
+    c = make_commit(1, subject="leak race lock", diff=simple_diff(added=long_lines))
+    dims = PatchDims(msg_len=1, files=1, hunks=1, lines=1, words=1)
+    (p,), _, (msg_vocab, code_vocab), _ = preprocess_commits([c], dims)
+    assert {"leak", "race", "lock"} <= set(msg_vocab.words)
+    assert {"(@nrm", ";@nrm"} <= set(code_vocab.words)
+    assert p.message_tokens.tolist() == [msg_vocab.word_to_index["leak"]]
+
+
+def test_preprocess_commits_matches_assemble_tensors():
+    commits = [random_commit(random.Random(5), i) for i in range(30)]
+    dims = PatchDims(msg_len=12, files=2, hunks=2, lines=3, words=5)
+    patches, table, vocabs, _ = preprocess_commits(commits, dims)
+    for c, p in zip(commits, patches):
+        q = assemble_tensors(c, table, vocabs, dims)
+        assert q.commit_id == p.commit_id and q.label == p.label
+        for a, b in ((p.message_tokens, q.message_tokens), (p.removed_code, q.removed_code),
+                     (p.added_code, q.added_code)):
+            assert np.array_equal(a, b)
+
+
+def test_preprocess_commits_counts_unparsable_diffs():
+    bad = make_commit(1, subject="fix the leak", diff="@@ not a hunk header\n")
+    good = make_commit(2)
+    dims = PatchDims(msg_len=4, files=1, hunks=1, lines=2, words=4)
+    (p_bad, p_good), _, (msg_vocab, _), unparsable = preprocess_commits([bad, good], dims)
+    assert unparsable == 1
+    assert not p_bad.removed_code.any() and not p_bad.added_code.any()
+    assert p_bad.message_tokens[0] == msg_vocab.word_to_index["fix"]
+    assert p_good.removed_code.any()
 
 
 # ---------------------------------------------------------------------------
