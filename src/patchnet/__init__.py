@@ -30,7 +30,7 @@ from .ingest import (
     write_commits_jsonl,
 )
 from .stemmer import porter_stem
-from .textprep import message_tokens, normalize_message, strip_tags
+from .textprep import message_tokens, strip_tags
 from .codeprep import (
     AnnotatedToken,
     FunctionNameTable,
@@ -122,7 +122,6 @@ __all__ = [
     "loss",
     "message_tokens",
     "metrics",
-    "normalize_message",
     "parse_commit_stream",
     "parse_unified_diff",
     "porter_stem",

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import bisect
 import re
-import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -108,8 +107,8 @@ def strip_comments_strings(source: str) -> str:
     """Replace comments with a space and empty out string/char literals.
 
     Newline count and positions are preserved so line numbers stay
-    valid.  Unterminated constructs strip to end of input and raise a
-    UserWarning.
+    valid.  Diff lines and snapshots are fragments, so an unterminated
+    comment or literal is expected: it strips to the end of the input.
     """
     out: list[str] = []
     i = 0
@@ -120,17 +119,13 @@ def strip_comments_strings(source: str) -> str:
         if ch == "/" and nxt == "*":
             out.append(" ")
             i += 2
-            closed = False
             while i < n:
                 if source[i] == "*" and i + 1 < n and source[i + 1] == "/":
                     i += 2
-                    closed = True
                     break
                 if source[i] == "\n":
                     out.append("\n")
                 i += 1
-            if not closed:
-                warnings.warn("unterminated block comment", UserWarning, stacklevel=2)
             continue
         if ch == "/" and nxt == "/":
             out.append(" ")
@@ -142,7 +137,6 @@ def strip_comments_strings(source: str) -> str:
             quote = ch
             out.append(quote)
             i += 1
-            terminated = None  # "quote" | "newline" | None for EOF
             while i < n:
                 c = source[i]
                 if c == "\\" and i + 1 < n:
@@ -152,17 +146,13 @@ def strip_comments_strings(source: str) -> str:
                     continue
                 if c == quote:
                     i += 1
-                    terminated = "quote"
                     break
                 if c == "\n":
                     # Malformed in C; close the literal, leave the newline
                     # for the main loop so line structure is preserved.
-                    terminated = "newline"
                     break
                 i += 1
             out.append(quote)
-            if terminated is None:
-                warnings.warn("unterminated string literal", UserWarning, stacklevel=2)
             continue
         out.append(ch)
         i += 1
@@ -327,7 +317,7 @@ def build_function_table(files: Iterable[FileDiff]) -> FunctionNameTable:
     for fd in files:
         for h in fd.hunks:
             for line in (*h.removed, *h.added):
-                text = strip_comments_strings_line(line.text)
+                text = strip_comments_strings(line.text)
                 dm = RE_DEFINITION.match(text)
                 if dm and dm.group(1) not in C_KEYWORDS:
                     defined.setdefault(fd.path, set()).add(dm.group(1))
@@ -343,17 +333,6 @@ def build_function_table(files: Iterable[FileDiff]) -> FunctionNameTable:
     )
 
 
-def strip_comments_strings_line(text: str) -> str:
-    """strip_comments_strings without its unterminated-construct warnings.
-
-    Diff lines and snapshots are fragments, so an unterminated comment
-    or literal there is expected, not a fault worth a warning.
-    """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return strip_comments_strings(text)
-
-
 def tokenize_code_line(
     line: CodeLine, table: FunctionNameTable, path: str = ""
 ) -> list[AnnotatedToken]:
@@ -364,7 +343,7 @@ def tokenize_code_line(
     carries the line's kind.  Total: no input text faults.
     """
     tokens: list[AnnotatedToken] = []
-    text = strip_comments_strings_line(line.text)
+    text = strip_comments_strings(line.text)
     for m in RE_TOKEN.finditer(text):
         raw = m.group(0)
         first = raw[0]

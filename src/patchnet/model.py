@@ -4,12 +4,13 @@ feeding a dense layer and a sigmoid output.
 Message channel: embed 512 tokens, convolve with 1- and 2-gram filters,
 max-pool per filter, concatenate (e_m, 128 dims by default).
 
-Code channel, per file and side: embed every line's 120 tokens, run the
-line module (same structure as the message module, one set of filters
-for both sides) to get one vector per line, arrange them as a hunks ×
-lines × E block, convolve windows of hunks in 3-D with per-side filters,
-max-pool, concatenate (e_r / e_a, 128 dims); a file is e_r ⊕ e_a (256)
-and the patch code vector e_c concatenates five file slots (1280).
+Code channel, once per side over all five file slots: embed every
+line's 120 tokens, run the line module (same structure as the message
+module, one set of filters for both sides) to get one vector per line,
+arrange them as files × hunks × lines × E, convolve windows of hunks in
+3-D with per-side filters, max-pool, concatenate (e_r / e_a, 128 dims
+per file).  A file is e_r ⊕ e_a (256) and the patch code vector e_c
+joins the five file slots in slot order (1280).
 Classification: dropout(e_m ⊕ e_c) → dense(100, ReLU) → sigmoid.
 
 Every convolution stage is "conv per filter size → max-pool → concat".
@@ -31,6 +32,7 @@ from .nnkit import (
     dropout,
     embed_lookup,
     max_pool,
+    reshape,
     sigmoid_score,
     uniform_init,
 )
@@ -222,34 +224,17 @@ def line_embedding(line_tokens, params: ModelParams) -> Tensor:
 
 
 def code_side_embedding(B, params: ModelParams, side: str) -> Tensor:
-    """e_r or e_a for one file side: line module then 3-D hunk convolution.
+    """e_r or e_a per file: line module then 3-D hunk convolution.
 
-    B is an (H, N, L) index block (leading batch axes allowed); every
-    line embeds in one batched call, forming the (H, N, E) block that
-    the hunk filters convolve.
+    B is an (H, N, L) index block with leading batch axes allowed, so a
+    patch side's whole (files, H, N, L) block gives (files, E) in one
+    call; every line embeds at once, forming the (..., H, N, E) block
+    that the hunk filters convolve.
     """
     if side not in ("removed", "added"):
         raise ValueError(f"side must be 'removed' or 'added', got {side!r}")
     b_hat = line_embedding(B, params)  # (..., H, N, E)
     return _conv_pool(b_hat, conv3d_hunks, params, "hunk", side)
-
-
-def file_embedding(file_tensors, params: ModelParams) -> Tensor:
-    """e_f = e_r ⊕ e_a for one file's (removed, added) index blocks."""
-    removed_B, added_B = file_tensors
-    e_r = code_side_embedding(removed_B, params, "removed")
-    e_a = code_side_embedding(added_B, params, "added")
-    return concat([e_r, e_a], axis=-1)
-
-
-def code_embedding(patch_tensors, params: ModelParams) -> Tensor:
-    """e_c: concatenation of all file embeddings in slot order."""
-    removed, added = patch_tensors
-    parts = [
-        file_embedding((removed[v], added[v]), params)
-        for v in range(removed.shape[0])
-    ]
-    return concat(parts, axis=-1)
 
 
 def _check_shapes(p: PreprocessedPatch, hp: HyperParams) -> None:
@@ -282,7 +267,10 @@ def forward(
     if hp.variant in ("full", "message"):
         parts.append(message_embedding(p.message_tokens, params))
     if hp.variant in ("full", "code"):
-        parts.append(code_embedding((p.removed_code, p.added_code), params))
+        e_r = code_side_embedding(p.removed_code, params, "removed")  # (files, E)
+        e_a = code_side_embedding(p.added_code, params, "added")
+        # e_c = e_r(f0) ⊕ e_a(f0) ⊕ e_r(f1) ⊕ …: the files in slot order
+        parts.append(reshape(concat([e_r, e_a], axis=-1), (-1,)))
     e = concat(parts, axis=-1) if len(parts) > 1 else parts[0]
     e = dropout(e, hp.dropout, rng, training)
     h = dense(e, params["w_hidden"], params["b_hidden"])

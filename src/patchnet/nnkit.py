@@ -130,11 +130,9 @@ def _conv_op(x: Tensor, filters: Tensor, bias: Tensor, extra: int, opname: str) 
         dwin = np.einsum(f"qf,f{letters}->q{letters}", gzT, filters.data)
         dwin = dwin.reshape(*lead, P, *filters.data.shape[1:])
         dx = np.zeros_like(x.data)
+        batch = (slice(None),) * len(lead)
         for a in range(k):
-            if extra == 1:
-                dx[..., a : a + P, :] += dwin[..., :, a, :]
-            else:
-                dx[..., a : a + P, :, :] += dwin[..., :, a, :, :]
+            dx[batch + (slice(a, a + P),)] += dwin[batch + (slice(None), a)]
         _accumulate(x, dx)
 
     return Tensor(out_data, (x, filters, bias), backward_fn)
@@ -223,6 +221,16 @@ def concat(tensors, axis: int = -1) -> Tensor:
     return Tensor(out_data, tuple(parts), backward_fn)
 
 
+def reshape(t: Tensor, shape) -> Tensor:
+    """The same values in a new shape; the gradient is reshaped back."""
+    out_data = t.data.reshape(shape)
+
+    def backward_fn(g: np.ndarray) -> None:
+        _accumulate(t, g.reshape(t.data.shape))
+
+    return Tensor(out_data, (t,), backward_fn)
+
+
 def stack(tensors) -> Tensor:
     """Stack equal-shape tensors along a new leading axis."""
     parts = list(tensors)
@@ -307,10 +315,15 @@ def backward(loss_tensor: Tensor, params=None):
     """Reverse-mode gradients of a scalar loss.
 
     Returns a gradient per entry of `params` when given; parameters that
-    never influenced the loss get zero gradients.
+    never influenced the loss get zero gradients.  Interior gradients
+    are released: once a tensor's backward_fn has passed its grad on to
+    its parents, the grad is set to None.  Leaves and tensors named in
+    `params` keep theirs.
     """
     if loss_tensor.data.shape != ():
         raise ValueError("backward expects a scalar loss")
+    params = None if params is None else list(params)
+    keep = {id(p) for p in params or ()}
     order = _topo_order(loss_tensor)
     on_tape = {id(t) for t in order}
     for t in order:
@@ -319,6 +332,8 @@ def backward(loss_tensor: Tensor, params=None):
     for t in reversed(order):
         if t._backward_fn is not None and t.grad is not None:
             t._backward_fn(t.grad)
+            if id(t) not in keep:
+                t.grad = None
     if params is None:
         return None
     return [

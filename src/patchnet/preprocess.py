@@ -16,7 +16,7 @@ from .codeprep import (
     FunctionNameTable,
     build_function_table,
     classify_line_kinds,
-    strip_comments_strings_line,
+    strip_comments_strings,
     tokenize_code_line,
 )
 from .core import CodeLine, FileDiff, Label, LineKind, RawCommit, atomic_write
@@ -65,7 +65,7 @@ def _snapshot_kinds(c: RawCommit, path: str) -> tuple[dict | None, dict | None]:
     for snap in c.file_snapshots:
         if snap.path == path:
             return tuple(
-                None if text is None else classify_line_kinds(strip_comments_strings_line(text))
+                None if text is None else classify_line_kinds(strip_comments_strings(text))
                 for text in (snap.before, snap.after)
             )
     return None, None
@@ -75,7 +75,7 @@ def _fallback_kinds(lines: tuple[CodeLine, ...]) -> list[LineKind]:
     """Kinds from a scan of the changed lines alone (no snapshot)."""
     if not lines:
         return []
-    text = strip_comments_strings_line("\n".join(line.text for line in lines))
+    text = strip_comments_strings("\n".join(line.text for line in lines))
     kinds = classify_line_kinds(text)
     return [kinds.get(i + 1, LineKind.NORMAL) for i in range(len(lines))]
 

@@ -7,9 +7,6 @@ import re
 from .stemmer import porter_stem
 from .stopwords import STOP_WORDS
 
-MSG_LEN = 512
-PAD_TOKEN = "<pad>"
-
 TAG_PREFIXES = (
     "cc:",
     "fixes:",
@@ -48,12 +45,3 @@ def message_tokens(message: str) -> list[str]:
         tokens.append(porter_stem(raw))
     return tokens
 
-
-def normalize_message(message: str, msg_len: int = MSG_LEN) -> list[str]:
-    """Token sequence of exactly msg_len entries, PAD-filled at the tail.
-
-    Expects tags to be stripped already (strip_tags).
-    """
-    tokens = message_tokens(message)[:msg_len]
-    tokens.extend([PAD_TOKEN] * (msg_len - len(tokens)))
-    return tokens

@@ -21,7 +21,6 @@ from patchnet.codeprep import (
     build_function_table,
     classify_line_kinds,
     strip_comments_strings,
-    strip_comments_strings_line,
     tokenize_code_line,
 )
 from patchnet.core import CodeLine, LineKind
@@ -78,21 +77,11 @@ def test_strip_newline_terminated_string_is_silent():
     assert out == 's = ""\nnext();'
 
 
-def test_strip_unterminated_block_comment_warns():
-    with pytest.warns(UserWarning):
-        out = strip_comments_strings("x; /* never closed\ny;")
-    assert out == "x;  \n"
-
-
-def test_strip_unterminated_string_warns():
-    with pytest.warns(UserWarning):
-        strip_comments_strings('s = "runs off the end')
-
-
 def test_strip_line_variant_never_warns():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert strip_comments_strings_line('s = "no end') == 's = ""'
+        assert strip_comments_strings('s = "no end') == 's = ""'
+        assert strip_comments_strings("x; /* never closed\ny;") == "x;  \n"
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from patchnet import model
 from patchnet.core import Label
 from patchnet.model import (
     VARIANTS,
@@ -19,7 +20,7 @@ from patchnet.model import (
     param_specs,
     predict,
 )
-from patchnet.nnkit import Tensor, backward, loss
+from patchnet.nnkit import Tensor, backward, concat, dense, loss, sigmoid_score
 from patchnet.preprocess import PatchDims, PreprocessedPatch
 
 TINY = HyperParams(
@@ -269,6 +270,41 @@ def test_code_side_embedding_batches_over_files():
         assert np.array_equal(batched.data[v], single.data)
     with pytest.raises(ValueError, match="side"):
         code_side_embedding(blocks, params, "left")
+
+
+def _score_from_files(patch, params, file_parts):
+    """Reference score of e_m ⊕ file_parts, built from the model's pieces."""
+    e = concat([message_embedding(patch.message_tokens, params), *file_parts], axis=-1)
+    return float(sigmoid_score(dense(e, params["w_hidden"], params["b_hidden"]), params["w_out"]).data)
+
+
+def test_forward_joins_files_in_slot_order():
+    params = init_params(TINY, 7, 9, np.random.default_rng(21), scale=0.5)
+    patch = rand_patch(np.random.default_rng(22), TINY)
+    files = range(TINY.dims.files)
+    removed = [code_side_embedding(patch.removed_code[v], params, "removed") for v in files]
+    added = [code_side_embedding(patch.added_code[v], params, "added") for v in files]
+    slot_order = _score_from_files(patch, params, [e for v in files for e in (removed[v], added[v])])
+    # The file slots differ, so a side-major e_c would score differently.
+    assert _score_from_files(patch, params, removed + added) != slot_order
+    assert float(forward(patch, params, TINY).data) == slot_order
+
+
+def test_forward_runs_each_code_side_once(monkeypatch):
+    sides = []
+    inner = model.code_side_embedding
+
+    def counted(B, params, side):
+        sides.append(side)
+        return inner(B, params, side)
+
+    monkeypatch.setattr(model, "code_side_embedding", counted)
+    for files in (1, 3):
+        hp = replace(TINY, dims=replace(TINY.dims, files=files))
+        params = init_params(hp, 7, 9, np.random.default_rng(16))
+        sides.clear()
+        forward(rand_patch(np.random.default_rng(17), hp), params, hp)
+        assert sides == ["removed", "added"]
 
 
 def test_message_embedding_width():

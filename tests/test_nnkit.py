@@ -25,6 +25,7 @@ from patchnet.nnkit import (
     embed_lookup,
     loss,
     max_pool,
+    reshape,
     sigmoid_score,
     stack,
     tensor,
@@ -251,6 +252,17 @@ def test_grad_concat_and_stack():
     assert_grads_match(lambda: weighted_sum(stack([c, d]), R2), [c, d])
 
 
+def test_grad_reshape():
+    # The model's e_c: (files, E) per side, joined on the last axis and
+    # flattened in slot order.
+    rng = np.random.default_rng(420)
+    r = tensor(rng.standard_normal((3, 2)))
+    a = tensor(rng.standard_normal((3, 2)))
+    R = rng.standard_normal(12)
+    build = lambda: weighted_sum(reshape(concat([r, a], axis=-1), (-1,)), R)
+    assert_grads_match(build, [r, a])
+
+
 def test_grad_dropout_fixed_mask():
     rng = np.random.default_rng(417)
     t = tensor(rng.standard_normal((6, 5)))
@@ -449,6 +461,81 @@ def test_backward_diamond_graph_accumulates():
     total = weighted_sum(stack([a, b]), np.array([1.0, 1.0]))
     (gx,) = backward(total, [x])
     assert np.array_equal(gx, [1.0, 3.0])
+
+
+def _graph(root):
+    """Every tensor on root's tape."""
+    seen, todo = {}, [root]
+    while todo:
+        t = todo.pop()
+        if id(t) not in seen:
+            seen[id(t)] = t
+            todo.extend(t.parents)
+    return list(seen.values())
+
+
+def _backward_keeping_every_grad(root, params):
+    """Reference reverse pass that keeps every interior gradient."""
+    order, done = [], set()
+
+    def visit(t):
+        if id(t) not in done:
+            done.add(id(t))
+            for p in t.parents:
+                visit(p)
+            order.append(t)
+
+    visit(root)
+    for t in order:
+        t.grad = None
+    root.grad = np.ones(())
+    for t in reversed(order):
+        if t._backward_fn is not None and t.grad is not None:
+            t._backward_fn(t.grad)
+    return [p.grad for p in params]
+
+
+def _small_model(rng):
+    W = tensor(rng.uniform(-0.5, 0.5, (6, 3)))
+    f = tensor(rng.uniform(-0.5, 0.5, (2, 2, 3)))
+    b = tensor(rng.uniform(-0.2, 0.2, 2))
+    wo = tensor(rng.uniform(-0.5, 0.5, 4))
+    idx = np.array([[0, 1, 5, 2], [3, 3, 4, 0]])
+    params = [W, f, b, wo]
+
+    def build():
+        pooled = max_pool(conv_text(embed_lookup(W, idx), f, b))  # (2, 2)
+        z = sigmoid_score(reshape(pooled, (4,)), wo)
+        return loss(z, np.asarray(1.0), params, lam=0.01)
+
+    return build, params
+
+
+def test_backward_releases_interior_grads():
+    build, params = _small_model(np.random.default_rng(422))
+    out = build()
+    grads = backward(out, params)
+    interior = [t for t in _graph(out) if t._backward_fn is not None]
+    assert len(interior) == 6
+    assert all(t.grad is None for t in interior)
+    assert all(p.grad is g for p, g in zip(params, grads))
+
+    kept = build()
+    expected = _backward_keeping_every_grad(kept, params)
+    assert all(t.grad is not None for t in _graph(kept))
+    for g, e in zip(grads, expected):
+        assert np.array_equal(g, e)
+
+
+def test_backward_keeps_grads_of_interior_params():
+    x = tensor(np.array([1.0, 2.0]))
+    doubled = concat([x, x])
+    total = weighted_sum(doubled, np.array([1.0, 2.0, 3.0, 4.0]))
+    g_doubled, gx = backward(total, [doubled, x])
+    assert np.array_equal(g_doubled, [1.0, 2.0, 3.0, 4.0])
+    assert np.array_equal(gx, [4.0, 6.0])
+    assert doubled.grad is g_doubled
+    assert total.grad is None
 
 
 # ---------------------------------------------------------------------------

@@ -99,10 +99,14 @@ def test_assemble_unknown_words_map_to_unk():
 
 def test_assemble_truncates_files_hunks_lines_words():
     files = [simple_diff(path=f"fs/f{i}.c") for i in range(4)]
-    c = make_commit(1, diff="".join(files))
+    c = make_commit(1, subject="fix leak in probe error path", diff="".join(files))
     table, vocabs = build_vocabs([c])
     dims = PatchDims(msg_len=4, files=2, hunks=1, lines=1, words=2)
     p = assemble_tensors(c, table, vocabs, dims)
+    # The message keeps its first msg_len tokens, with no PAD.
+    expected = message_tokens(strip_tags(c.message))
+    assert len(expected) > dims.msg_len
+    assert [vocabs[0].index_to_word[i] for i in p.message_tokens] == expected[: dims.msg_len]
     assert p.removed_code.shape == dims.code_shape
     # Both retained file slots hold the first two tokens of line one.
     for v in range(2):

@@ -1,13 +1,7 @@
 """Tests for commit-message preprocessing."""
 
 from patchnet.stopwords import STOP_WORDS
-from patchnet.textprep import (
-    MSG_LEN,
-    PAD_TOKEN,
-    message_tokens,
-    normalize_message,
-    strip_tags,
-)
+from patchnet.textprep import message_tokens, strip_tags
 
 
 def test_strip_tags_removes_metadata_lines():
@@ -64,28 +58,6 @@ def test_message_tokens_drop_stopwords_before_stemming():
 def test_message_tokens_empty_and_symbol_only():
     assert message_tokens("") == []
     assert message_tokens("!!! --- ***") == []
-
-
-def test_normalize_message_pads_to_fixed_length():
-    out = normalize_message("Fix the leak")
-    assert len(out) == MSG_LEN
-    assert out[:2] == ["fix", "leak"]
-    assert set(out[2:]) == {PAD_TOKEN}
-
-
-def test_normalize_message_truncates_long_input():
-    msg = " ".join(f"word{i}" for i in range(700))
-    out = normalize_message(msg)
-    assert len(out) == MSG_LEN
-    assert out[0] == "word0"
-    assert PAD_TOKEN not in out
-
-
-def test_normalize_message_custom_length():
-    out = normalize_message("fix leak now", msg_len=2)
-    assert out == ["fix", "leak"]
-    out = normalize_message("", msg_len=4)
-    assert out == [PAD_TOKEN] * 4
 
 
 def test_stopword_list_is_lowercase_ascii():
