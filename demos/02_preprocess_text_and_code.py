@@ -23,7 +23,7 @@ from patchnet import (
     tokenize_code_line,
     write_tensor_file,
 )
-from patchnet.core import CodeLine, Label, LineKind
+from patchnet.core import Label, LineKind
 
 MESSAGE = """net: fix a use-after-free in the ring teardown
 
@@ -76,13 +76,14 @@ def demo_code():
         print(f"  {number:2} {marker:7} {line}")
     print()
 
-    # Function names are kept verbatim only when the corpus calls them
-    # often enough; everything else collapses to IDENT.
+    # The lexer takes each line's kind with its text and tags every
+    # token "base@kind".  Function names are kept verbatim only when the
+    # corpus calls them often enough; everything else collapses to IDENT.
     table = FunctionNameTable(retained=frozenset({"ring_alloc"}), defined_in={})
-    line = CodeLine(line_number=6, text="\terr = ring_alloc(r, NULL);", sign="+",
-                    kind=LineKind.NORMAL)
-    tokens = [t.text for t in tokenize_code_line(line, table, "drivers/net/ring.c")]
-    print(f"tokenized changed line: {tokens}")
+    print("tokenized lines:")
+    for number in (5, 6):
+        text = C_SOURCE.splitlines()[number - 1]
+        print(f"  {number:2} {tokenize_code_line(text, kinds[number], table, 'drivers/net/ring.c')}")
     print()
 
 
@@ -133,6 +134,7 @@ def demo_tensors():
     patch = patches[0]
     print(f"message tensor shape: {patch.message_tokens.shape}")
     print(f"code tensor shapes:   {patch.removed_code.shape} (removed and added)")
+    print(f"index dtype:          {patch.message_tokens.dtype} (as on disk)")
     decoded = [msg_vocab.index_to_word[i] for i in patch.message_tokens]
     print(f"decoded message row:  {decoded}")
     # A single new commit (as `predict` sees it) goes through the same steps.
@@ -147,6 +149,7 @@ def demo_tensors():
             f"tensor file round trip: {len(loaded)} patches, dims {loaded_dims}, "
             f"labels {[p.label.value for p in loaded]}"
         )
+        print(f"arrays read in place (views of one buffer): {not loaded[0].added_code.flags.owndata}")
 
 
 def main():

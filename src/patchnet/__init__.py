@@ -32,7 +32,6 @@ from .ingest import (
 from .stemmer import porter_stem
 from .textprep import message_tokens, strip_tags
 from .codeprep import (
-    AnnotatedToken,
     FunctionNameTable,
     build_function_table,
     classify_line_kinds,
@@ -76,7 +75,6 @@ from .evalkit import (
 
 __all__ = [
     "__version__",
-    "AnnotatedToken",
     "CheckpointBundle",
     "CodeLine",
     "EligibilityReport",

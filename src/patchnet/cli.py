@@ -430,6 +430,8 @@ def _report_to_row(path: str, report) -> dict:
 
 
 def _cmd_evaluate(args, seed):
+    if args.pr_csv and len(args.scores) != 1:
+        raise UsageError("--pr-csv needs exactly one scores file")
     reports = []
     for path in args.scores:
         rows = _read_score_rows(path)
@@ -461,8 +463,6 @@ def _cmd_evaluate(args, seed):
     _write_json(args.report, report_obj)
 
     if args.pr_csv:
-        if len(reports) != 1:
-            raise UsageError("--pr-csv needs exactly one scores file")
         with atomic_write(args.pr_csv) as fh:
             for recall, precision in reports[0][1].pr_points:
                 fh.write(f"{recall},{precision}\n")
@@ -489,6 +489,12 @@ def _cmd_baseline(args, seed):
     commits = _load_commits_checked(args.dataset)
     if not commits:
         raise DataError(f"{args.dataset}: no commits")
+    missing = [c.commit_id for c in commits if c.label is None]
+    if args.report and missing:
+        raise DataError(
+            f"--report needs true labels; {len(missing)} commits lack them "
+            f"(first: {missing[0]})"
+        )
     rows = []
     predictions = []
     for c in commits:
@@ -507,12 +513,6 @@ def _cmd_baseline(args, seed):
 
     outputs = [args.out]
     if args.report:
-        missing = [c.commit_id for c in commits if c.label is None]
-        if missing:
-            raise DataError(
-                f"--report needs true labels; {len(missing)} commits lack them "
-                f"(first: {missing[0]})"
-            )
         scores = [1.0 if p is Label.STABLE else 0.0 for p in predictions]
         truth = [c.label.to_int() for c in commits]
         report = metrics(scores, truth, 0.5)

@@ -1,6 +1,9 @@
 """Code-side preprocessing: comment/string stripping, line-kind
 classification, call-site counting, and code-line tokenization.
 
+A code token is the string "base@kind": its lexed base and the kind of
+its line, which the caller classifies and passes in with the text.
+
 Everything here is a heuristic text scanner, not a C parser: inputs are
 diff fragments and file snapshots that need not even compile.  The
 scanners are total (any text in, something reasonable out) and degrade
@@ -14,7 +17,7 @@ import re
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .core import CodeLine, FileDiff, LineKind
+from .core import FileDiff, LineKind
 
 C_KEYWORDS = frozenset((
     "auto", "break", "case", "char", "const", "continue", "default", "do",
@@ -48,18 +51,6 @@ RE_TOKEN = re.compile(
 """,
     re.X,
 )
-
-
-@dataclass(frozen=True)
-class AnnotatedToken:
-    """A code token paired with its line's kind annotation."""
-
-    base: str
-    kind: LineKind
-
-    @property
-    def text(self) -> str:
-        return f"{self.base}@{self.kind.value}"
 
 
 @dataclass(frozen=True)
@@ -334,17 +325,17 @@ def build_function_table(files: Iterable[FileDiff]) -> FunctionNameTable:
 
 
 def tokenize_code_line(
-    line: CodeLine, table: FunctionNameTable, path: str = ""
-) -> list[AnnotatedToken]:
-    """Lex one changed line into annotated tokens.
+    text: str, kind: LineKind, table: FunctionNameTable, path: str = ""
+) -> list[str]:
+    """Lex one changed line's text into "base@kind" token strings.
 
     Keywords and retained function names stay verbatim; other
     identifiers become IDENT, numeric literals become NUM.  Every token
     carries the line's kind.  Total: no input text faults.
     """
-    tokens: list[AnnotatedToken] = []
-    text = strip_comments_strings(line.text)
-    for m in RE_TOKEN.finditer(text):
+    tokens: list[str] = []
+    suffix = "@" + kind.value
+    for m in RE_TOKEN.finditer(strip_comments_strings(text)):
         raw = m.group(0)
         first = raw[0]
         if first.isalpha() or first == "_":
@@ -356,5 +347,5 @@ def tokenize_code_line(
             base = "NUM"
         else:
             base = raw
-        tokens.append(AnnotatedToken(base, line.kind))
+        tokens.append(base + suffix)
     return tokens

@@ -57,13 +57,13 @@ class CodeLine:
 
     ``line_number`` is the 1-based position in the old file for removed
     lines and in the new file for added lines.  ``sign`` is '-' or '+'.
-    ``kind`` defaults to NORMAL at parse time; preprocessing refines it.
+    A line's LineKind is not stored here: preprocessing classifies it
+    and hands it to the lexer with the text.
     """
 
     line_number: int
     text: str
     sign: str
-    kind: LineKind = LineKind.NORMAL
 
     def __post_init__(self) -> None:
         if self.sign not in ("-", "+"):
@@ -97,8 +97,8 @@ class Hunk:
 class FileDiff:
     """All hunks of one file touched by a commit.
 
-    ``language_relevant`` marks files whose path ends in .c or .h; only
-    those feed the code channel of the model.  A binary or otherwise
+    ``language_relevant`` is true when the path ends in .c or .h; only
+    those files feed the code channel of the model.  A binary or otherwise
     opaque change is represented with an empty ``hunks`` tuple.  ``old_path`` is the ---
     side ("" when the file is newly added); ``path`` prefers the +++
     side and falls back to the --- side for deletions.
@@ -106,10 +106,13 @@ class FileDiff:
 
     path: str
     hunks: tuple[Hunk, ...]
-    language_relevant: bool
     old_path: str = ""
     is_new_file: bool = False
     is_deleted_file: bool = False
+
+    @property
+    def language_relevant(self) -> bool:
+        return self.path.endswith((".c", ".h"))
 
     @property
     def is_modification(self) -> bool:

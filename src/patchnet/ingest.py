@@ -245,12 +245,10 @@ def parse_unified_diff(diff_text: str) -> list[FileDiff]:
         if not seen_file:
             return
         path = new_path if new_path not in (None, "/dev/null") else old_path
-        path = path or ""
         files.append(
             FileDiff(
-                path=path,
+                path=path or "",
                 hunks=tuple(hunks),
-                language_relevant=path.endswith((".c", ".h")),
                 old_path="" if old_path in (None, "/dev/null") else old_path,
                 is_new_file=is_new or old_path == "/dev/null",
                 is_deleted_file=is_deleted or new_path == "/dev/null",

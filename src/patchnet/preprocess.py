@@ -2,13 +2,17 @@
 
 The code channel uses file snapshots for line-kind classification when
 the commit carries them; otherwise kinds come from a hunk-local scan of
-the changed lines alone and degrade toward Normal.
+the changed lines alone and degrade toward Normal.  Each line's kind is
+a value handed to the lexer with its text.  Token indices are
+INDEX_DTYPE (little-endian uint32) from indexing through the tensor
+file, whose records read back as views of one buffer.
 """
 
 from __future__ import annotations
 
+import os
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +28,7 @@ from .ingest import ParseError, parse_unified_diff
 from .textprep import message_tokens, strip_tags
 from .vocab import PAD_INDEX, Vocabulary, build_vocab, index_of
 
+INDEX_DTYPE = np.dtype("<u4")
 TENSOR_MAGIC = b"PNTD"
 TENSOR_VERSION = 1
 NO_LABEL_BYTE = 255
@@ -54,8 +59,8 @@ class PreprocessedPatch:
     """Fixed-shape token-index tensors for one patch."""
 
     commit_id: str
-    message_tokens: np.ndarray  # (msg_len,) int64
-    removed_code: np.ndarray  # (files, hunks, lines, words) int64
+    message_tokens: np.ndarray  # (msg_len,) INDEX_DTYPE
+    removed_code: np.ndarray  # (files, hunks, lines, words) INDEX_DTYPE
     added_code: np.ndarray  # same shape
     label: "Label | None" = None
 
@@ -71,26 +76,19 @@ def _snapshot_kinds(c: RawCommit, path: str) -> tuple[dict | None, dict | None]:
     return None, None
 
 
-def _fallback_kinds(lines: tuple[CodeLine, ...]) -> list[LineKind]:
-    """Kinds from a scan of the changed lines alone (no snapshot)."""
+def _annotate_side(lines: tuple[CodeLine, ...], kinds: dict | None) -> list[tuple[str, LineKind]]:
+    """One side's (text, kind) pairs: kinds from its snapshot map, else
+    from a scan of the changed lines alone (no snapshot)."""
+    if kinds is not None:
+        return [(line.text, kinds.get(line.line_number, LineKind.NORMAL)) for line in lines]
     if not lines:
         return []
-    text = strip_comments_strings("\n".join(line.text for line in lines))
-    kinds = classify_line_kinds(text)
-    return [kinds.get(i + 1, LineKind.NORMAL) for i in range(len(lines))]
+    scanned = classify_line_kinds(strip_comments_strings("\n".join(line.text for line in lines)))
+    return [(line.text, scanned.get(i + 1, LineKind.NORMAL)) for i, line in enumerate(lines)]
 
 
-def _annotate_side(lines: tuple[CodeLine, ...], kinds: dict | None) -> tuple[CodeLine, ...]:
-    """One side's lines with kinds from its snapshot map, else the fallback scan."""
-    if kinds is not None:
-        return tuple(
-            replace(line, kind=kinds.get(line.line_number, LineKind.NORMAL)) for line in lines
-        )
-    return tuple(replace(line, kind=k) for line, k in zip(lines, _fallback_kinds(lines)))
-
-
-def annotate_file_lines(c: RawCommit, fd: FileDiff) -> list[tuple[CodeLine, ...]]:
-    """Kind-annotated (removed, added) line tuples per hunk of one file."""
+def annotate_file_lines(c: RawCommit, fd: FileDiff) -> list[tuple[list[tuple[str, LineKind]], ...]]:
+    """(removed, added) lists of (text, kind) pairs per hunk of one file."""
     old_kinds, new_kinds = _snapshot_kinds(c, fd.path)
     return [
         (_annotate_side(h.removed, old_kinds), _annotate_side(h.added, new_kinds))
@@ -111,14 +109,14 @@ def _tokenize(c: RawCommit, files: list[FileDiff], table: FunctionNameTable,
     """(message tokens, code tokens).
 
     Code tokens nest as relevant file -> hunk -> (removed, added) ->
-    line -> annotated token texts, files and hunks in diff order.  With
+    line -> "base@kind" token strings, files and hunks in diff order.  With
     dims, code lines past the tensor slots are left out, since only the
     vocabularies read them; without, nothing is truncated.
     """
     n_files, n_hunks, n_lines = (dims.files, dims.hunks, dims.lines) if dims else (None,) * 3
     code = [
         [
-            tuple([[t.text for t in tokenize_code_line(line, table, fd.path)] for line in side[:n_lines]]
+            tuple([tokenize_code_line(text, kind, table, fd.path) for text, kind in side[:n_lines]]
                   for side in sides)
             for sides in annotate_file_lines(c, fd)[:n_hunks]
         ]
@@ -137,10 +135,10 @@ def _index(c: RawCommit, tokens, vocabularies: tuple[Vocabulary, Vocabulary],
     msg_vocab, code_vocab = vocabularies
     message, code = tokens
     message = message[: dims.msg_len]
-    msg_idx = np.full(dims.msg_len, PAD_INDEX, dtype=np.int64)
+    msg_idx = np.full(dims.msg_len, PAD_INDEX, dtype=INDEX_DTYPE)
     msg_idx[: len(message)] = [index_of(msg_vocab, t) for t in message]
-    removed = np.full(dims.code_shape, PAD_INDEX, dtype=np.int64)
-    added = np.full(dims.code_shape, PAD_INDEX, dtype=np.int64)
+    removed = np.full(dims.code_shape, PAD_INDEX, dtype=INDEX_DTYPE)
+    added = np.full(dims.code_shape, PAD_INDEX, dtype=INDEX_DTYPE)
     for v, hunks in enumerate(code[: dims.files]):
         for h, sides in enumerate(hunks[: dims.hunks]):
             for target, lines in zip((removed, added), sides):
@@ -199,7 +197,7 @@ def write_tensor_file(path: str, patches, dims: PatchDims = PatchDims()) -> None
     """magic, u32 version, u32 count, five u32 dims, then fixed-size records.
 
     Record: 40-byte ascii commit id, one label byte (1/0/255=none), then
-    message, removed, added index arrays as little-endian u32.
+    message, removed, added index arrays as INDEX_DTYPE.
     """
     patches = list(patches)
     with atomic_write(path, "wb") as fh:
@@ -215,12 +213,19 @@ def write_tensor_file(path: str, patches, dims: PatchDims = PatchDims()) -> None
                                (p.added_code, dims.code_shape)):
                 if tuple(arr.shape) != shape:
                     raise ValueError(f"patch {p.commit_id}: array shape {arr.shape} != {shape}")
-                fh.write(np.ascontiguousarray(arr, dtype="<u4").tobytes())
+                fh.write(np.ascontiguousarray(arr, dtype=INDEX_DTYPE).tobytes())
 
 
 def read_tensor_file(path: str) -> tuple[list[PreprocessedPatch], PatchDims]:
+    """Patches and dims of a write_tensor_file output.
+
+    The file is read once into one writable buffer; each patch's arrays
+    are INDEX_DTYPE views of it, not copies.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
+        blob = bytearray(os.fstat(fh.fileno()).st_size)
+        if fh.readinto(blob) != len(blob):
+            raise ValueError(f"{path}: truncated tensor file")
     if blob[:4] != TENSOR_MAGIC:
         raise ValueError(f"{path}: not a tensor file (bad magic)")
     if len(blob) < 32:
@@ -236,7 +241,7 @@ def read_tensor_file(path: str) -> tuple[list[PreprocessedPatch], PatchDims]:
         raise ValueError(f"{path}: truncated tensor file")
     patches = []
     for offset in range(32, len(blob), record):
-        arrays = np.frombuffer(blob, dtype="<u4", count=elems, offset=offset + 41).astype(np.int64)
+        arrays = np.frombuffer(blob, dtype=INDEX_DTYPE, count=elems, offset=offset + 41)
         msg, rem, add = np.split(arrays, [dims.msg_len, dims.msg_len + code_elems])
         label_byte = blob[offset + 40]
         label = None if label_byte == NO_LABEL_BYTE else Label.from_int(label_byte)

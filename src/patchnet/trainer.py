@@ -23,6 +23,7 @@ from .vocab import Vocabulary
 
 CHECKPOINT_MAGIC = b"PNET"
 CHECKPOINT_VERSION = 1
+MIN_DELTA = 1e-9
 
 
 class TrainingError(Exception):
@@ -82,18 +83,17 @@ class EarlyStopping:
     """Stop after `patience` consecutive epochs without real improvement.
 
     An epoch improves only when it beats the best loss by more than
-    min_delta; ties and sub-tolerance wiggles count against patience.
+    MIN_DELTA; ties and sub-tolerance wiggles count against patience.
     """
 
     patience: int
-    min_delta: float = 1e-9
     best_loss: float = field(default=float("inf"))
     best_epoch: int = 0
     stale_epochs: int = 0
 
     def update(self, epoch: int, epoch_loss: float) -> bool:
         """Record one epoch; True means training should stop now."""
-        if self.best_loss - epoch_loss > self.min_delta:
+        if self.best_loss - epoch_loss > MIN_DELTA:
             self.best_loss = epoch_loss
             self.best_epoch = epoch
             self.stale_epochs = 0

@@ -6,6 +6,7 @@ there would otherwise show up only when a traced benchmark run fails
 `batch_peak_alloc_mb`), so this checks the contract at tier 1.
 """
 
+import ast
 import importlib
 import inspect
 from pathlib import Path
@@ -17,6 +18,10 @@ from patchnet import model, nnkit
 from patchnet.model import HyperParams, ModelParams
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+
+# Looked up by the tracer but deleted from the package; its metric,
+# trainer.accuracy_pass_s, reads 0 until the next change to benchmarks/.
+RETIRED = {"trainer.dataset_accuracy"}
 
 
 @pytest.fixture(scope="module")
@@ -55,3 +60,35 @@ def test_forward_and_params_signatures():
     inspect.signature(nnkit.backward).bind(object(), [])
     inspect.signature(nnkit.AdamState.for_param).bind(object())
     inspect.signature(nnkit.adam_step).bind(object(), object(), object())
+
+
+def _looked_up_names() -> set[str]:
+    """Every "<module>.<function>" literal tracing.py passes to total,
+    durations, nid or is_open, compares with `name ==`, or lists in
+    batch_parts."""
+    names = set()
+    for node in ast.walk(ast.parse((BENCHMARKS / "tracing.py").read_text())):
+        if isinstance(node, ast.Call):
+            func = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if func in ("total", "durations", "nid", "is_open") and node.args:
+                names.add(node.args[0])
+        elif (isinstance(node, ast.Compare) and getattr(node.left, "id", None) == "name"
+              and all(isinstance(op, ast.Eq) for op in node.ops)):
+            names.update(node.comparators)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "batch_parts" for t in node.targets):
+            names.update(node.value.elts)
+    return {n.value for n in names if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+
+
+def test_traced_names_are_wrapped_functions(tracing):
+    """A renamed function would otherwise turn its per-layer metric into 0."""
+    names = _looked_up_names()
+    assert "codeprep.tokenize_code_line" in names and len(names) >= 29
+    missing = []
+    for full in sorted(names - RETIRED):
+        short, attr = full.split(".")
+        module = importlib.import_module(f"patchnet.{short}")
+        if (short not in tracing.MODULES or attr.startswith("_") or not _is_defined_in(module, attr)
+                or inspect.isgeneratorfunction(getattr(module, attr))):
+            missing.append(full)
+    assert not missing

@@ -527,6 +527,27 @@ def test_baseline_report_requires_labels(tmp_path):
     assert all("true_label" not in r for r in _read_jsonl(out))
 
 
+def test_baseline_without_labels_writes_nothing(tmp_path, capsys):
+    data = tmp_path / "raw.export"
+    data.write_text("".join(SAMPLE_EXPORTS))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run(["baseline", "--dataset", str(data), "--out", str(out / "b.jsonl"),
+                "--report", str(out / "r.json")]) == EXIT_DATA
+    assert list(out.iterdir()) == []
+    assert "baseline:" not in capsys.readouterr().out
+
+
+def test_evaluate_pr_csv_with_folds_writes_nothing(tmp_path):
+    fold = tmp_path / "fold.jsonl"
+    fold.write_text('{"commit_id": "a1", "score": 0.9, "true_label": 1}\n')
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run(["evaluate", "--scores", str(fold), str(fold), "--report", str(out / "r.json"),
+                "--pr-csv", str(out / "pr.csv")]) == EXIT_USAGE
+    assert list(out.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # Aggregated evaluation
 

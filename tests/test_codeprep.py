@@ -16,14 +16,13 @@ import pytest
 
 from patchnet.codeprep import (
     MIN_CALL_COUNT,
-    AnnotatedToken,
     FunctionNameTable,
     build_function_table,
     classify_line_kinds,
     strip_comments_strings,
     tokenize_code_line,
 )
-from patchnet.core import CodeLine, LineKind
+from patchnet.core import LineKind
 from patchnet.ingest import parse_unified_diff
 from patchnet.preprocess import preprocess_commits
 
@@ -430,59 +429,54 @@ def test_generated_functions_classify_as_constructed():
 # Tokenization
 
 
-def _line(text, kind=N):
-    return CodeLine(line_number=1, text=text, sign="+", kind=kind)
+EMPTY = FunctionNameTable.empty()
+
+
+def _nrm(*bases):
+    return [base + "@nrm" for base in bases]
 
 
 def test_tokenize_keywords_and_idents():
-    toks = tokenize_code_line(_line("if (rc) return rc;"), FunctionNameTable.empty())
-    assert [t.base for t in toks] == ["if", "(", "IDENT", ")", "return", "IDENT", ";"]
+    toks = tokenize_code_line("if (rc) return rc;", N, EMPTY)
+    assert toks == _nrm("if", "(", "IDENT", ")", "return", "IDENT", ";")
 
 
 def test_tokenize_annotates_every_token_with_line_kind():
-    toks = tokenize_code_line(_line("goto out;", kind=H), FunctionNameTable.empty())
-    assert [t.text for t in toks] == ["goto@hnd", "IDENT@hnd", ";@hnd"]
-    toks = tokenize_code_line(_line("if (x)", kind=C), FunctionNameTable.empty())
-    assert [t.text for t in toks] == ["if@chk", "(@chk", "IDENT@chk", ")@chk"]
+    toks = tokenize_code_line("goto out;", H, EMPTY)
+    assert toks == ["goto@hnd", "IDENT@hnd", ";@hnd"]
+    toks = tokenize_code_line("if (x)", C, EMPTY)
+    assert toks == ["if@chk", "(@chk", "IDENT@chk", ")@chk"]
 
 
 def test_tokenize_numbers_and_operators():
-    toks = tokenize_code_line(
-        _line("x += 0x1F + 2.5e3 - 42u << 3;"), FunctionNameTable.empty()
-    )
-    assert [t.base for t in toks] == [
-        "IDENT", "+=", "NUM", "+", "NUM", "-", "NUM", "<<", "NUM", ";",
-    ]
+    toks = tokenize_code_line("x += 0x1F + 2.5e3 - 42u << 3;", N, EMPTY)
+    assert toks == _nrm("IDENT", "+=", "NUM", "+", "NUM", "-", "NUM", "<<", "NUM", ";")
 
 
 def test_tokenize_strings_and_comments_removed():
-    toks = tokenize_code_line(
-        _line('printk(err, "boom"); // noisy'), FunctionNameTable.empty()
-    )
-    assert [t.base for t in toks] == ["IDENT", "(", "IDENT", ",", '""', ")", ";"]
+    toks = tokenize_code_line('printk(err, "boom"); // noisy', N, EMPTY)
+    assert toks == _nrm("IDENT", "(", "IDENT", ",", '""', ")", ";")
 
 
 def test_tokenize_retained_function_names():
     table = FunctionNameTable(
         retained=frozenset({"kmalloc"}), defined_in={"a.c": frozenset({"kmalloc"})}
     )
-    toks = tokenize_code_line(_line("p = kmalloc(n);"), table, path="b.c")
-    assert [t.base for t in toks] == ["IDENT", "=", "kmalloc", "(", "IDENT", ")", ";"]
+    toks = tokenize_code_line("p = kmalloc(n);", N, table, path="b.c")
+    assert toks == _nrm("IDENT", "=", "kmalloc", "(", "IDENT", ")", ";")
     # In the defining file the name is a plain identifier again.
-    toks = tokenize_code_line(_line("p = kmalloc(n);"), table, path="a.c")
-    assert [t.base for t in toks] == ["IDENT", "=", "IDENT", "(", "IDENT", ")", ";"]
+    toks = tokenize_code_line("p = kmalloc(n);", N, table, path="a.c")
+    assert toks == _nrm("IDENT", "=", "IDENT", "(", "IDENT", ")", ";")
 
 
 def test_tokenize_arrow_and_struct_access():
-    toks = tokenize_code_line(_line("c->next = s.head;"), FunctionNameTable.empty())
-    assert [t.base for t in toks] == [
-        "IDENT", "->", "IDENT", "=", "IDENT", ".", "IDENT", ";",
-    ]
+    toks = tokenize_code_line("c->next = s.head;", N, EMPTY)
+    assert toks == _nrm("IDENT", "->", "IDENT", "=", "IDENT", ".", "IDENT", ";")
 
 
 def test_tokenize_is_total_on_junk():
-    toks = tokenize_code_line(_line("\x00 @@ $$ `` 0xZZ"), FunctionNameTable.empty())
-    assert all(isinstance(t, AnnotatedToken) for t in toks)
+    toks = tokenize_code_line("\x00 @@ $$ `` 0xZZ", N, EMPTY)
+    assert toks and all(isinstance(t, str) and t.endswith("@nrm") for t in toks)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from patchnet.core import (
     Hunk,
     Label,
     LabeledDataset,
-    LineKind,
 )
 
 
@@ -36,7 +35,6 @@ class TestLabel:
 class TestCodeLine:
     def test_defaults_to_normal_kind(self):
         line = CodeLine(3, "return err;", "-")
-        assert line.kind is LineKind.NORMAL
         assert line.line_number == 3
 
     def test_rejects_bad_sign(self):
@@ -57,12 +55,18 @@ class TestFileDiff:
         return Hunk(1, 10, 2, 10, 2, (CodeLine(10, "a", "-"),), (CodeLine(10, "b", "+"),))
 
     def test_modification_when_both_sides_real(self):
-        fd = FileDiff("a.c", (self._hunk(),), True, old_path="a.c")
+        fd = FileDiff("a.c", (self._hunk(),), old_path="a.c")
         assert fd.is_modification
 
     def test_new_and_deleted_are_not_modifications(self):
-        assert not FileDiff("a.c", (), True, is_new_file=True).is_modification
-        assert not FileDiff("a.c", (), True, is_deleted_file=True).is_modification
+        assert not FileDiff("a.c", (), is_new_file=True).is_modification
+        assert not FileDiff("a.c", (), is_deleted_file=True).is_modification
+
+    def test_language_relevant_follows_path(self):
+        assert FileDiff("drivers/a.c", ()).language_relevant
+        assert FileDiff("include/a.h", ()).language_relevant
+        assert not FileDiff("Documentation/a.rst", ()).language_relevant
+        assert not FileDiff("a.cc", ()).language_relevant
 
 
 class TestRawCommit:

@@ -1,7 +1,10 @@
 """Tests for patch-to-tensor assembly and the tensor file format."""
 
+import os
 import random
 import struct
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ import pytest
 from patchnet.core import FileSnapshot, Label, LineKind
 from patchnet.ingest import parse_unified_diff
 from patchnet.preprocess import (
+    INDEX_DTYPE,
     NO_LABEL_BYTE,
     TENSOR_MAGIC,
     PatchDims,
@@ -169,8 +173,8 @@ def test_annotate_with_snapshots_uses_real_line_numbers():
     )
     fd = parse_unified_diff(c.diff_text)[0]
     (removed, added) = annotate_file_lines(c, fd)[0]
-    assert [line.kind for line in removed] == [LineKind.ERROR_HANDLING]
-    assert [line.kind for line in added] == [LineKind.ERROR_HANDLING]
+    assert removed == [("\t\tgoto out;", LineKind.ERROR_HANDLING)]
+    assert added == [("\t\tgoto fail;", LineKind.ERROR_HANDLING)]
 
 
 def test_annotate_snapshot_other_path_falls_back():
@@ -181,7 +185,7 @@ def test_annotate_snapshot_other_path_falls_back():
     fd = parse_unified_diff(c.diff_text)[0]
     (removed, added) = annotate_file_lines(c, fd)[0]
     # Fallback scans the changed lines alone: a lone goto is normal.
-    assert [line.kind for line in removed] == [LineKind.NORMAL]
+    assert [kind for _, kind in removed] == [LineKind.NORMAL]
 
 
 def test_annotate_fallback_finds_structure_in_changed_lines():
@@ -189,11 +193,11 @@ def test_annotate_fallback_finds_structure_in_changed_lines():
     c = make_commit(1, diff=diff)
     fd = parse_unified_diff(c.diff_text)[0]
     (removed, added) = annotate_file_lines(c, fd)[0]
-    assert [line.kind for line in added] == [
+    assert [kind for _, kind in added] == [
         LineKind.ERROR_CHECKING,
         LineKind.ERROR_HANDLING,
     ]
-    assert [line.kind for line in removed] == [LineKind.NORMAL]
+    assert [kind for _, kind in removed] == [LineKind.NORMAL]
 
 
 def test_code_vocab_carries_kinds():
@@ -329,6 +333,78 @@ def test_tensor_file_rejects_shape_mismatch(tmp_path):
     patches[0].message_tokens = np.zeros(99, dtype=np.int64)
     with pytest.raises(ValueError, match="shape"):
         write_tensor_file(str(tmp_path / "x.bin"), patches, dims)
+
+
+def _arrays(p):
+    return (p.message_tokens, p.removed_code, p.added_code)
+
+
+def test_index_arrays_are_index_dtype(tmp_path):
+    assert INDEX_DTYPE == np.dtype("<u4")
+    commits = [make_commit(i) for i in range(3)]
+    dims = PatchDims(msg_len=6, files=2, hunks=1, lines=2, words=4)
+    patches, table, vocabs, _ = preprocess_commits(commits, dims)
+    path = str(tmp_path / "t.bin")
+    write_tensor_file(path, patches, dims)
+    loaded, _ = read_tensor_file(path)
+    built = [assemble_tensors(c, table, vocabs, dims) for c in commits]
+    for p in [*patches, *built, *loaded]:
+        assert [a.dtype for a in _arrays(p)] == [INDEX_DTYPE] * 3
+
+
+def _root(a):
+    """The object that owns an array's memory, through views and memoryviews."""
+    while True:
+        if isinstance(a, np.ndarray) and a.base is not None:
+            a = a.base
+        elif isinstance(a, memoryview):
+            a = a.obj
+        else:
+            return a
+
+
+def test_tensor_file_arrays_are_writable_views_of_one_buffer(tmp_path):
+    patches, dims = small_patches()
+    path = str(tmp_path / "t.bin")
+    write_tensor_file(path, patches, dims)
+    loaded, _ = read_tensor_file(path)
+    arrays = [a for p in loaded for a in _arrays(p)]
+    assert len({id(_root(a)) for a in arrays}) == 1
+    assert all(a.flags.writeable for a in arrays)
+    loaded[0].added_code[0, 0, 0, 0] = 7
+    assert loaded[0].added_code[0, 0, 0, 0] == 7
+    for a, b in zip(patches[1:], loaded[1:]):
+        assert np.array_equal(a.added_code, b.added_code)
+
+
+def test_tensor_file_read_peak_is_the_file_size(tmp_path):
+    dims = PatchDims(msg_len=128, files=2, hunks=4, lines=8, words=64)
+    rng = np.random.default_rng(0)
+    patches = [
+        PreprocessedPatch(f"{i:040x}", rng.integers(0, 900, dims.msg_len),
+                          rng.integers(0, 900, dims.code_shape), rng.integers(0, 900, dims.code_shape))
+        for i in range(20)
+    ]
+    path = str(tmp_path / "t.bin")
+    write_tensor_file(path, patches, dims)
+    tracemalloc.start()
+    try:
+        loaded, _ = read_tensor_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded[-1].added_code, patches[-1].added_code)
+    assert peak <= 1.1 * os.path.getsize(path)
+
+
+def test_tensor_file_short_read_is_truncated(tmp_path, monkeypatch):
+    patches, dims = small_patches(1)
+    path = str(tmp_path / "t.bin")
+    write_tensor_file(path, patches, dims)
+    size = os.path.getsize(path)
+    monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=size + 4))
+    with pytest.raises(ValueError, match="truncated tensor file"):
+        read_tensor_file(path)
 
 
 def test_tensor_file_empty_list(tmp_path):

@@ -109,9 +109,9 @@ def test_early_stopping_reference_trace():
 
 
 def test_early_stopping_needs_strict_improvement():
-    stopper = EarlyStopping(patience=2, min_delta=1e-9)
+    stopper = EarlyStopping(patience=2)
     assert not stopper.update(1, 1.0)
-    # Exactly min_delta better does not count as improvement.
+    # Exactly MIN_DELTA better does not count as improvement.
     assert not stopper.update(2, 1.0 - 1e-9)
     assert stopper.update(3, 1.0 - 1e-9)
     assert stopper.best_epoch == 1
