@@ -4,16 +4,26 @@ feeding a dense layer and a sigmoid output.
 Message channel: embed 512 tokens, convolve with 1- and 2-gram filters,
 max-pool per filter, concatenate (e_m, 128 dims by default).
 
-Code channel, once per side over all five file slots: embed every
-line's 120 tokens, run the line module (same structure as the message
-module, one set of filters for both sides) to get one vector per line,
-arrange them as files × hunks × lines × E, convolve windows of hunks in
-3-D with per-side filters, max-pool, concatenate (e_r / e_a, 128 dims
-per file).  A file is e_r ⊕ e_a (256) and the patch code vector e_c
-joins the five file slots in slot order (1280).
+Code channel: the line module (same structure as the message module,
+one set of filters for both sides) gives one vector per line from its
+120 tokens; per side, windows of hunks (files × hunks × lines × E) are
+convolved in 3-D with per-side filters, max-pooled and concatenated
+(e_r / e_a, 128 dims per file).  A file is e_r ⊕ e_a (256) and the
+patch code vector e_c joins the five file slots in slot order (1280).
 Classification: dropout(e_m ⊕ e_c) → dense(100, ReLU) → sigmoid.
 
-Every convolution stage is "conv per filter size → max-pool → concat".
+Every convolution stage is "conv per filter size → max-pool → concat",
+and each computes every distinct window of a minibatch once: a
+window's output depends only on its contents.  The message and line
+stages slide k-windows over token ids; the line stage runs on the
+batch's distinct rows of both sides, giving a table of line vectors
+and a grid of row ids; a hunk window is a tuple of k × lines row ids.
+Each stage embeds and convolves its distinct windows, gathers the
+outputs back to every window position with `embed_lookup` (whose
+backward sums the gradients of repeats) and max-pools, so the features
+equal a per-window, per-patch computation bit for bit.  `features`
+runs once per batch; the head runs per patch (`forward_batch`), so a
+patch scores the same alone and in any batch.
 """
 
 from __future__ import annotations
@@ -199,42 +209,85 @@ def init_params(
 # Forward pieces
 
 
-def _conv_pool(x, conv, params: ModelParams, layer: str, side: str = "") -> Tensor:
-    """Convolve x once per filter size, max-pool each map, concatenate."""
+def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-D integer array, and each row's index among them.
+
+    Rows compare as raw bytes (one memcmp sort), far faster than
+    np.unique(axis=0), which sorts field by field.
+    """
+    a = np.ascontiguousarray(a)
+    keys = a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1]))).ravel()
+    _, first, where = np.unique(keys, return_index=True, return_inverse=True)
+    return a[first], where.reshape(-1)
+
+
+def _distinct_windows(ids: np.ndarray, k: int, tail: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct k-windows of an integer id array, and where each one sits.
+
+    Windows slide over axis -(tail + 1) and each is a (k, *trailing)
+    block.  Returns (windows (U, k, *trailing), where (..., P)): the
+    window at position i of a leading index is windows[where[..., i]].
+    """
+    axis = ids.ndim - 1 - tail
+    win = np.moveaxis(np.lib.stride_tricks.sliding_window_view(ids, k, axis=axis), -1, axis + 1)
+    block = win.shape[axis + 1 :]
+    windows, where = _distinct_rows(win.reshape(-1, int(np.prod(block))))
+    return windows.reshape(-1, *block), where.reshape(win.shape[: axis + 1])
+
+
+def _conv_pool(ids: np.ndarray, table: Tensor, conv, params: ModelParams, layer: str, side: str = "") -> Tensor:
+    """Per filter size, convolve each distinct window of `ids` once, gather
+    the outputs back to every window position and max-pool over them;
+    then concatenate the filter sizes.
+
+    `ids` holds row ids of `table`.  A window of ids covers the filter's
+    block but its last axis, the table's width: (k,) for text, (k, N)
+    for hunks.  (..., n) or (..., H, N) ids give (..., E).
+    """
     parts = []
     for k in params.filter_sizes:
         filters, bias = (params[name] for name in _conv_names(layer, k, side))
-        parts.append(max_pool(conv(x, filters, bias)))
+        windows, where = _distinct_windows(ids, k, filters.data.ndim - 3)
+        out = conv(embed_lookup(table, windows), filters, bias)  # (U, F, 1)
+        per_window = reshape(out, out.shape[:2])
+        parts.append(max_pool(embed_lookup(per_window, where), axis=-2))
     return concat(parts, axis=-1)
 
 
 def message_embedding(tokens, params: ModelParams) -> Tensor:
-    """e_m: embed 512 tokens, convolve per filter size, pool, concatenate."""
-    emb = embed_lookup(params["msg_embed"], np.asarray(tokens))
-    return _conv_pool(emb, conv_text, params, "msg")
+    """e_m per message: (..., msg_len) token ids give (..., E)."""
+    return _conv_pool(np.asarray(tokens), params["msg_embed"], conv_text, params, "msg")
 
 
 def line_embedding(line_tokens, params: ModelParams) -> Tensor:
-    """One line's E-dim vector; batches over leading axes of (..., L).
+    """One E-dim vector per line: (..., L) token ids give (..., E).
 
     Removed and added lines share this one line module.
     """
-    emb = embed_lookup(params["code_embed"], np.asarray(line_tokens))
-    return _conv_pool(emb, conv_text, params, "line", "shared")
+    return _conv_pool(np.asarray(line_tokens), params["code_embed"], conv_text, params, "line", "shared")
 
 
-def code_side_embedding(B, params: ModelParams, side: str) -> Tensor:
-    """e_r or e_a per file: line module then 3-D hunk convolution.
+def code_side_embedding(lines: Tensor, rows: np.ndarray, params: ModelParams, side: str) -> Tensor:
+    """e_r or e_a per file: the 3-D hunk convolution over line vectors.
 
-    B is an (H, N, L) index block with leading batch axes allowed, so a
-    patch side's whole (files, H, N, L) block gives (files, E) in one
-    call; every line embeds at once, forming the (..., H, N, E) block
-    that the hunk filters convolve.
+    `lines` is a (U, E) table of line vectors and `rows` an (..., H, N)
+    grid of its row ids, one per line slot; a batch's (B, files, H, N)
+    grid gives (B, files, E).
     """
     if side not in ("removed", "added"):
         raise ValueError(f"side must be 'removed' or 'added', got {side!r}")
-    b_hat = line_embedding(B, params)  # (..., H, N, E)
-    return _conv_pool(b_hat, conv3d_hunks, params, "hunk", side)
+    return _conv_pool(rows, lines, conv3d_hunks, params, "hunk", side)
+
+
+def _code_embedding(patches, params: ModelParams, dims: PatchDims) -> Tensor:
+    """e_c per patch, (B, files * 2E): e_r(f0) ⊕ e_a(f0) ⊕ e_r(f1) ⊕ …"""
+    code = np.stack([(p.removed_code, p.added_code) for p in patches])  # (B, 2, files, H, N, L)
+    rows, grid = _distinct_rows(code.reshape(-1, dims.words))
+    lines = line_embedding(rows, params)  # each distinct line of the batch, both sides
+    grid = grid.reshape(code.shape[:-1])
+    e_r = code_side_embedding(lines, grid[:, 0], params, "removed")  # (B, files, E)
+    e_a = code_side_embedding(lines, grid[:, 1], params, "added")
+    return reshape(concat([e_r, e_a], axis=-1), (len(patches), -1))
 
 
 def _check_shapes(p: PreprocessedPatch, hp: HyperParams) -> None:
@@ -248,6 +301,45 @@ def _check_shapes(p: PreprocessedPatch, hp: HyperParams) -> None:
             raise ValueError(f"{name} code shape {arr.shape} != {dims.code_shape}")
 
 
+def features(patches, params: ModelParams, hp: HyperParams) -> Tensor:
+    """The classifier input of every patch of a batch, (B, e_dim)."""
+    for p in patches:
+        _check_shapes(p, hp)
+    parts = []
+    if hp.variant in ("full", "message"):
+        parts.append(message_embedding(np.stack([p.message_tokens for p in patches]), params))
+    if hp.variant in ("full", "code"):
+        parts.append(_code_embedding(patches, params, hp.dims))
+    return concat(parts, axis=-1) if len(parts) > 1 else parts[0]
+
+
+def forward_batch(
+    patches,
+    params: ModelParams,
+    hp: HyperParams,
+    mode: str = "infer",
+    rng: "np.random.Generator | None" = None,
+) -> list[Tensor]:
+    """Differentiable score tensor (0-d) per patch, in order.
+
+    The features come from one batched pass; the head (dropout, dense,
+    sigmoid) runs per patch, one dropout draw each in patch order, so a
+    patch scores the same alone and in any batch.
+    """
+    if mode not in ("train", "infer"):
+        raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
+    training = mode == "train"
+    if training and rng is None:
+        raise ValueError("training mode requires an rng for dropout")
+    e = features(patches, params, hp)
+    scores = []
+    for b in range(len(patches)):
+        e_b = dropout(embed_lookup(e, np.intp(b)), hp.dropout, rng, training)
+        h = dense(e_b, params["w_hidden"], params["b_hidden"])
+        scores.append(sigmoid_score(h, params["w_out"]))
+    return scores
+
+
 def forward(
     p: PreprocessedPatch,
     params: ModelParams,
@@ -255,26 +347,8 @@ def forward(
     mode: str = "infer",
     rng: "np.random.Generator | None" = None,
 ) -> Tensor:
-    """Differentiable score tensor for one patch (0-d)."""
-    if mode not in ("train", "infer"):
-        raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
-    training = mode == "train"
-    if training and rng is None:
-        raise ValueError("training mode requires an rng for dropout")
-    _check_shapes(p, hp)
-
-    parts = []
-    if hp.variant in ("full", "message"):
-        parts.append(message_embedding(p.message_tokens, params))
-    if hp.variant in ("full", "code"):
-        e_r = code_side_embedding(p.removed_code, params, "removed")  # (files, E)
-        e_a = code_side_embedding(p.added_code, params, "added")
-        # e_c = e_r(f0) ⊕ e_a(f0) ⊕ e_r(f1) ⊕ …: the files in slot order
-        parts.append(reshape(concat([e_r, e_a], axis=-1), (-1,)))
-    e = concat(parts, axis=-1) if len(parts) > 1 else parts[0]
-    e = dropout(e, hp.dropout, rng, training)
-    h = dense(e, params["w_hidden"], params["b_hidden"])
-    return sigmoid_score(h, params["w_out"])
+    """Differentiable score tensor for one patch (0-d): a batch of one."""
+    return forward_batch([p], params, hp, mode, rng)[0]
 
 
 def predict(p: PreprocessedPatch, params: ModelParams, hp: HyperParams) -> Score:

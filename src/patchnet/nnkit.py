@@ -5,7 +5,7 @@ cross-entropy, reverse-mode gradients, and Adam.
 Conventions:
   - float64 everywhere; checkpoints downcast to float32 elsewhere.
   - Every op accepts arbitrary leading batch axes on its main input, so
-    a whole patch's lines go through one conv call instead of hundreds.
+    a minibatch's distinct windows go through one conv call.
   - Convolution forwards materialize the filter×window products as
     C-contiguous blocks and reduce with a single multi-axis sum, which
     reproduces a naive per-window loop bit-for-bit at float64.
@@ -61,9 +61,12 @@ def embed_lookup(W: Tensor, indices) -> Tensor:
     """Row lookup: output[..., :] = W[indices[...]].
 
     Gradients accumulate into looked-up rows (repeats sum).  PAD rows
-    participate like any other row.  Out-of-range indices fault.
+    participate like any other row.  Indices keep their own integer
+    dtype (no copy); non-integer indices and out-of-range ones fault.
     """
-    idx = np.asarray(indices, dtype=np.int64)
+    idx = np.asarray(indices)
+    if not np.issubdtype(idx.dtype, np.integer):
+        raise TypeError(f"embedding indices must be integers, got {idx.dtype}")
     size = W.data.shape[0]
     if idx.size and (idx.min() < 0 or idx.max() >= size):
         raise IndexError(f"embedding index out of range [0, {size})")
@@ -154,16 +157,16 @@ def conv3d_hunks(B: Tensor, filters: Tensor, bias: Tensor) -> Tensor:
     return _conv_op(B, filters, bias, extra=2, opname="conv3d_hunks")
 
 
-def max_pool(t: Tensor) -> Tensor:
-    """Maximum over the last axis; gradient flows to the first argmax only."""
-    if t.data.shape[-1] == 0:
+def max_pool(t: Tensor, axis: int = -1) -> Tensor:
+    """Maximum over one axis; gradient flows to the first argmax only."""
+    if t.data.shape[axis] == 0:
         raise ValueError("max_pool: empty pooling axis")
-    arg = np.argmax(t.data, axis=-1)
-    out_data = np.take_along_axis(t.data, arg[..., None], axis=-1)[..., 0]
+    arg = np.expand_dims(np.argmax(t.data, axis=axis), axis)
+    out_data = np.take_along_axis(t.data, arg, axis=axis).squeeze(axis)
 
     def backward_fn(g: np.ndarray) -> None:
         dt = np.zeros_like(t.data)
-        np.put_along_axis(dt, arg[..., None], np.asarray(g)[..., None], axis=-1)
+        np.put_along_axis(dt, arg, np.expand_dims(g, axis), axis=axis)
         _accumulate(t, dt)
 
     return Tensor(out_data, (t,), backward_fn)

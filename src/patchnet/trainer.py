@@ -16,7 +16,7 @@ import numpy as np
 
 from .codeprep import FunctionNameTable
 from .core import Label, atomic_write
-from .model import HyperParams, ModelParams, Score, forward, init_params, param_specs, predict
+from .model import HyperParams, ModelParams, Score, forward_batch, init_params, param_specs
 from .nnkit import AdamState, Tensor, adam_step, backward, loss, stack
 from .preprocess import PreprocessedPatch
 from .vocab import Vocabulary
@@ -24,6 +24,8 @@ from .vocab import Vocabulary
 CHECKPOINT_MAGIC = b"PNET"
 CHECKPOINT_VERSION = 1
 MIN_DELTA = 1e-9
+# Patches per inference forward: bounds the memory of scoring a large set.
+SCORE_CHUNK = 32
 
 
 class TrainingError(Exception):
@@ -160,7 +162,7 @@ def train(
         for batch_index, batch in enumerate(
             minibatches(items, config.batch_size, rng, config.shuffle), start=1
         ):
-            zs = [forward(p, params, hp, mode="train", rng=rng) for p in batch]
+            zs = forward_batch(batch, params, hp, mode="train", rng=rng)
             batch_loss = loss(stack(zs), _labels_array(batch), tensors, hp.l2_reg_lambda)
             value = float(batch_loss.data)
             if not np.isfinite(value):
@@ -192,8 +194,13 @@ def train(
 
 
 def score_items(items, params: ModelParams, hp: HyperParams) -> list[Score]:
-    """Inference-mode scores in input order."""
-    return [predict(p, params, hp) for p in items]
+    """Inference-mode scores in input order, SCORE_CHUNK patches per forward."""
+    items = list(items)
+    return [
+        Score.from_z(float(z.data), hp.threshold)
+        for start in range(0, len(items), SCORE_CHUNK)
+        for z in forward_batch(items[start : start + SCORE_CHUNK], params, hp)
+    ]
 
 
 # ---------------------------------------------------------------------------

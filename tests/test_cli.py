@@ -296,6 +296,39 @@ def test_predict_on_commits_matches_tensors_for_same_file_definitions(tmp_path):
     assert scores[dataset] == scores[tensors]
 
 
+def test_round_trip_at_default_dims(tmp_path):
+    """preprocess -> train -> predict at the shipped dims (512 message
+    tokens, 5x8x10x120 code per side); a commit scored alone gets the
+    score it has among the others."""
+    commits = [
+        make_commit(
+            n,
+            date=1_500_000_000 + n,
+            subject=f"mm: fix the leak in path {n}",
+            diff=simple_diff(removed=(f"\told{n} = thing;",),
+                             added=(f"\tp{n} = alloc();", f"\tif (!p{n})", "\t\treturn -ENOMEM;")),
+            label=Label.STABLE if n % 2 else Label.NON_STABLE,
+        )
+        for n in range(1, 7)
+    ]
+    dataset, one = str(tmp_path / "data.jsonl"), str(tmp_path / "one.jsonl")
+    write_commits_jsonl(dataset, commits)
+    write_commits_jsonl(one, commits[2:3])
+    tensors, vocab, ckpt = str(tmp_path / "t.bin"), str(tmp_path / "v.json"), str(tmp_path / "m.ckpt")
+    assert run(["preprocess", "--dataset", dataset, "--out", tensors, "--vocab-out", vocab]) == EXIT_OK
+    assert read_tensor_file(tensors)[1] == PatchDims()
+    assert run(["train", "--tensors", tensors, "--vocab", vocab, "--functions", tensors + ".functions.json",
+                "--out", ckpt, "--epochs", "1", "--seed", "5"]) == EXIT_OK
+    scores = {}
+    for source in (dataset, one):
+        out = str(tmp_path / "scores.jsonl")
+        assert run(["predict", "--checkpoint", ckpt, "--in", source, "--out", out]) == EXIT_OK
+        scores[source] = {r["commit_id"]: r["score"] for r in _read_jsonl(out)}
+    assert sorted(scores[dataset]) == sorted(c.commit_id for c in commits)
+    assert all(0.0 <= z <= 1.0 for z in scores[dataset].values())
+    assert scores[one] == {commits[2].commit_id: scores[dataset][commits[2].commit_id]}
+
+
 # ---------------------------------------------------------------------------
 # Exit codes
 

@@ -260,16 +260,25 @@ def test_line_module_batching_matches_per_line():
             assert np.array_equal(batched.data[h, n], single.data)
 
 
+def _file_side_embedding(block, params, side):
+    """e_r or e_a of one file's (H, N, L) token block, each line slot its own row."""
+    H, N, L = block.shape
+    lines = line_embedding(block.reshape(-1, L), params)
+    return code_side_embedding(lines, np.arange(H * N).reshape(H, N), params, side)
+
+
 def test_code_side_embedding_batches_over_files():
     params = init_params(TINY, 7, 9, np.random.default_rng(9))
     rng = np.random.default_rng(10)
     blocks = rng.integers(0, 9, (3, 2, 2, 3))  # (files, H, N, L)
-    batched = code_side_embedding(blocks, params, "removed")
+    lines = line_embedding(blocks.reshape(-1, 3), params)
+    rows = np.arange(12).reshape(3, 2, 2)  # (files, H, N)
+    batched = code_side_embedding(lines, rows, params, "removed")
     for v in range(3):
-        single = code_side_embedding(blocks[v], params, "removed")
+        single = _file_side_embedding(blocks[v], params, "removed")
         assert np.array_equal(batched.data[v], single.data)
     with pytest.raises(ValueError, match="side"):
-        code_side_embedding(blocks, params, "left")
+        code_side_embedding(lines, rows, params, "left")
 
 
 def _score_from_files(patch, params, file_parts):
@@ -282,8 +291,8 @@ def test_forward_joins_files_in_slot_order():
     params = init_params(TINY, 7, 9, np.random.default_rng(21), scale=0.5)
     patch = rand_patch(np.random.default_rng(22), TINY)
     files = range(TINY.dims.files)
-    removed = [code_side_embedding(patch.removed_code[v], params, "removed") for v in files]
-    added = [code_side_embedding(patch.added_code[v], params, "added") for v in files]
+    removed = [_file_side_embedding(patch.removed_code[v], params, "removed") for v in files]
+    added = [_file_side_embedding(patch.added_code[v], params, "added") for v in files]
     slot_order = _score_from_files(patch, params, [e for v in files for e in (removed[v], added[v])])
     # The file slots differ, so a side-major e_c would score differently.
     assert _score_from_files(patch, params, removed + added) != slot_order
@@ -294,9 +303,9 @@ def test_forward_runs_each_code_side_once(monkeypatch):
     sides = []
     inner = model.code_side_embedding
 
-    def counted(B, params, side):
+    def counted(lines, rows, params, side):
         sides.append(side)
-        return inner(B, params, side)
+        return inner(lines, rows, params, side)
 
     monkeypatch.setattr(model, "code_side_embedding", counted)
     for files in (1, 3):

@@ -8,6 +8,7 @@ op's inputs (relative error under 1e-4 with a unit floor).
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -332,6 +333,41 @@ def test_embed_lookup_range_check():
         embed_lookup(W, [4])
     with pytest.raises(IndexError):
         embed_lookup(W, [-1])
+
+
+def test_embed_lookup_refuses_non_integer_indices():
+    W = tensor(np.zeros((4, 3)))
+    for bad in ([0.0, 1.0], np.array([1.5]), np.array([True])):
+        with pytest.raises(TypeError, match="integers"):
+            embed_lookup(W, bad)
+
+
+def test_embed_lookup_indexes_with_the_given_dtype():
+    """uint32 indices are used as they are: no int64 copy, same gradient."""
+    W = tensor(np.arange(8.0).reshape(8, 1))
+    idx = (np.arange(1 << 18) % 8).astype(np.uint32)
+    tracemalloc.start()
+    try:
+        out = embed_lookup(W, idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * out.data.nbytes  # an int64 copy of idx would add as much again
+    (g32,) = backward(weighted_sum(out, np.ones((1 << 18, 1))), [W])
+    (g64,) = backward(weighted_sum(embed_lookup(W, idx.astype(np.int64)), np.ones((1 << 18, 1))), [W])
+    assert np.array_equal(g32, g64)
+
+
+def test_max_pool_over_an_inner_axis():
+    rng = np.random.default_rng(420)
+    t = tensor(rng.standard_normal((2, 5, 3)))
+    out = max_pool(t, axis=-2)
+    assert np.array_equal(out.data, max_pool(tensor(np.swapaxes(t.data, -1, -2))).data)
+    R = rng.standard_normal((2, 3))
+    assert_grads_match(lambda: weighted_sum(max_pool(t, axis=1), R), [t])
+    ties = max_pool(tensor(np.array([[5.0], [5.0], [3.0]])), axis=0)
+    (g,) = backward(weighted_sum(ties, np.ones(1)), [ties.parents[0]])
+    assert g.ravel().tolist() == [1.0, 0.0, 0.0]
 
 
 def test_max_pool_first_argmax_wins_ties():
