@@ -1,12 +1,15 @@
 """Walk through preprocessing: message normalization, code-line
-analysis, vocabularies, and the fixed-shape index tensors the model
+analysis, vocabularies, and the compact index arrays the model
 consumes.
 
     python3 demos/02_preprocess_text_and_code.py
 """
 
+import os
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from patchnet import (
     FunctionNameTable,
@@ -132,14 +135,19 @@ def demo_tensors():
     print(f"diffs that did not parse: {unparsable}")
 
     patch = patches[0]
-    print(f"message tensor shape: {patch.message_tokens.shape}")
-    print(f"code tensor shapes:   {patch.removed_code.shape} (removed and added)")
-    print(f"index dtype:          {patch.message_tokens.dtype} (as on disk)")
-    decoded = [msg_vocab.index_to_word[i] for i in patch.message_tokens]
-    print(f"decoded message row:  {decoded}")
+    # A patch is compact: its message prefix, a table of its distinct
+    # non-PAD code lines, and a grid with one row id per line slot.
+    print(f"message count:        {len(patch.message)} of {dims.msg_len} slots")
+    print(f"distinct code rows:   {len(patch.rows)} of {patch.grid.size} line slots")
+    print(f"row-id grid:          {patch.grid.shape} {patch.grid.dtype} (0 is the all-PAD row)")
+    print(f"index dtype:          {patch.message.dtype} (as on disk)")
+    decoded = [msg_vocab.index_to_word[i] for i in patch.message]
+    print(f"decoded message:      {decoded}")
     # A single new commit (as `predict` sees it) goes through the same steps.
     again = assemble_tensors(commits[0], table, (msg_vocab, code_vocab), dims)
-    print(f"assemble_tensors rebuilds it: {(again.added_code == patch.added_code).all()}")
+    same = all(np.array_equal(getattr(again, name), getattr(patch, name))
+               for name in ("message_tokens", "removed_code", "added_code"))
+    print(f"assemble_tensors rebuilds it (dense decode equal): {same}")
 
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "tensors.bin")
@@ -147,9 +155,9 @@ def demo_tensors():
         loaded, loaded_dims = read_tensor_file(path)
         print(
             f"tensor file round trip: {len(loaded)} patches, dims {loaded_dims}, "
-            f"labels {[p.label.value for p in loaded]}"
+            f"labels {[p.label.value for p in loaded]}, {os.path.getsize(path)} bytes"
         )
-        print(f"arrays read in place (views of one buffer): {not loaded[0].added_code.flags.owndata}")
+        print(f"arrays read in place (views of one buffer): {not loaded[0].rows.flags.owndata}")
 
 
 def main():

@@ -35,7 +35,7 @@ from .ingest import (
 from .model import VARIANTS, HyperParams
 from .preprocess import PatchDims, assemble_tensors, preprocess_commits, read_tensor_file, write_tensor_file
 from .trainer import TrainConfig, TrainingError, load_checkpoint, save_checkpoint, score_items, train
-from .vocab import load_vocab_pair, save_vocab_pair
+from .vocab import PAD_INDEX, load_vocab_pair, save_vocab_pair
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -252,8 +252,8 @@ def _load_commits_checked(path: str) -> list[RawCommit]:
 
 def _check_indices(patches, message_vocab, code_vocab) -> None:
     """Every token index must address a row of its channel's embedding."""
-    top_msg = max(int(p.message_tokens.max()) for p in patches)
-    top_code = max(int(max(p.removed_code.max(), p.added_code.max())) for p in patches)
+    top_msg = max(int(p.message.max(initial=PAD_INDEX)) for p in patches)
+    top_code = max(int(p.rows.max(initial=PAD_INDEX)) for p in patches)
     if top_msg >= len(message_vocab) or top_code >= len(code_vocab):
         raise DataError(
             f"tensor indices do not fit the vocabulary: largest message index {top_msg} "

@@ -46,7 +46,8 @@ from .nnkit import (
     sigmoid_score,
     uniform_init,
 )
-from .preprocess import PatchDims, PreprocessedPatch
+from .preprocess import INDEX_DTYPE, PatchDims, PreprocessedPatch, check_patch
+from .vocab import PAD_INDEX
 
 VARIANTS = ("full", "code", "message")
 
@@ -280,34 +281,41 @@ def code_side_embedding(lines: Tensor, rows: np.ndarray, params: ModelParams, si
 
 
 def _code_embedding(patches, params: ModelParams, dims: PatchDims) -> Tensor:
-    """e_c per patch, (B, files * 2E): e_r(f0) ⊕ e_a(f0) ⊕ e_r(f1) ⊕ …"""
-    code = np.stack([(p.removed_code, p.added_code) for p in patches])  # (B, 2, files, H, N, L)
-    rows, grid = _distinct_rows(code.reshape(-1, dims.words))
+    """e_c per patch, (B, files * 2E): e_r(f0) ⊕ e_a(f0) ⊕ e_r(f1) ⊕ …
+
+    The batch's row tables are joined, with the all-PAD row first when
+    some slot holds it, and deduplicated; each grid is shifted to its
+    table's place in the join and remapped to the distinct rows.
+    """
+    grids = np.stack([p.grid for p in patches]).astype(np.intp)  # (B, 2, files, H, N)
+    counts = np.array([len(p.rows) for p in patches])
+    empty = grids == 0
+    has_pad = bool(empty.any())
+    tables = [p.rows for p in patches]
+    if has_pad:
+        tables.insert(0, np.full((1, dims.words), PAD_INDEX, dtype=INDEX_DTYPE))
+    # Row r >= 1 of patch b sits at start[b] + r of the joined table.
+    start = np.cumsum(counts) - counts + has_pad - 1
+    ids = grids + start.reshape(-1, 1, 1, 1, 1)
+    ids[empty] = 0
+    rows, where = _distinct_rows(np.concatenate(tables))
     lines = line_embedding(rows, params)  # each distinct line of the batch, both sides
-    grid = grid.reshape(code.shape[:-1])
+    grid = where[ids]
     e_r = code_side_embedding(lines, grid[:, 0], params, "removed")  # (B, files, E)
     e_a = code_side_embedding(lines, grid[:, 1], params, "added")
     return reshape(concat([e_r, e_a], axis=-1), (len(patches), -1))
 
 
-def _check_shapes(p: PreprocessedPatch, hp: HyperParams) -> None:
-    dims = hp.dims
-    if tuple(p.message_tokens.shape) != (dims.msg_len,):
-        raise ValueError(
-            f"message shape {p.message_tokens.shape} != ({dims.msg_len},)"
-        )
-    for name, arr in (("removed", p.removed_code), ("added", p.added_code)):
-        if tuple(arr.shape) != dims.code_shape:
-            raise ValueError(f"{name} code shape {arr.shape} != {dims.code_shape}")
-
-
 def features(patches, params: ModelParams, hp: HyperParams) -> Tensor:
     """The classifier input of every patch of a batch, (B, e_dim)."""
     for p in patches:
-        _check_shapes(p, hp)
+        check_patch(p, hp.dims)
     parts = []
     if hp.variant in ("full", "message"):
-        parts.append(message_embedding(np.stack([p.message_tokens for p in patches]), params))
+        messages = np.full((len(patches), hp.dims.msg_len), PAD_INDEX, dtype=INDEX_DTYPE)
+        for b, p in enumerate(patches):
+            messages[b, : len(p.message)] = p.message
+        parts.append(message_embedding(messages, params))
     if hp.variant in ("full", "code"):
         parts.append(_code_embedding(patches, params, hp.dims))
     return concat(parts, axis=-1) if len(parts) > 1 else parts[0]

@@ -1,15 +1,18 @@
-"""Patch-to-tensor assembly: fixed-shape token-index tensors per commit.
+"""Patch-to-tensor assembly: compact token-index arrays per commit.
 
 The code channel uses file snapshots for line-kind classification when
 the commit carries them; otherwise kinds come from a hunk-local scan of
 the changed lines alone and degrade toward Normal.  Each line's kind is
-a value handed to the lexer with its text.  Token indices are
-INDEX_DTYPE (little-endian uint32) from indexing through the tensor
-file, whose records read back as views of one buffer.
+a value handed to the lexer with its text.  A patch is stored as its
+message prefix, a table of its distinct non-PAD code lines and a grid
+of row ids, one per line slot, in memory and in the tensor file.  Token
+indices are INDEX_DTYPE (little-endian uint32) from indexing through the
+tensor file, whose records read back as views of one buffer.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -30,7 +33,7 @@ from .vocab import PAD_INDEX, Vocabulary, build_vocab, index_of
 
 INDEX_DTYPE = np.dtype("<u4")
 TENSOR_MAGIC = b"PNTD"
-TENSOR_VERSION = 1
+TENSOR_VERSION = 2
 NO_LABEL_BYTE = 255
 
 
@@ -53,16 +56,71 @@ class PatchDims:
     def code_shape(self) -> tuple[int, int, int, int]:
         return (self.files, self.hunks, self.lines, self.words)
 
+    @property
+    def grid_shape(self) -> tuple[int, int, int, int]:
+        """(removed/added, files, hunks, lines): one row id per line slot."""
+        return (2, self.files, self.hunks, self.lines)
+
+    @property
+    def grid_dtype(self) -> np.dtype:
+        """The smallest unsigned dtype that holds every row id (little-endian)."""
+        return np.dtype(np.min_scalar_type(math.prod(self.grid_shape))).newbyteorder("<")
+
 
 @dataclass
 class PreprocessedPatch:
-    """Fixed-shape token-index tensors for one patch."""
+    """One patch's token indices in compact form.
+
+    `message` is the first min(len, msg_len) message indices.  `rows`
+    holds the patch's distinct non-PAD code lines, each PAD-filled to
+    `words`.  `grid` has one row id per line slot of both sides: 0 is
+    the all-PAD line and r >= 1 is rows[r - 1].
+    """
 
     commit_id: str
-    message_tokens: np.ndarray  # (msg_len,) INDEX_DTYPE
-    removed_code: np.ndarray  # (files, hunks, lines, words) INDEX_DTYPE
-    added_code: np.ndarray  # same shape
+    message: np.ndarray  # (count,) INDEX_DTYPE, count <= msg_len
+    rows: np.ndarray  # (R, words) INDEX_DTYPE
+    grid: np.ndarray  # dims.grid_shape, dims.grid_dtype
+    msg_len: int  # the dense message's length, for message_tokens
     label: "Label | None" = None
+
+    # Dense views, decoded afresh on each access, for tests and outside
+    # readers; the pipeline reads only the compact arrays.
+
+    @property
+    def message_tokens(self) -> np.ndarray:
+        """(msg_len,) message indices, PAD-filled."""
+        dense = np.full(self.msg_len, PAD_INDEX, dtype=INDEX_DTYPE)
+        dense[: len(self.message)] = self.message
+        return dense
+
+    def _dense_side(self, side: int) -> np.ndarray:
+        pad = np.full((1, self.rows.shape[1]), PAD_INDEX, dtype=INDEX_DTYPE)
+        return np.concatenate([pad, self.rows])[self.grid[side]]
+
+    @property
+    def removed_code(self) -> np.ndarray:
+        """(files, hunks, lines, words) removed-line indices."""
+        return self._dense_side(0)
+
+    @property
+    def added_code(self) -> np.ndarray:
+        """(files, hunks, lines, words) added-line indices."""
+        return self._dense_side(1)
+
+
+def check_patch(p: PreprocessedPatch, dims: PatchDims) -> None:
+    """Raise ValueError unless p's compact arrays fit dims: a message of at
+    most msg_len, rows of `words`, the grid's shape, and every row id
+    addressing the PAD row or a row of the table."""
+    if p.message.ndim != 1 or len(p.message) > dims.msg_len:
+        raise ValueError(f"message shape {p.message.shape} does not fit msg_len {dims.msg_len}")
+    if tuple(p.grid.shape) != dims.grid_shape:
+        raise ValueError(f"code grid shape {p.grid.shape} != {dims.grid_shape}")
+    if p.rows.ndim != 2 or p.rows.shape[1] != dims.words or len(p.rows) > p.grid.size:
+        raise ValueError(f"code rows shape {p.rows.shape} does not fit {p.grid.size} rows of {dims.words}")
+    if p.grid.max() > len(p.rows):
+        raise ValueError(f"code grid row id {int(p.grid.max())} past the {len(p.rows)} rows")
 
 
 def _snapshot_kinds(c: RawCommit, path: str) -> tuple[dict | None, dict | None]:
@@ -127,25 +185,27 @@ def _tokenize(c: RawCommit, files: list[FileDiff], table: FunctionNameTable,
 
 def _index(c: RawCommit, tokens, vocabularies: tuple[Vocabulary, Vocabulary],
            dims: PatchDims) -> PreprocessedPatch:
-    """Index tensors from _tokenize's output.
+    """The compact patch of _tokenize's output.
 
-    Extra files, hunks, lines, and tokens are truncated; everything
-    shorter is PAD-filled.  Unknown words map to UNK, never a fault.
+    Extra files, hunks, lines, and tokens are truncated; empty slots get
+    the PAD row.  Unknown words map to UNK, never a fault.
     """
     msg_vocab, code_vocab = vocabularies
     message, code = tokens
-    message = message[: dims.msg_len]
-    msg_idx = np.full(dims.msg_len, PAD_INDEX, dtype=INDEX_DTYPE)
-    msg_idx[: len(message)] = [index_of(msg_vocab, t) for t in message]
-    removed = np.full(dims.code_shape, PAD_INDEX, dtype=INDEX_DTYPE)
-    added = np.full(dims.code_shape, PAD_INDEX, dtype=INDEX_DTYPE)
+    message = np.array([index_of(msg_vocab, t) for t in message[: dims.msg_len]], dtype=INDEX_DTYPE)
+    row_ids: dict[tuple[int, ...], int] = {}
+    grid = np.zeros(dims.grid_shape, dtype=dims.grid_dtype)
     for v, hunks in enumerate(code[: dims.files]):
         for h, sides in enumerate(hunks[: dims.hunks]):
-            for target, lines in zip((removed, added), sides):
+            for s, lines in enumerate(sides):
                 for n, words in enumerate(lines[: dims.lines]):
-                    words = words[: dims.words]
-                    target[v, h, n, : len(words)] = [index_of(code_vocab, w) for w in words]
-    return PreprocessedPatch(c.commit_id, msg_idx, removed, added, c.label)
+                    row = tuple([index_of(code_vocab, w) for w in words[: dims.words]])
+                    if any(row):
+                        grid[s, v, h, n] = row_ids.setdefault(row, len(row_ids) + 1)
+    rows = np.full((len(row_ids), dims.words), PAD_INDEX, dtype=INDEX_DTYPE)
+    for r, row in enumerate(row_ids):
+        rows[r, : len(row)] = row
+    return PreprocessedPatch(c.commit_id, message, rows, grid, dims.msg_len, c.label)
 
 
 def assemble_tensors(
@@ -154,8 +214,8 @@ def assemble_tensors(
     vocabularies: tuple[Vocabulary, Vocabulary],
     dims: PatchDims = PatchDims(),
 ) -> PreprocessedPatch:
-    """Build the (msg_len,) and (files, hunks, lines, words) index tensors
-    of one commit, exactly as preprocess_commits builds them.
+    """Build the compact patch of one commit, exactly as
+    preprocess_commits builds it.
 
     Language-relevant files in diff order fill the file slots.  A diff
     that does not parse gives an empty (all-PAD) code channel.
@@ -194,10 +254,11 @@ def preprocess_commits(commits, dims: PatchDims = PatchDims(), min_count: int = 
 
 
 def write_tensor_file(path: str, patches, dims: PatchDims = PatchDims()) -> None:
-    """magic, u32 version, u32 count, five u32 dims, then fixed-size records.
+    """magic, u32 version, u32 count, five u32 dims, then one record per patch.
 
-    Record: 40-byte ascii commit id, one label byte (1/0/255=none), then
-    message, removed, added index arrays as INDEX_DTYPE.
+    Record: 40-byte ascii commit id, one label byte (1/0/255=none), u32
+    message count, u32 row count, then the message and the rows as
+    INDEX_DTYPE and the grid as dims.grid_dtype.
     """
     patches = list(patches)
     with atomic_write(path, "wb") as fh:
@@ -207,20 +268,21 @@ def write_tensor_file(path: str, patches, dims: PatchDims = PatchDims()) -> None
             cid = p.commit_id.encode("ascii")
             if len(cid) != 40:
                 raise ValueError(f"commit id must be 40 bytes, got {p.commit_id!r}")
+            check_patch(p, dims)
             label_byte = NO_LABEL_BYTE if p.label is None else p.label.to_int()
-            fh.write(cid + struct.pack("<B", label_byte))
-            for arr, shape in ((p.message_tokens, (dims.msg_len,)), (p.removed_code, dims.code_shape),
-                               (p.added_code, dims.code_shape)):
-                if tuple(arr.shape) != shape:
-                    raise ValueError(f"patch {p.commit_id}: array shape {arr.shape} != {shape}")
-                fh.write(np.ascontiguousarray(arr, dtype=INDEX_DTYPE).tobytes())
+            fh.write(cid + struct.pack("<BII", label_byte, len(p.message), len(p.rows)))
+            fh.write(np.ascontiguousarray(p.message, dtype=INDEX_DTYPE).tobytes())
+            fh.write(np.ascontiguousarray(p.rows, dtype=INDEX_DTYPE).tobytes())
+            fh.write(np.ascontiguousarray(p.grid, dtype=dims.grid_dtype).tobytes())
 
 
 def read_tensor_file(path: str) -> tuple[list[PreprocessedPatch], PatchDims]:
     """Patches and dims of a write_tensor_file output.
 
     The file is read once into one writable buffer; each patch's arrays
-    are INDEX_DTYPE views of it, not copies.
+    are views of it, not copies, built straight on the buffer (one array
+    object each).  Every count is checked against dims and the bytes
+    left, and every row id against its row count.
     """
     with open(path, "rb") as fh:
         blob = bytearray(os.fstat(fh.fileno()).st_size)
@@ -232,19 +294,37 @@ def read_tensor_file(path: str) -> tuple[list[PreprocessedPatch], PatchDims]:
         raise ValueError(f"{path}: truncated tensor file header")
     version, count = struct.unpack_from("<II", blob, 4)
     if version != TENSOR_VERSION:
-        raise ValueError(f"{path}: unsupported tensor file version {version}")
+        raise ValueError(f"{path}: tensor file version {version} is not {TENSOR_VERSION}; "
+                         "re-run preprocess")
     dims = PatchDims(*struct.unpack_from("<5I", blob, 12))
-    code_elems = int(np.prod(dims.code_shape))
-    elems = dims.msg_len + 2 * code_elems
-    record = 40 + 1 + 4 * elems
-    if len(blob) != 32 + count * record:
-        raise ValueError(f"{path}: truncated tensor file")
+    grid_dtype, grid_elems = dims.grid_dtype, math.prod(dims.grid_shape)
+    grid_bytes = grid_dtype.itemsize * grid_elems
     patches = []
-    for offset in range(32, len(blob), record):
-        arrays = np.frombuffer(blob, dtype=INDEX_DTYPE, count=elems, offset=offset + 41)
-        msg, rem, add = np.split(arrays, [dims.msg_len, dims.msg_len + code_elems])
+    offset = 32
+    for i in range(count):
+        if len(blob) - offset < 49 + grid_bytes:
+            raise ValueError(f"{path}: truncated tensor file")
+        n_msg, n_rows = struct.unpack_from("<II", blob, offset + 41)
+        if n_msg > dims.msg_len or n_rows > grid_elems:
+            raise ValueError(f"{path}: record {i} has {n_msg} message indices and {n_rows} rows, "
+                             f"past {dims.msg_len} and {grid_elems}")
+        rows_at = offset + 49 + 4 * n_msg
+        grid_at = rows_at + 4 * n_rows * dims.words
+        if grid_at + grid_bytes > len(blob):
+            raise ValueError(f"{path}: truncated tensor file")
+        grid = np.ndarray(dims.grid_shape, grid_dtype, blob, grid_at)
+        if grid.max() > n_rows:
+            raise ValueError(f"{path}: record {i} has row id {int(grid.max())} past its {n_rows} rows")
         label_byte = blob[offset + 40]
-        label = None if label_byte == NO_LABEL_BYTE else Label.from_int(label_byte)
-        patches.append(PreprocessedPatch(blob[offset : offset + 40].decode("ascii"), msg,
-                                         rem.reshape(dims.code_shape), add.reshape(dims.code_shape), label))
+        patches.append(PreprocessedPatch(
+            blob[offset : offset + 40].decode("ascii"),
+            np.ndarray((n_msg,), INDEX_DTYPE, blob, offset + 49),
+            np.ndarray((n_rows, dims.words), INDEX_DTYPE, blob, rows_at),
+            grid,
+            dims.msg_len,
+            None if label_byte == NO_LABEL_BYTE else Label.from_int(label_byte),
+        ))
+        offset = grid_at + grid_bytes
+    if offset != len(blob):
+        raise ValueError(f"{path}: {len(blob) - offset} bytes after the last of {count} records")
     return patches, dims

@@ -1,11 +1,15 @@
-"""Shared builders: synthetic commits, export records, and three
-reconstructed kernel patches used across parser and baseline tests.
+"""Shared builders: synthetic commits, export records, compact patches
+from dense arrays, and three reconstructed kernel patches used across
+parser and baseline tests.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from patchnet.core import Label, RawCommit
 from patchnet.ingest import COMMIT_SEP, DIFF_SEP
+from patchnet.preprocess import INDEX_DTYPE, PatchDims, PreprocessedPatch
 
 
 def hex_id(n: int) -> str:
@@ -59,6 +63,21 @@ def make_commit(
         diff_text=simple_diff() if diff is None else diff,
         label=label,
     )
+
+
+def dense_patch(commit_id, message_tokens, removed_code, added_code, label=None) -> PreprocessedPatch:
+    """The compact patch of a dense (msg_len,) message and two dense
+    (files, hunks, lines, words) code arrays; its dense views give them back."""
+    message = np.asarray(message_tokens, dtype=INDEX_DTYPE)
+    code = np.stack([removed_code, added_code]).astype(INDEX_DTYPE)
+    dims = PatchDims(len(message), *code.shape[1:])
+    rows, where = np.unique(code.reshape(-1, dims.words), axis=0, return_inverse=True)
+    if rows[0].any():  # no slot is all PAD: ids start at 1
+        where = where + 1
+    else:
+        rows = rows[1:]
+    grid = where.reshape(dims.grid_shape).astype(dims.grid_dtype)
+    return PreprocessedPatch(commit_id, message, rows, grid, dims.msg_len, label)
 
 
 def export_record(

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from conftest import SAMPLE_EXPORTS, hex_id, make_commit, simple_diff
+from conftest import SAMPLE_EXPORTS, dense_patch, hex_id, make_commit, simple_diff
 from patchnet.codeprep import classify_line_kinds
 from patchnet.core import Label, LineKind
 from patchnet.evalkit import auc_roc, chrono_folds, keyword_baseline, metrics
@@ -27,7 +27,6 @@ from patchnet.nnkit import backward, stack
 from patchnet.nnkit import loss as nn_loss
 from patchnet.preprocess import (
     PatchDims,
-    PreprocessedPatch,
     assemble_tensors,
     preprocess_commits,
 )
@@ -82,7 +81,7 @@ FD_HP = HyperParams(
 
 
 def _rand_patch(rng, hp, n, label=None):
-    return PreprocessedPatch(
+    return dense_patch(
         commit_id=hex_id(n),
         message_tokens=rng.integers(0, 6, hp.dims.msg_len),
         removed_code=rng.integers(0, 7, hp.dims.code_shape),

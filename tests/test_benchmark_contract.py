@@ -1,4 +1,5 @@
-"""The names `benchmarks/tracing.py` wraps and calls still exist.
+"""The names `benchmarks/tracing.py` wraps and calls still exist, and
+what it reads of a work directory still reads right.
 
 The tracer reaches into the package from outside, by name.  A rename
 there would otherwise show up only when a traced benchmark run fails
@@ -14,8 +15,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import make_commit, simple_diff
 from patchnet import model, nnkit
+from patchnet.cli import EXIT_OK, run
+from patchnet.core import Label
+from patchnet.ingest import write_commits_jsonl
 from patchnet.model import HyperParams, ModelParams
+from patchnet.preprocess import PreprocessedPatch
+from test_cli import PREPROCESS_DIMS, TRAIN_FLAGS
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -92,3 +99,40 @@ def test_traced_names_are_wrapped_functions(tracing):
                 or inspect.isgeneratorfunction(getattr(module, attr))):
             missing.append(full)
     assert not missing
+
+
+def _work_dir(w: Path) -> Path:
+    """train.jsonl, tensors.bin and model.ckpt as a benchmark pass leaves them."""
+    commits = [
+        make_commit(i, subject=f"net: fix leak {i}" if i % 2 else f"mm: tune {i}",
+                    diff=simple_diff(removed=(f"\told{i} = thing;",), added=("\tnew = thing;",)),
+                    label=Label.STABLE if i % 2 else Label.NON_STABLE)
+        for i in range(6)
+    ]
+    write_commits_jsonl(str(w / "train.jsonl"), commits)
+    assert run(["preprocess", "--dataset", str(w / "train.jsonl"), "--out", str(w / "tensors.bin"),
+                "--vocab-out", str(w / "vocab.json"), *PREPROCESS_DIMS]) == EXIT_OK
+    assert run(["train", "--tensors", str(w / "tensors.bin"), "--vocab", str(w / "vocab.json"),
+                "--functions", str(w / "tensors.bin.functions.json"), "--out", str(w / "model.ckpt"),
+                *TRAIN_FLAGS, "--epochs", "1"]) == EXIT_OK
+    return w
+
+
+def test_tensor_facts_read_a_cli_work_dir(tracing, tmp_path):
+    facts = tracing.tensor_facts(_work_dir(tmp_path))
+    assert facts["preprocess.serve_skew_share"] == 0
+    for name in ("preprocess.pad_row_share", "preprocess.distinct_row_share"):
+        assert 0 <= facts[name] <= 1
+
+
+def test_pipeline_never_decodes_dense_arrays(tmp_path, monkeypatch):
+    # The dense views are for tests and the tracer; every stage reads the compact arrays.
+    def refuse(self):
+        raise AssertionError("dense view decoded")
+
+    for name in ("message_tokens", "removed_code", "added_code"):
+        monkeypatch.setattr(PreprocessedPatch, name, property(refuse))
+    w = _work_dir(tmp_path)
+    for source in ("tensors.bin", "train.jsonl"):
+        assert run(["predict", "--checkpoint", str(w / "model.ckpt"), "--in", str(w / source),
+                    "--out", str(w / "scores.jsonl")]) == EXIT_OK

@@ -7,6 +7,7 @@ import re
 import struct
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from patchnet.core import Label
 from patchnet.evalkit import keyword_baseline
 from patchnet.ingest import load_commits, write_commits_jsonl
 from patchnet.model import HyperParams
-from patchnet.preprocess import PatchDims, PreprocessedPatch, read_tensor_file, write_tensor_file
+from patchnet.preprocess import PatchDims, read_tensor_file, write_tensor_file
 from patchnet.trainer import TrainConfig, load_checkpoint, save_checkpoint
 from patchnet.vocab import Vocabulary, load_vocab_pair, save_vocab_pair
 
@@ -386,6 +387,42 @@ def _short_tensor_file(p, tmp_path):
     return _predict_argv(p, tmp_path, in_path=str(path))
 
 
+def _version_1_tensor_file(command):
+    def case(p, tmp_path):
+        path = str(tmp_path / "v1.bin")
+        dims = (8, 1, 2, 2, 6)
+        record = hex_id(1).encode("ascii") + b"\x01" + bytes(4 * (8 + 2 * 24))
+        with open(path, "wb") as fh:
+            fh.write(b"PNTD" + struct.pack("<7I", 1, 1, *dims) + record)
+        if command == "predict":
+            return _predict_argv(p, tmp_path, in_path=path)
+        return ["train", "--tensors", path, "--vocab", p["vocab"],
+                "--out", str(tmp_path / "m.ckpt"), *TRAIN_FLAGS]
+
+    return case
+
+
+def _tensor_file_with(change):
+    """predict on the pipeline's tensor file with change(blob, n_rows, grid_at)
+    applied to its first record."""
+    def case(p, tmp_path):
+        blob = bytearray(open(p["tensors"], "rb").read())
+        words = struct.unpack_from("<I", blob, 28)[0]
+        n_msg, n_rows = struct.unpack_from("<II", blob, 73)
+        change(blob, n_rows, 81 + 4 * n_msg + 4 * n_rows * words)
+        path = tmp_path / "corrupt.bin"
+        path.write_bytes(bytes(blob))
+        return _predict_argv(p, tmp_path, in_path=str(path))
+
+    return case
+
+
+def _only_first_record_with_one_more_row(blob, n_rows, grid_at):
+    struct.pack_into("<I", blob, 8, 1)
+    del blob[grid_at + 2 * 1 * 2 * 2 :]
+    struct.pack_into("<I", blob, 77, n_rows + 1)
+
+
 def _checkpoint_with_header(header):
     def case(p, tmp_path):
         payload = json.dumps(header).encode("utf-8")
@@ -407,7 +444,7 @@ def _checkpoint_with_nan_parameter(p, tmp_path):
 def _index_past_vocabulary(command):
     def case(p, tmp_path):
         patches, dims = read_tensor_file(p["tensors"])
-        patches[0].added_code[0, 0, 0, 0] = 10**6
+        patches[0].rows[0, 0] = 10**6
         path = str(tmp_path / "big.bin")
         write_tensor_file(path, patches, dims)
         if command == "predict":
@@ -466,6 +503,12 @@ _HP = HyperParams().to_json_obj()
     "make_argv",
     [
         _short_tensor_file,
+        _version_1_tensor_file("predict"),
+        _version_1_tensor_file("train"),
+        _tensor_file_with(lambda blob, n_rows, grid_at: struct.pack_into("<I", blob, 73, 9)),
+        _tensor_file_with(_only_first_record_with_one_more_row),
+        _tensor_file_with(lambda blob, n_rows, grid_at: blob.__setitem__(grid_at, n_rows + 1)),
+        _tensor_file_with(lambda blob, n_rows, grid_at: blob.extend(blob[32:77])),
         _checkpoint_with_header({}),
         _checkpoint_with_header([]),
         _checkpoint_with_header({"hyperparams": {**_HP, "bogus": 1}}),
@@ -484,6 +527,12 @@ _HP = HyperParams().to_json_obj()
     ],
     ids=[
         "tensor-file-under-32-bytes",
+        "predict-tensor-file-version-1",
+        "train-tensor-file-version-1",
+        "tensor-message-count-past-msg-len",
+        "tensor-row-count-overruns-record",
+        "tensor-row-id-past-rows",
+        "tensor-trailing-partial-record",
         "checkpoint-header-without-keys",
         "checkpoint-header-list",
         "checkpoint-unknown-hyperparameter",
@@ -767,6 +816,25 @@ def test_preprocess_reports_unparsable_diffs(tmp_path, capsys):
     assert p_good.added_code.any()
 
 
+def test_empty_message_and_code_channels_run_through(tmp_path):
+    # A tag-only message and an unparsable diff give a zero-length
+    # message and an empty row table; every stage must take them.
+    dataset = str(tmp_path / "d.jsonl")
+    empty = make_commit(1, subject="Signed-off-by: Dev One <dev@example.org>", body="",
+                        diff="@@ not a hunk header\n", label=Label.STABLE)
+    write_commits_jsonl(dataset, [empty, make_commit(2, label=Label.NON_STABLE)])
+    tensors, vocab, ckpt = (str(tmp_path / name) for name in ("t.bin", "v.json", "m.ckpt"))
+    assert run(["preprocess", "--dataset", dataset, "--out", tensors, "--vocab-out", vocab,
+                *PREPROCESS_DIMS]) == EXIT_OK
+    (p_empty, _), _ = read_tensor_file(tensors)
+    assert len(p_empty.message) == 0 and len(p_empty.rows) == 0
+    assert run(["train", "--tensors", tensors, "--vocab", vocab, "--out", ckpt, *TRAIN_FLAGS]) == EXIT_OK
+    for source in (tensors, dataset):
+        out = str(tmp_path / "s.jsonl")
+        assert run(["predict", "--checkpoint", ckpt, "--in", source, "--out", out]) == EXIT_OK
+        assert len(_read_jsonl(out)) == 2
+
+
 # ---------------------------------------------------------------------------
 # Outputs appear whole or not at all
 
@@ -778,8 +846,7 @@ def _raising_rows(first):
 
 def _tensors_then_bad_shape(p, path):
     patches, dims = read_tensor_file(p["tensors"])
-    bad = PreprocessedPatch(patches[0].commit_id, patches[0].message_tokens[:1],
-                            patches[0].removed_code, patches[0].added_code)
+    bad = replace(patches[0], grid=patches[0].grid[:1])
     write_tensor_file(path, [patches[0], bad], dims)
 
 

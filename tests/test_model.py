@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import dense_patch
 from patchnet import model
 from patchnet.core import Label
 from patchnet.model import (
@@ -21,7 +22,7 @@ from patchnet.model import (
     predict,
 )
 from patchnet.nnkit import Tensor, backward, concat, dense, loss, sigmoid_score
-from patchnet.preprocess import PatchDims, PreprocessedPatch
+from patchnet.preprocess import PatchDims
 
 TINY = HyperParams(
     d_msg=3,
@@ -36,7 +37,7 @@ TINY = HyperParams(
 
 def rand_patch(rng, hp, msg_vocab_size=7, code_vocab_size=9, label=None):
     dims = hp.dims
-    return PreprocessedPatch(
+    return dense_patch(
         commit_id="0" * 40,
         message_tokens=rng.integers(0, msg_vocab_size, dims.msg_len),
         removed_code=rng.integers(0, code_vocab_size, dims.code_shape),
@@ -206,22 +207,28 @@ def test_forward_shape_validation():
     params = zero_params(TINY)
     rng = np.random.default_rng(3)
     good = rand_patch(rng, TINY)
-    bad_msg = PreprocessedPatch(
-        commit_id=good.commit_id,
-        message_tokens=np.zeros(9, dtype=np.int64),
-        removed_code=good.removed_code,
-        added_code=good.added_code,
-    )
+    bad_msg = replace(good, message=np.zeros(9, dtype=np.uint32))
     with pytest.raises(ValueError, match="message shape"):
         forward(bad_msg, params, TINY)
-    bad_code = PreprocessedPatch(
-        commit_id=good.commit_id,
-        message_tokens=good.message_tokens,
-        removed_code=np.zeros((1, 1, 1, 1), dtype=np.int64),
-        added_code=good.added_code,
-    )
-    with pytest.raises(ValueError, match="code shape"):
-        forward(bad_code, params, TINY)
+    bad_grid = replace(good, grid=good.grid[:1])
+    with pytest.raises(ValueError, match="code grid shape"):
+        forward(bad_grid, params, TINY)
+    bad_rows = replace(good, rows=good.rows[:, :2])
+    with pytest.raises(ValueError, match="code rows shape"):
+        forward(bad_rows, params, TINY)
+    bad_id = replace(good, rows=good.rows[:1])
+    with pytest.raises(ValueError, match="row id"):
+        forward(bad_id, params, TINY)
+
+
+def test_forward_accepts_empty_message_and_rows():
+    params = init_params(TINY, 7, 9, np.random.default_rng(12))
+    good = rand_patch(np.random.default_rng(13), TINY)
+    empty = replace(good, message=good.message[:0], rows=good.rows[:0],
+                    grid=np.zeros_like(good.grid))
+    z = float(forward(empty, params, TINY).data)
+    assert 0.0 < z < 1.0
+    assert not empty.message_tokens.any() and not empty.removed_code.any()
 
 
 def test_forward_mode_validation():

@@ -12,6 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dense_patch
 from patchnet import model
 from patchnet.core import Label
 from patchnet.model import VARIANTS, HyperParams, features, forward, forward_batch, init_params
@@ -29,7 +30,7 @@ from patchnet.nnkit import (
     sigmoid_score,
     stack,
 )
-from patchnet.preprocess import PatchDims, PreprocessedPatch
+from patchnet.preprocess import PatchDims
 
 VOCAB = 4  # table height; ids are drawn from fewer so windows repeat
 
@@ -74,7 +75,7 @@ def oracle_scores(patches, params, hp, training=False, rng=None):
 
 def _patches(rng, dims, n, ids):
     return [
-        PreprocessedPatch(
+        dense_patch(
             commit_id=f"{i:040x}",
             message_tokens=rng.integers(0, ids, dims.msg_len).astype(np.uint32),
             removed_code=rng.integers(0, ids, dims.code_shape).astype(np.uint32),
@@ -158,7 +159,7 @@ def test_each_conv_call_sees_only_the_distinct_windows(monkeypatch):
         code = np.zeros(dims.code_shape, np.uint32)
         code[0, :2, :4, :12] = rng.integers(2, 30, (2, 4, 12))  # 1 file, 2 hunks, 4 lines of 12
         sides.append(code)
-    patch = PreprocessedPatch("0" * 40, message, *sides, label=None)
+    patch = dense_patch("0" * 40, message, *sides, label=None)
     params = init_params(hp, 30, 30, np.random.default_rng(1))
 
     calls = []

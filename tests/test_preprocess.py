@@ -1,22 +1,25 @@
 """Tests for patch-to-tensor assembly and the tensor file format."""
 
+import importlib
 import os
 import random
 import struct
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from patchnet.core import FileSnapshot, Label, LineKind
-from patchnet.ingest import parse_unified_diff
+from patchnet.ingest import load_commits, parse_unified_diff
 from patchnet.preprocess import (
     INDEX_DTYPE,
     NO_LABEL_BYTE,
     TENSOR_MAGIC,
     PatchDims,
-    PreprocessedPatch,
+    _parse,
+    _tokenize,
     annotate_file_lines,
     assemble_tensors,
     preprocess_commits,
@@ -24,9 +27,9 @@ from patchnet.preprocess import (
     write_tensor_file,
 )
 from patchnet.textprep import message_tokens, strip_tags
-from patchnet.vocab import PAD_INDEX, UNK_INDEX, Vocabulary, build_vocab
+from patchnet.vocab import PAD_INDEX, UNK_INDEX, Vocabulary, build_vocab, index_of
 
-from conftest import make_commit, simple_diff
+from conftest import dense_patch, make_commit, simple_diff
 
 
 def build_vocabs(commits):
@@ -42,6 +45,9 @@ def test_dims_defaults_and_shape():
     d = PatchDims()
     assert (d.msg_len, d.files, d.hunks, d.lines, d.words) == (512, 5, 8, 10, 120)
     assert d.code_shape == (5, 8, 10, 120)
+    assert d.grid_shape == (2, 5, 8, 10)
+    assert d.grid_dtype == np.dtype("<u2")
+    assert PatchDims(files=1, hunks=2, lines=1).grid_dtype == np.dtype("u1")
 
 
 def test_dims_rejects_nonpositive():
@@ -236,8 +242,46 @@ def test_preprocess_commits_matches_assemble_tensors():
         q = assemble_tensors(c, table, vocabs, dims)
         assert q.commit_id == p.commit_id and q.label == p.label
         for a, b in ((p.message_tokens, q.message_tokens), (p.removed_code, q.removed_code),
-                     (p.added_code, q.added_code)):
+                     (p.added_code, q.added_code), (p.message, q.message), (p.rows, q.rows),
+                     (p.grid, q.grid)):
             assert np.array_equal(a, b)
+
+
+def _dense_reference(c, table, vocabs, dims):
+    """The dense (msg_len,) and two (files, hunks, lines, words) arrays of
+    one commit, filled slot by slot as the dense tensor form was."""
+    msg_vocab, code_vocab = vocabs
+    message, code = _tokenize(c, _parse(c) or [], table, dims)
+    msg = np.zeros(dims.msg_len, dtype=INDEX_DTYPE)
+    msg[: min(len(message), dims.msg_len)] = [index_of(msg_vocab, t) for t in message[: dims.msg_len]]
+    sides = np.zeros((2, *dims.code_shape), dtype=INDEX_DTYPE)
+    for v, hunks in enumerate(code[: dims.files]):
+        for h, hunk in enumerate(hunks[: dims.hunks]):
+            for s, lines in enumerate(hunk):
+                for n, words in enumerate(lines[: dims.lines]):
+                    words = words[: dims.words]
+                    sides[s, v, h, n, : len(words)] = [index_of(code_vocab, w) for w in words]
+    return msg, sides[0], sides[1]
+
+
+def test_compact_patches_decode_to_the_dense_tensors(tmp_path):
+    commits = [random_commit(random.Random(7), i) for i in range(40)]
+    commits.append(make_commit(99, subject="Signed-off-by: A <a@b.c>", body="", diff="garbage\n"))
+    dims = PatchDims(msg_len=10, files=2, hunks=2, lines=3, words=4)
+    patches, table, vocabs, _ = preprocess_commits(commits, dims)
+    path = str(tmp_path / "t.bin")
+    write_tensor_file(path, patches, dims)
+    loaded, _ = read_tensor_file(path)
+    built = [assemble_tensors(c, table, vocabs, dims) for c in commits]
+    for c, *views in zip(commits, patches, built, loaded):
+        expected = _dense_reference(c, table, vocabs, dims)
+        for p in views:
+            assert len(p.message) == min(len(_tokenize(c, [], table)[0]), dims.msg_len)
+            assert len(p.rows) == len({r.tobytes() for r in np.concatenate(expected[1:]).reshape(-1, 4)
+                                       if r.any()})
+            for a, b in zip((p.message_tokens, p.removed_code, p.added_code), expected):
+                assert np.array_equal(a, b)
+    assert len(patches[-1].message) == 0 and len(patches[-1].rows) == 0
 
 
 def test_preprocess_commits_counts_unparsable_diffs():
@@ -285,9 +329,14 @@ def test_tensor_file_label_bytes(tmp_path):
     path = str(tmp_path / "t.bin")
     write_tensor_file(path, patches, dims)
     blob = open(path, "rb").read()
-    record = 40 + 1 + 4 * (dims.msg_len + 2 * int(np.prod(dims.code_shape)))
-    label_bytes = [blob[32 + i * record + 40] for i in range(3)]
+    grid_bytes = dims.grid_dtype.itemsize * int(np.prod(dims.grid_shape))
+    label_bytes, offset = [], 32
+    for _ in range(3):
+        label_bytes.append(blob[offset + 40])
+        n_msg, n_rows = struct.unpack_from("<II", blob, offset + 41)
+        offset += 49 + 4 * n_msg + 4 * n_rows * dims.words + grid_bytes
     assert label_bytes == [1, 0, NO_LABEL_BYTE]
+    assert offset == len(blob)
 
 
 def test_tensor_file_bad_magic(tmp_path):
@@ -310,6 +359,38 @@ def test_tensor_file_bad_version(tmp_path):
         read_tensor_file(path)
 
 
+def test_tensor_file_version_1_asks_for_preprocess(tmp_path):
+    path = str(tmp_path / "v1.bin")
+    with open(path, "wb") as fh:
+        fh.write(TENSOR_MAGIC + struct.pack("<7I", 1, 0, 4, 1, 1, 1, 2))
+    with pytest.raises(ValueError, match="version 1 .*re-run preprocess"):
+        read_tensor_file(path)
+
+
+def _corrupt(tmp_path, change):
+    """A one-patch tensor file with change(blob, grid_at) applied."""
+    patches, dims = small_patches(1)
+    path = str(tmp_path / "c.bin")
+    write_tensor_file(path, patches, dims)
+    blob = bytearray(open(path, "rb").read())
+    change(blob, len(blob) - dims.grid_dtype.itemsize * int(np.prod(dims.grid_shape)))
+    with open(path, "wb") as fh:
+        fh.write(bytes(blob))
+    return path
+
+
+@pytest.mark.parametrize("change, error", [
+    (lambda blob, grid_at: struct.pack_into("<I", blob, 73, 7), "message"),
+    (lambda blob, grid_at: struct.pack_into("<I", blob, 77, 9), "rows"),
+    (lambda blob, grid_at: struct.pack_into("<I", blob, 77, 3), "truncated"),
+    (lambda blob, grid_at: blob.__setitem__(grid_at, 200), "row id"),
+    (lambda blob, grid_at: blob.extend(b"\0" * 45), "after the last"),
+])
+def test_tensor_file_corrupt_record(tmp_path, change, error):
+    with pytest.raises(ValueError, match=error):
+        read_tensor_file(_corrupt(tmp_path, change))
+
+
 def test_tensor_file_truncated(tmp_path):
     patches, dims = small_patches(2)
     path = str(tmp_path / "t.bin")
@@ -330,13 +411,13 @@ def test_tensor_file_rejects_bad_commit_id(tmp_path):
 
 def test_tensor_file_rejects_shape_mismatch(tmp_path):
     patches, dims = small_patches(1)
-    patches[0].message_tokens = np.zeros(99, dtype=np.int64)
+    patches[0].grid = patches[0].grid[:1]
     with pytest.raises(ValueError, match="shape"):
         write_tensor_file(str(tmp_path / "x.bin"), patches, dims)
 
 
 def _arrays(p):
-    return (p.message_tokens, p.removed_code, p.added_code)
+    return (p.message, p.rows, p.grid)
 
 
 def test_index_arrays_are_index_dtype(tmp_path):
@@ -349,7 +430,7 @@ def test_index_arrays_are_index_dtype(tmp_path):
     loaded, _ = read_tensor_file(path)
     built = [assemble_tensors(c, table, vocabs, dims) for c in commits]
     for p in [*patches, *built, *loaded]:
-        assert [a.dtype for a in _arrays(p)] == [INDEX_DTYPE] * 3
+        assert [a.dtype for a in _arrays(p)] == [INDEX_DTYPE, INDEX_DTYPE, dims.grid_dtype]
 
 
 def _root(a):
@@ -371,17 +452,17 @@ def test_tensor_file_arrays_are_writable_views_of_one_buffer(tmp_path):
     arrays = [a for p in loaded for a in _arrays(p)]
     assert len({id(_root(a)) for a in arrays}) == 1
     assert all(a.flags.writeable for a in arrays)
-    loaded[0].added_code[0, 0, 0, 0] = 7
-    assert loaded[0].added_code[0, 0, 0, 0] == 7
+    loaded[0].rows[0, 0] = 7
+    assert loaded[0].rows[0, 0] == 7
     for a, b in zip(patches[1:], loaded[1:]):
-        assert np.array_equal(a.added_code, b.added_code)
+        assert np.array_equal(a.rows, b.rows)
 
 
 def test_tensor_file_read_peak_is_the_file_size(tmp_path):
     dims = PatchDims(msg_len=128, files=2, hunks=4, lines=8, words=64)
     rng = np.random.default_rng(0)
     patches = [
-        PreprocessedPatch(f"{i:040x}", rng.integers(0, 900, dims.msg_len),
+        dense_patch(f"{i:040x}", rng.integers(0, 900, dims.msg_len),
                           rng.integers(0, 900, dims.code_shape), rng.integers(0, 900, dims.code_shape))
         for i in range(20)
     ]
@@ -395,6 +476,32 @@ def test_tensor_file_read_peak_is_the_file_size(tmp_path):
         tracemalloc.stop()
     assert np.array_equal(loaded[-1].added_code, patches[-1].added_code)
     assert peak <= 1.1 * os.path.getsize(path)
+
+
+def _benchmark_corpus(monkeypatch, tmp_path, commits):
+    """`commits` eligible commits from the benchmark's corpus generator,
+    shaped like its corpus-compact workload."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "benchmarks"))
+    corpus = importlib.import_module("corpus")
+    shape = corpus.CorpusShape(
+        mainline=commits, backlink_stable=2, subject_stable=1, rc_stable=1, stable_only=2,
+        ineligible_share=0.0, files=(1, 2), hunks=(2, 2), lines=(3, 5), message_words=(14, 22),
+        call_pool=60, define_share=0.3, planted_stable=0.9, planted_other=0.05,
+    )
+    return load_commits(corpus.generate(shape, 0, tmp_path)["paths"]["mainline"])
+
+
+def test_preprocess_peak_per_patch_at_default_dims(monkeypatch, tmp_path):
+    # The dense form held 395 KiB per patch here; 82,403 patches must fit in memory.
+    commits = _benchmark_corpus(monkeypatch, tmp_path, 100)
+    tracemalloc.start()
+    try:
+        patches, *_ = preprocess_commits(commits, PatchDims())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(patches) == 100 and all(len(p.rows) for p in patches)
+    assert peak / len(patches) <= 40 * 1024
 
 
 def test_tensor_file_short_read_is_truncated(tmp_path, monkeypatch):

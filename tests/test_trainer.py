@@ -6,11 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import dense_patch
 from patchnet.codeprep import FunctionNameTable
 from patchnet.core import Label
 from patchnet.model import HyperParams, ModelParams, init_params, param_specs, predict
 from patchnet.nnkit import Tensor
-from patchnet.preprocess import PatchDims, PreprocessedPatch
+from patchnet.preprocess import PatchDims
 from patchnet.trainer import (
     CHECKPOINT_MAGIC,
     EarlyStopping,
@@ -41,7 +42,7 @@ CODE_VOCAB = 9
 
 def labeled_patch(rng, n, label):
     dims = TINY.dims
-    return PreprocessedPatch(
+    return dense_patch(
         commit_id=f"{n:040x}",
         message_tokens=rng.integers(0, MSG_VOCAB, dims.msg_len),
         removed_code=rng.integers(0, CODE_VOCAB, dims.code_shape),
@@ -284,7 +285,7 @@ def test_checkpoint_scores_drift_under_1e6(tmp_path):
     rng = np.random.default_rng(23)
     worst = 0.0
     for i in range(20):
-        p = PreprocessedPatch(
+        p = dense_patch(
             commit_id=f"{i:040x}",
             message_tokens=rng.integers(0, len(msg_vocab), TINY.dims.msg_len),
             removed_code=rng.integers(0, len(code_vocab), TINY.dims.code_shape),
