@@ -33,7 +33,7 @@ from .ingest import (
     write_commits_jsonl,
 )
 from .model import VARIANTS, HyperParams
-from .preprocess import PatchDims, assemble_tensors, preprocess_commits, read_tensor_file, write_tensor_file
+from .preprocess import TENSOR_MAGIC, PatchDims, assemble_tensors, preprocess_commits, read_tensor_file, write_tensor_file
 from .trainer import TrainConfig, TrainingError, load_checkpoint, save_checkpoint, score_items, train
 from .vocab import PAD_INDEX, load_vocab_pair, save_vocab_pair
 
@@ -384,7 +384,7 @@ def _cmd_train(args, seed):
 def _is_tensor_file(path: str) -> bool:
     try:
         with open(path, "rb") as fh:
-            return fh.read(4) == b"PNTD"
+            return fh.read(len(TENSOR_MAGIC)) == TENSOR_MAGIC
     except OSError as exc:
         raise DataError(f"cannot read patches: {exc}")
 

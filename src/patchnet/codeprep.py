@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import bisect
 import re
+import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -331,7 +332,8 @@ def tokenize_code_line(
 
     Keywords and retained function names stay verbatim; other
     identifiers become IDENT, numeric literals become NUM.  Every token
-    carries the line's kind.  Total: no input text faults.
+    carries the line's kind.  Tokens are interned, so equal tokens share
+    one string object.  Total: no input text faults.
     """
     tokens: list[str] = []
     suffix = "@" + kind.value
@@ -347,5 +349,5 @@ def tokenize_code_line(
             base = "NUM"
         else:
             base = raw
-        tokens.append(base + suffix)
+        tokens.append(sys.intern(base + suffix))
     return tokens

@@ -433,20 +433,15 @@ def build_balanced_dataset(
             )
         chosen = list(range(len(pool)))
     else:
+        # The pool is in (date, id) order, so the first minimum of the
+        # distance is the tie-break the docstring gives.
         sizes = np.array([size_of[c.commit_id] for c in pool], dtype=np.int64)
-        dates = np.array([c.date for c in pool], dtype=np.int64)
-        ids = np.array([c.commit_id for c in pool], dtype="U40")
         used = np.zeros(len(pool), dtype=bool)
-        chosen = []
         for s in stable:
             dist = np.abs(sizes - size_of[s.commit_id])
-            order = np.lexsort((ids, dates, dist))
-            for idx in order:
-                if not used[idx]:
-                    used[idx] = True
-                    chosen.append(int(idx))
-                    break
-        chosen.sort(key=lambda i: (pool[i].date, pool[i].commit_id))
+            dist[used] = np.iinfo(np.int64).max
+            used[np.argmin(dist)] = True
+        chosen = np.flatnonzero(used)
 
     items = [(c, Label.STABLE) for c in stable]
     items.extend((pool[i], Label.NON_STABLE) for i in chosen)

@@ -18,10 +18,11 @@ window's output depends only on its contents.  The message and line
 stages slide k-windows over token ids; the line stage runs on the
 batch's distinct rows of both sides, giving a table of line vectors
 and a grid of row ids; a hunk window is a tuple of k × lines row ids.
-Each stage embeds and convolves its distinct windows, gathers the
-outputs back to every window position with `embed_lookup` (whose
-backward sums the gradients of repeats) and max-pools, so the features
-equal a per-window, per-patch computation bit for bit.  `features`
+Each stage embeds its distinct windows, convolves them (an nnkit conv
+maps each window to one value per filter; only this module slides),
+gathers the outputs back to every window position with `embed_lookup`
+(whose backward sums the gradients of repeats) and max-pools, so the
+features equal a per-window, per-patch computation bit for bit.  `features`
 runs once per batch; the head runs per patch (`forward_batch`), so a
 patch scores the same alone and in any batch.
 """
@@ -249,9 +250,8 @@ def _conv_pool(ids: np.ndarray, table: Tensor, conv, params: ModelParams, layer:
     for k in params.filter_sizes:
         filters, bias = (params[name] for name in _conv_names(layer, k, side))
         windows, where = _distinct_windows(ids, k, filters.data.ndim - 3)
-        out = conv(embed_lookup(table, windows), filters, bias)  # (U, F, 1)
-        per_window = reshape(out, out.shape[:2])
-        parts.append(max_pool(embed_lookup(per_window, where), axis=-2))
+        out = conv(embed_lookup(table, windows), filters, bias)  # (U, F)
+        parts.append(max_pool(embed_lookup(out, where), axis=-2))
     return concat(parts, axis=-1)
 
 

@@ -6,6 +6,9 @@ Conventions:
   - float64 everywhere; checkpoints downcast to float32 elsewhere.
   - Every op accepts arbitrary leading batch axes on its main input, so
     a minibatch's distinct windows go through one conv call.
+  - Convolutions take windows, not sequences: (..., k, *tail) windows
+    give (..., F), one value per filter.  The caller cuts the windows;
+    nothing here knows about window positions or overlaps.
   - Convolution forwards materialize the filter×window products as
     C-contiguous blocks and reduce with a single multi-axis sum, which
     reproduces a naive per-window loop bit-for-bit at float64.
@@ -80,81 +83,54 @@ def embed_lookup(W: Tensor, indices) -> Tensor:
     return Tensor(out_data, (W,), backward_fn)
 
 
-def _sliding(xdata: np.ndarray, k: int, extra: int) -> np.ndarray:
-    """Windows (..., P, k, *tail) sliding over axis -(extra+1)."""
-    swv = np.lib.stride_tricks.sliding_window_view(xdata, k, axis=xdata.ndim - 1 - extra)
-    return np.moveaxis(swv, -1, -1 - extra)
-
-
-def _conv_forward(win: np.ndarray, filters: np.ndarray):
+def _conv_forward(flat: np.ndarray, filters: np.ndarray) -> np.ndarray:
     """Chunked contiguous-product convolution core.
 
-    win: (..., P, k, *tail); filters: (F, k, *tail).
-    Returns (pre (..., P, F), flat windows (Q, k, *tail)).
+    flat: (Q, k, *tail) windows; filters: (F, k, *tail).  Returns (Q, F).
     """
-    F = filters.shape[0]
-    block = filters.shape[1:]
-    lead = win.shape[: win.ndim - len(block)]
-    flat = np.ascontiguousarray(win).reshape(-1, *block)
-    Q = flat.shape[0]
+    Q, F = flat.shape[0], filters.shape[0]
     step = max(1, _CHUNK_ELEMS // max(1, filters.size))
     out = np.empty((Q, F), dtype=np.float64)
-    sum_axes = tuple(range(2, 2 + len(block)))
+    sum_axes = tuple(range(2, 1 + filters.ndim))
     for s in range(0, Q, step):
         prod = np.ascontiguousarray(flat[s : s + step, None] * filters[None])
         out[s : s + step] = prod.sum(axis=sum_axes)
-    return out.reshape(*lead, F), flat
+    return out
 
 
-def _conv_op(x: Tensor, filters: Tensor, bias: Tensor, extra: int, opname: str) -> Tensor:
-    k = filters.data.shape[1]
-    slide_len = x.data.shape[-1 - extra]
-    if slide_len < k:
-        raise ValueError(f"{opname}: input length {slide_len} < filter size {k}")
-    if filters.data.shape[2:] != x.data.shape[x.data.ndim - extra :]:
-        raise ValueError(f"{opname}: filter tail does not match input shape")
-    win = _sliding(x.data, k, extra)
-    pre, flat = _conv_forward(win, filters.data)  # (..., P, F)
-    pre = pre + bias.data  # broadcast over trailing F
-    out_data = np.maximum(np.swapaxes(pre, -1, -2), 0.0)  # (..., F, P)
+def _conv_op(x: Tensor, filters: Tensor, bias: Tensor, opname: str) -> Tensor:
+    block = filters.data.shape[1:]
+    if x.data.shape[-len(block) :] != block:
+        raise ValueError(f"{opname}: window shape {x.data.shape[-len(block) :]} != filter shape {block}")
+    lead = x.data.shape[: x.data.ndim - len(block)]
+    flat = np.ascontiguousarray(x.data).reshape(-1, *block)
+    out_data = np.maximum(_conv_forward(flat, filters.data) + bias.data, 0.0)
     mask = out_data > 0.0
-    P = slide_len - k + 1
-    lead = x.data.shape[: x.data.ndim - 1 - extra]
+    letters = "abc"[: len(block)]
 
     def backward_fn(g: np.ndarray) -> None:
-        gz = g * mask  # (..., F, P)
-        gzT = np.swapaxes(gz, -1, -2).reshape(-1, filters.data.shape[0])  # (Q, F)
-        _accumulate(bias, gzT.sum(axis=0))
-        letters = "abc"[: extra + 1]
-        _accumulate(
-            filters,
-            np.einsum(f"qf,q{letters}->f{letters}", gzT, flat),
-        )
-        dwin = np.einsum(f"qf,f{letters}->q{letters}", gzT, filters.data)
-        dwin = dwin.reshape(*lead, P, *filters.data.shape[1:])
-        dx = np.zeros_like(x.data)
-        batch = (slice(None),) * len(lead)
-        for a in range(k):
-            dx[batch + (slice(a, a + P),)] += dwin[batch + (slice(None), a)]
-        _accumulate(x, dx)
+        gz = g.reshape(mask.shape) * mask  # (Q, F)
+        _accumulate(bias, gz.sum(axis=0))
+        _accumulate(filters, np.einsum(f"qf,q{letters}->f{letters}", gz, flat))
+        _accumulate(x, np.einsum(f"qf,f{letters}->q{letters}", gz, filters.data).reshape(x.data.shape))
 
-    return Tensor(out_data, (x, filters, bias), backward_fn)
+    return Tensor(out_data.reshape(*lead, filters.data.shape[0]), (x, filters, bias), backward_fn)
 
 
 def conv_text(M: Tensor, filters: Tensor, bias: Tensor) -> Tensor:
-    """ReLU(conv) of token windows: (..., n, d) -> (..., F, n-k+1).
+    """ReLU(conv) of token windows: (..., k, d) -> (..., F).
 
-    out[..., f, i] = ReLU(sum(M[..., i:i+k, :] * filters[f]) + bias[f]).
+    out[..., f] = ReLU(sum(M[...] * filters[f]) + bias[f]), summed per window.
     """
-    return _conv_op(M, filters, bias, extra=1, opname="conv_text")
+    return _conv_op(M, filters, bias, "conv_text")
 
 
 def conv3d_hunks(B: Tensor, filters: Tensor, bias: Tensor) -> Tensor:
-    """ReLU(conv) of hunk windows: (..., H, N, E) -> (..., F, H-k+1).
+    """ReLU(conv) of hunk windows: (..., k, N, E) -> (..., F).
 
-    out[..., f, i] = ReLU(sum(B[..., i:i+k, :, :] * filters[f]) + bias[f]).
+    out[..., f] = ReLU(sum(B[...] * filters[f]) + bias[f]), summed per window.
     """
-    return _conv_op(B, filters, bias, extra=2, opname="conv3d_hunks")
+    return _conv_op(B, filters, bias, "conv3d_hunks")
 
 
 def max_pool(t: Tensor, axis: int = -1) -> Tensor:

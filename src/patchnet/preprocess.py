@@ -238,6 +238,7 @@ def preprocess_commits(commits, dims: PatchDims = PatchDims(), min_count: int = 
     parsed = [files or [] for files in parsed]
     table = build_function_table(fd for files in parsed for fd in files)
     tokens = [_tokenize(c, files, table) for c, files in zip(commits, parsed)]
+    del parsed  # free the diffs: only the tokens are read from here on
     message_words = (t for message, _ in tokens for t in message)
     code_words = (t for _, code in tokens for hunks in code for sides in hunks
                   for lines in sides for words in lines for t in words)

@@ -38,7 +38,7 @@ from patchnet.trainer import (
     train,
 )
 from test_codeprep import SNIPPETS
-from test_nnkit import naive_conv3d, naive_conv_text
+from test_nnkit import cut_windows, naive_conv3d, naive_conv_text
 
 
 def _verdict(name: str, ok: bool, detail: str) -> None:
@@ -157,7 +157,8 @@ def test_03_convolution_oracle():
         M = rng.standard_normal((*lead, n, d)) * scale
         filters = rng.standard_normal((f, k, d))
         bias = rng.standard_normal(f)
-        got = conv_text(Tensor(M), Tensor(filters), Tensor(bias)).data
+        out = conv_text(Tensor(cut_windows(M, k, 1)), Tensor(filters), Tensor(bias)).data  # (..., P, F)
+        got = np.moveaxis(out, -1, -2)
         exact += int(np.array_equal(got, naive_conv_text(M, filters, bias)))
     for case in range(50):
         h = int(rng.integers(2, 7))
@@ -169,7 +170,8 @@ def test_03_convolution_oracle():
         B = rng.standard_normal((*lead, h, nn, e)) * (10.0 ** int(rng.integers(-3, 4)))
         filters = rng.standard_normal((f, k, nn, e))
         bias = rng.standard_normal(f)
-        got = conv3d_hunks(Tensor(B), Tensor(filters), Tensor(bias)).data
+        out = conv3d_hunks(Tensor(cut_windows(B, k, 2)), Tensor(filters), Tensor(bias)).data  # (..., P, F)
+        got = np.moveaxis(out, -1, -2)
         exact += int(np.array_equal(got, naive_conv3d(B, filters, bias)))
     elapsed = time.perf_counter() - start
     ok = exact == 100 and elapsed < 10.0

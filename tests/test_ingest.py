@@ -1,7 +1,11 @@
 """Export parsing, diff structure, eligibility, labeling, balancing."""
 
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     ERRNO_FIX_DIFF,
@@ -536,6 +540,43 @@ class TestBalancedDataset:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             build_balanced_dataset([])
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 5), st.integers(1, 8), st.booleans()),
+                    min_size=1, max_size=40))
+    def test_follows_the_documented_rule(self, rows):
+        # Duplicate ids, date and size ties, and pools both smaller and
+        # larger than the stable set.
+        entries = [(make_commit(n, date=date), Label.STABLE if stable else Label.NON_STABLE, size)
+                   for n, date, size, stable in rows]
+        first = {}
+        for c, lab, size in entries:
+            first.setdefault(c.commit_id, (c, lab, size))
+        key = lambda e: (e[0].date, e[0].commit_id)
+        stable = sorted((e for e in first.values() if e[1] is Label.STABLE), key=key)
+        pool = sorted((e for e in first.values() if e[1] is Label.NON_STABLE), key=key)
+        chosen = pool
+        if stable and len(pool) > len(stable):
+            unused, chosen = list(pool), []
+            for _, _, target in stable:
+                best = min(unused, key=lambda e: (abs(e[2] - target), e[0].date, e[0].commit_id))
+                unused.remove(best)
+                chosen.append(best)
+            chosen.sort(key=key)
+        want = [(e[0].commit_id, Label.STABLE) for e in stable]
+        want += [(e[0].commit_id, Label.NON_STABLE) for e in chosen] if stable else []
+        got = build_balanced_dataset(entries).items
+        assert [(c.commit_id, lab) for c, lab in got] == want
+
+    def test_scales_to_a_large_pool(self):
+        rng = np.random.default_rng(11)
+        entries = [(make_commit(i, date=int(rng.integers(0, 1000))),
+                    Label.STABLE if i % 10 == 0 else Label.NON_STABLE, int(rng.integers(1, 500)))
+                   for i in range(20_000)]
+        start = time.perf_counter()
+        ds = build_balanced_dataset(entries)
+        assert time.perf_counter() - start <= 3.0
+        assert ds.counts() == (2_000, 2_000)
 
 
 class TestJsonlRoundTrip:

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dense_patch
+from test_nnkit import cut_windows
 from patchnet import model
 from patchnet.core import Label
 from patchnet.model import VARIANTS, HyperParams, features, forward, forward_batch, init_params
@@ -37,11 +38,13 @@ VOCAB = 4  # table height; ids are drawn from fewer so windows repeat
 SMALL = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
 
-def _oracle_pool(x, conv, params, layer, side=""):
+def _oracle_pool(table, ids, conv, tail, params, layer, side=""):
+    """Every window position of `ids` (rows of `table`), convolved and max-pooled."""
     parts = []
     for k in params.filter_sizes:
         filters, bias = (params[name] for name in model._conv_names(layer, k, side))
-        parts.append(max_pool(conv(x, filters, bias)))
+        windows = embed_lookup(table, cut_windows(ids, k, tail))
+        parts.append(max_pool(conv(windows, filters, bias), axis=-2))
     return concat(parts, axis=-1)
 
 
@@ -51,14 +54,15 @@ def oracle_features(patches, params, hp):
     for p in patches:
         parts = []
         if hp.variant in ("full", "message"):
-            emb = embed_lookup(params["msg_embed"], p.message_tokens)
-            parts.append(_oracle_pool(emb, conv_text, params, "msg"))
+            parts.append(_oracle_pool(params["msg_embed"], p.message_tokens, conv_text, 0, params, "msg"))
         if hp.variant in ("full", "code"):
             sides = []
             for side, code in (("removed", p.removed_code), ("added", p.added_code)):
-                emb = embed_lookup(params["code_embed"], code)  # (files, H, N, L, d)
-                lines = _oracle_pool(emb, conv_text, params, "line", "shared")  # (files, H, N, E)
-                sides.append(_oracle_pool(lines, conv3d_hunks, params, "hunk", side))  # (files, E)
+                lines = _oracle_pool(params["code_embed"], code, conv_text, 0, params, "line", "shared")
+                # One table row per line slot; a hunk window is k hunks of slot ids.
+                slots = np.arange(code[..., 0].size).reshape(code.shape[:-1])  # (files, H, N)
+                table = reshape(lines, (slots.size, -1))
+                sides.append(_oracle_pool(table, slots, conv3d_hunks, 1, params, "hunk", side))  # (files, E)
             parts.append(reshape(concat(sides, axis=-1), (-1,)))
         rows.append(concat(parts, axis=-1) if len(parts) > 1 else parts[0])
     return stack(rows)

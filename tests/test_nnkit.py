@@ -80,6 +80,12 @@ def assert_grads_match(build, params):
 # Naive convolution oracles (independent route, bit-exact comparison)
 
 
+def cut_windows(x, k, tail):
+    """Every k-window over axis -(tail + 1): (..., n, *t) -> (..., n-k+1, k, *t)."""
+    axis = x.ndim - 1 - tail
+    return np.moveaxis(np.lib.stride_tricks.sliding_window_view(x, k, axis=axis), -1, axis + 1)
+
+
 def naive_conv_text(M, filters, bias):
     *lead, n, d = M.shape
     F, k, _ = filters.shape
@@ -122,10 +128,11 @@ def test_conv_text_matches_naive_bit_exact():
         M = rng.standard_normal((*lead, n, d)) * scale
         filters = rng.standard_normal((F, k, d))
         bias = rng.standard_normal(F)
-        got = conv_text(tensor(M), tensor(filters), tensor(bias))
+        out = conv_text(tensor(cut_windows(M, k, 1)), tensor(filters), tensor(bias)).data  # (..., P, F)
+        got = np.moveaxis(out, -1, -2)
         want = naive_conv_text(M, filters, bias)
-        assert got.data.shape == (*lead, F, n - k + 1)
-        assert np.array_equal(got.data, want), f"case {case}"
+        assert got.shape == (*lead, F, n - k + 1)
+        assert np.array_equal(got, want), f"case {case}"
 
 
 def test_conv3d_matches_naive_bit_exact():
@@ -142,10 +149,11 @@ def test_conv3d_matches_naive_bit_exact():
         B = rng.standard_normal((*lead, H, N, E))
         filters = rng.standard_normal((F, k, N, E))
         bias = rng.standard_normal(F)
-        got = conv3d_hunks(tensor(B), tensor(filters), tensor(bias))
+        out = conv3d_hunks(tensor(cut_windows(B, k, 2)), tensor(filters), tensor(bias)).data  # (..., P, F)
+        got = np.moveaxis(out, -1, -2)
         want = naive_conv3d(B, filters, bias)
-        assert got.data.shape == (*lead, F, H - k + 1)
-        assert np.array_equal(got.data, want), f"case {case}"
+        assert got.shape == (*lead, F, H - k + 1)
+        assert np.array_equal(got, want), f"case {case}"
 
 
 def test_conv_text_chunked_path_bit_exact():
@@ -155,9 +163,9 @@ def test_conv_text_chunked_path_bit_exact():
     M = rng.standard_normal((500, 10, 120))
     filters = rng.standard_normal((8, 3, 120))
     bias = rng.standard_normal(8)
-    got = conv_text(tensor(M), tensor(filters), tensor(bias))
+    got = conv_text(tensor(cut_windows(M, 3, 1)), tensor(filters), tensor(bias))
     want = naive_conv_text(M, filters, bias)
-    assert np.array_equal(got.data, want)
+    assert np.array_equal(np.moveaxis(got.data, -1, -2), want)
 
 
 def test_conv_batched_equals_per_item():
@@ -165,20 +173,20 @@ def test_conv_batched_equals_per_item():
     M = rng.standard_normal((6, 9, 5))
     filters = tensor(rng.standard_normal((4, 2, 5)))
     bias = tensor(rng.standard_normal(4))
-    batched = conv_text(tensor(M), filters, bias)
+    batched = conv_text(tensor(cut_windows(M, 2, 1)), filters, bias)
     for b in range(6):
-        single = conv_text(tensor(M[b]), filters, bias)
+        single = conv_text(tensor(cut_windows(M[b], 2, 1)), filters, bias)
         assert np.array_equal(batched.data[b], single.data)
 
 
 def test_conv_shape_validation():
-    with pytest.raises(ValueError, match="input length"):
-        conv_text(tensor(np.zeros((1, 4))), tensor(np.zeros((2, 2, 4))), tensor(np.zeros(2)))
-    with pytest.raises(ValueError, match="tail"):
-        conv_text(tensor(np.zeros((5, 4))), tensor(np.zeros((2, 2, 3))), tensor(np.zeros(2)))
-    with pytest.raises(ValueError, match="input length"):
+    with pytest.raises(ValueError, match="window shape"):
+        conv_text(tensor(np.zeros((3, 1, 4))), tensor(np.zeros((2, 2, 4))), tensor(np.zeros(2)))
+    with pytest.raises(ValueError, match="window shape"):
+        conv_text(tensor(np.zeros((3, 2, 4))), tensor(np.zeros((2, 2, 3))), tensor(np.zeros(2)))
+    with pytest.raises(ValueError, match="window shape"):
         conv3d_hunks(
-            tensor(np.zeros((1, 3, 4))), tensor(np.zeros((2, 2, 3, 4))), tensor(np.zeros(2))
+            tensor(np.zeros((2, 1, 3, 4))), tensor(np.zeros((2, 2, 3, 4))), tensor(np.zeros(2))
         )
 
 
@@ -196,10 +204,10 @@ def test_grad_embed_lookup():
 
 def test_grad_conv_text():
     rng = np.random.default_rng(411)
-    M = tensor(rng.standard_normal((2, 3, 7, 4)) * 0.7)
+    M = tensor(cut_windows(rng.standard_normal((2, 3, 7, 4)) * 0.7, 2, 1).copy())
     filters = tensor(rng.standard_normal((3, 2, 4)) * 0.7)
     bias = tensor(rng.standard_normal(3) * 0.5)
-    R = rng.standard_normal((2, 3, 3, 6))
+    R = rng.standard_normal((2, 3, 6, 3))
     assert_grads_match(
         lambda: weighted_sum(conv_text(M, filters, bias), R), [M, filters, bias]
     )
@@ -207,10 +215,10 @@ def test_grad_conv_text():
 
 def test_grad_conv3d_hunks():
     rng = np.random.default_rng(412)
-    B = tensor(rng.standard_normal((2, 5, 3, 4)) * 0.6)
+    B = tensor(cut_windows(rng.standard_normal((2, 5, 3, 4)) * 0.6, 2, 2).copy())
     filters = tensor(rng.standard_normal((2, 2, 3, 4)) * 0.6)
     bias = tensor(rng.standard_normal(2) * 0.5)
-    R = rng.standard_normal((2, 2, 4))
+    R = rng.standard_normal((2, 4, 2))
     assert_grads_match(
         lambda: weighted_sum(conv3d_hunks(B, filters, bias), R), [B, filters, bias]
     )
@@ -300,10 +308,9 @@ def test_grad_composite_graph():
     params = [W, f1, b1, f2, b2, wh, bh, wo]
 
     def build():
-        M = embed_lookup(W, idx)
         parts = [
-            max_pool(conv_text(M, f1, b1)),
-            max_pool(conv_text(M, f2, b2)),
+            max_pool(conv_text(embed_lookup(W, cut_windows(idx, 1, 0)), f1, b1), axis=-2),
+            max_pool(conv_text(embed_lookup(W, cut_windows(idx, 2, 0)), f2, b2), axis=-2),
         ]
         e = concat(parts, axis=-1)
         z = sigmoid_score(dense(e, wh, bh), wo)
@@ -540,7 +547,7 @@ def _small_model(rng):
     params = [W, f, b, wo]
 
     def build():
-        pooled = max_pool(conv_text(embed_lookup(W, idx), f, b))  # (2, 2)
+        pooled = max_pool(conv_text(embed_lookup(W, cut_windows(idx, 2, 0)), f, b), axis=-2)  # (2, 2)
         z = sigmoid_score(reshape(pooled, (4,)), wo)
         return loss(z, np.asarray(1.0), params, lam=0.01)
 
@@ -642,7 +649,7 @@ def test_tensor_dtype_is_float64():
     t = tensor([1, 2, 3])
     assert t.data.dtype == np.float64
     assert conv_text(
-        tensor(np.zeros((3, 2), dtype=np.float32)),
+        tensor(np.zeros((3, 1, 2), dtype=np.float32)),
         tensor(np.zeros((1, 1, 2))),
         tensor(np.zeros(1)),
     ).data.dtype == np.float64

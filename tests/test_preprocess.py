@@ -501,7 +501,7 @@ def test_preprocess_peak_per_patch_at_default_dims(monkeypatch, tmp_path):
     finally:
         tracemalloc.stop()
     assert len(patches) == 100 and all(len(p.rows) for p in patches)
-    assert peak / len(patches) <= 40 * 1024
+    assert peak / len(patches) <= 24 * 1024
 
 
 def test_tensor_file_short_read_is_truncated(tmp_path, monkeypatch):
