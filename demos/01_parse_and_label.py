@@ -7,7 +7,10 @@ Run from the repository root after `pip install -e .`:
     python3 demos/01_parse_and_label.py
 """
 
+from dataclasses import replace
+
 from patchnet import (
+    Label,
     build_balanced_dataset,
     check_eligibility,
     extract_stable_evidence,
@@ -100,17 +103,17 @@ def main():
 
     evidence = extract_stable_evidence(parse_commit_stream(STABLE))
     print(f"stable evidence: {len(evidence.back_links)} back link(s)")
-    # Balancing matches on the changed-line count the eligibility check
-    # already took from its one parse of the diff.
-    labeled = [(c, label_commit(c, evidence), size) for c, size in eligible]
-    for c, label, size in labeled:
-        print(f"  {c.commit_id[:12]} -> {label.value} ({size} changed lines)")
+    # The label goes on the commit.  Balancing matches on the changed-line
+    # count the eligibility check already took from its one parse of the diff.
+    labeled = [(replace(c, label=label_commit(c, evidence)), size) for c, size in eligible]
+    for c, size in labeled:
+        print(f"  {c.commit_id[:12]} -> {c.label.value} ({size} changed lines)")
     print()
 
-    dataset = build_balanced_dataset(labeled, seed=0)
-    stable_n, non_stable_n = dataset.counts()
-    print(f"balanced dataset: {stable_n} stable + {non_stable_n} non-stable")
-    print(f"provenance: {dataset.provenance}")
+    commits, provenance = build_balanced_dataset(labeled, seed=0)
+    stable_n = sum(c.label is Label.STABLE for c in commits)
+    print(f"balanced dataset: {stable_n} stable + {len(commits) - stable_n} non-stable")
+    print(f"provenance: {provenance}")
 
 
 if __name__ == "__main__":

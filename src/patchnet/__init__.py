@@ -11,7 +11,6 @@ from .core import (
     FileSnapshot,
     Hunk,
     Label,
-    LabeledDataset,
     LineKind,
     RawCommit,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "Hunk",
     "HyperParams",
     "Label",
-    "LabeledDataset",
     "LineKind",
     "ModelParams",
     "ParseError",

@@ -1,7 +1,8 @@
 """Command-line pipeline driver.
 
 Subcommands: ingest, label, preprocess, train, predict, evaluate,
-baseline, folds.  Exit codes: 0 success, 1 usage error, 2 data error.
+baseline, folds.  Exit codes: 0 success, 1 usage error, 2 data error
+(any ValueError, OSError or TrainingError).
 Every run writes a manifest next to its primary output; an optional
 flat key=value config file overrides built-in defaults, and explicit
 flags override the file.  PATCHNET_SEED serves as a fallback seed.
@@ -13,17 +14,16 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from datetime import datetime, timezone
 
 import numpy as np
 
 from . import __version__
 from .codeprep import FunctionNameTable
-from .core import Label, RawCommit, atomic_write
+from .core import Label, atomic_write
 from .evalkit import chrono_folds, keyword_baseline, metrics
 from .ingest import (
-    ParseError,
     build_balanced_dataset,
     check_eligibility,
     extract_stable_evidence,
@@ -53,10 +53,6 @@ _CONFIG_FLAGS = {"batch_size": "batch_size", "epochs": "max_epochs", "patience":
 
 class UsageError(Exception):
     """Bad flags or arguments; maps to exit code 1."""
-
-
-class DataError(Exception):
-    """Unreadable or inconsistent input data; maps to exit code 2."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -112,17 +108,14 @@ def _write_manifest(args, seed, inputs, outputs, started_at) -> None:
 
 def _read_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise DataError(f"cannot read config file: {exc}")
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.readlines()
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise DataError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = line.split("=", 1)
         values[key.strip().replace("-", "_")] = value.strip()
     return values
@@ -188,11 +181,8 @@ def _write_jsonl(path: str, rows) -> None:
 
 def _read_score_rows(path: str) -> list[dict]:
     rows = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise DataError(f"cannot read scores file: {exc}")
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.readlines()
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
@@ -200,22 +190,22 @@ def _read_score_rows(path: str) -> list[dict]:
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise DataError(f"{path}:{lineno}: bad JSON: {exc}")
+            raise ValueError(f"{path}:{lineno}: bad JSON: {exc}")
         if not isinstance(obj, dict):
-            raise DataError(f"{path}:{lineno}: expected a JSON object")
+            raise ValueError(f"{path}:{lineno}: expected a JSON object")
         if "score" not in obj:
-            raise DataError(f"{path}:{lineno}: missing 'score'")
+            raise ValueError(f"{path}:{lineno}: missing 'score'")
         if "true_label" not in obj:
-            raise DataError(f"{path}:{lineno}: missing 'true_label'")
+            raise ValueError(f"{path}:{lineno}: missing 'true_label'")
         try:
             obj["score"] = float(obj["score"])
         except (TypeError, ValueError):
-            raise DataError(f"{path}:{lineno}: score {obj['score']!r} is not a number")
+            raise ValueError(f"{path}:{lineno}: score {obj['score']!r} is not a number")
         if not np.isfinite(obj["score"]):
-            raise DataError(f"{path}:{lineno}: score {obj['score']} is not finite")
+            raise ValueError(f"{path}:{lineno}: score {obj['score']} is not finite")
         rows.append(obj)
     if not rows:
-        raise DataError(f"{path}: no score rows")
+        raise ValueError(f"{path}: no score rows")
     return rows
 
 
@@ -229,25 +219,16 @@ def _truth_to_int(value, where: str) -> int:
             return Label.from_string(value).to_int()
         except ValueError:
             pass
-    raise DataError(f"{where}: true_label must be 0/1 or stable/non-stable")
+    raise ValueError(f"{where}: true_label must be 0/1 or stable/non-stable")
 
 
 def _read_functions_file(path: str) -> FunctionNameTable:
-    try:
-        with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh:
+        try:
             obj = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read functions file: {exc}")
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: bad JSON: {exc}")
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: bad JSON: {exc}")
     return FunctionNameTable.from_json_obj(obj)
-
-
-def _load_commits_checked(path: str) -> list[RawCommit]:
-    try:
-        return load_commits(path)
-    except OSError as exc:
-        raise DataError(f"cannot read commits: {exc}")
 
 
 def _check_indices(patches, message_vocab, code_vocab) -> None:
@@ -255,7 +236,7 @@ def _check_indices(patches, message_vocab, code_vocab) -> None:
     top_msg = max(int(p.message.max(initial=PAD_INDEX)) for p in patches)
     top_code = max(int(p.rows.max(initial=PAD_INDEX)) for p in patches)
     if top_msg >= len(message_vocab) or top_code >= len(code_vocab):
-        raise DataError(
+        raise ValueError(
             f"tensor indices do not fit the vocabulary: largest message index {top_msg} "
             f"for {len(message_vocab)} entries, largest code index {top_code} "
             f"for {len(code_vocab)} entries"
@@ -269,42 +250,43 @@ def _check_indices(patches, message_vocab, code_vocab) -> None:
 
 
 def _cmd_ingest(args, seed):
-    mainline = _load_commits_checked(args.mainline)
-    stable = _load_commits_checked(args.stable)
+    mainline = load_commits(args.mainline)
+    stable = load_commits(args.stable)
     rc_ids = read_rc_ids(args.rc_ids) if args.rc_ids else set()
     evidence = extract_stable_evidence(stable, rc_ids)
 
-    labeled = []
+    entries = []
     for c in mainline:
         report = check_eligibility(c)
         if report.eligible:
-            label = c.label if c.label is not None else label_commit(c, evidence)
-            labeled.append((c, label, report.changed_lines))
-    dataset = build_balanced_dataset(labeled, seed=seed)
-    write_commits_jsonl(args.out, dataset)
+            if c.label is None:
+                c = replace(c, label=label_commit(c, evidence))
+            entries.append((c, report.changed_lines))
+    commits, provenance = build_balanced_dataset(entries, seed=seed)
+    write_commits_jsonl(args.out, commits)
 
-    n_stable, n_non = dataset.counts()
+    n_stable = sum(c.label is Label.STABLE for c in commits)
     print(
-        f"ingest: {len(mainline)} mainline, {len(labeled)} eligible, "
-        f"{n_stable} stable + {n_non} non-stable written to {args.out}"
+        f"ingest: {len(mainline)} mainline, {len(entries)} eligible, "
+        f"{n_stable} stable + {len(commits) - n_stable} non-stable written to {args.out}"
     )
-    print(f"provenance: {dataset.provenance}")
+    print(f"provenance: {provenance}")
     inputs = [args.mainline, args.stable] + ([args.rc_ids] if args.rc_ids else [])
     return inputs, [args.out]
 
 
 def _cmd_label(args, seed):
-    commits = _load_commits_checked(args.dataset)
-    stable = _load_commits_checked(args.stable)
+    commits = load_commits(args.dataset)
+    stable = load_commits(args.stable)
     rc_ids = read_rc_ids(args.rc_ids) if args.rc_ids else set()
     evidence = extract_stable_evidence(stable, rc_ids)
 
-    pairs = [(c, label_commit(c, evidence)) for c in commits]
-    write_commits_jsonl(args.out, pairs)
+    commits = [replace(c, label=label_commit(c, evidence)) for c in commits]
+    write_commits_jsonl(args.out, commits)
 
-    n_stable = sum(1 for _, lab in pairs if lab is Label.STABLE)
+    n_stable = sum(c.label is Label.STABLE for c in commits)
     print(
-        f"label: {n_stable} stable, {len(pairs) - n_stable} non-stable "
+        f"label: {n_stable} stable, {len(commits) - n_stable} non-stable "
         f"written to {args.out}"
     )
     inputs = [args.dataset, args.stable] + ([args.rc_ids] if args.rc_ids else [])
@@ -312,9 +294,9 @@ def _cmd_label(args, seed):
 
 
 def _cmd_preprocess(args, seed):
-    commits = _load_commits_checked(args.dataset)
+    commits = load_commits(args.dataset)
     if not commits:
-        raise DataError(f"{args.dataset}: no commits")
+        raise ValueError(f"{args.dataset}: no commits")
     dims = PatchDims(**{f.name: getattr(args, f.name) for f in fields(PatchDims)})
     patches, table, (msg_vocab, code_vocab), unparsable = preprocess_commits(
         commits, dims, args.min_count
@@ -351,10 +333,10 @@ def _train_settings(args, dims: PatchDims, seed: int) -> tuple[HyperParams, Trai
 def _cmd_train(args, seed):
     patches, dims = read_tensor_file(args.tensors)
     if not patches:
-        raise DataError(f"{args.tensors}: no patches")
+        raise ValueError(f"{args.tensors}: no patches")
     unlabeled = [p.commit_id for p in patches if p.label is None]
     if unlabeled:
-        raise DataError(
+        raise ValueError(
             f"{args.tensors}: {len(unlabeled)} unlabeled patches "
             f"(first: {unlabeled[0]})"
         )
@@ -382,11 +364,8 @@ def _cmd_train(args, seed):
 
 
 def _is_tensor_file(path: str) -> bool:
-    try:
-        with open(path, "rb") as fh:
-            return fh.read(len(TENSOR_MAGIC)) == TENSOR_MAGIC
-    except OSError as exc:
-        raise DataError(f"cannot read patches: {exc}")
+    with open(path, "rb") as fh:
+        return fh.read(len(TENSOR_MAGIC)) == TENSOR_MAGIC
 
 
 def _cmd_predict(args, seed):
@@ -394,15 +373,15 @@ def _cmd_predict(args, seed):
     if _is_tensor_file(args.in_path):
         patches, dims = read_tensor_file(args.in_path)
         if dims != bundle.hp.dims:
-            raise DataError(
+            raise ValueError(
                 f"tensor dims {dims} do not match checkpoint dims {bundle.hp.dims}"
             )
     else:
         vocabularies = (bundle.message_vocab, bundle.code_vocab)
         patches = [assemble_tensors(c, bundle.functions, vocabularies, bundle.hp.dims)
-                   for c in _load_commits_checked(args.in_path)]
+                   for c in load_commits(args.in_path)]
     if not patches:
-        raise DataError(f"{args.in_path}: no patches")
+        raise ValueError(f"{args.in_path}: no patches")
     _check_indices(patches, bundle.message_vocab, bundle.code_vocab)
 
     scores = score_items(patches, bundle.params, bundle.hp)
@@ -486,12 +465,12 @@ def _cmd_evaluate(args, seed):
 
 
 def _cmd_baseline(args, seed):
-    commits = _load_commits_checked(args.dataset)
+    commits = load_commits(args.dataset)
     if not commits:
-        raise DataError(f"{args.dataset}: no commits")
+        raise ValueError(f"{args.dataset}: no commits")
     missing = [c.commit_id for c in commits if c.label is None]
     if args.report and missing:
-        raise DataError(
+        raise ValueError(
             f"--report needs true labels; {len(missing)} commits lack them "
             f"(first: {missing[0]})"
         )
@@ -526,11 +505,7 @@ def _cmd_baseline(args, seed):
 
 
 def _cmd_folds(args, seed):
-    commits = _load_commits_checked(args.dataset)
-    try:
-        splits = chrono_folds(commits, args.n)
-    except ValueError as exc:
-        raise DataError(str(exc))
+    splits = chrono_folds(load_commits(args.dataset), args.n)
     prefix = args.out_prefix or args.dataset + ".fold"
     outputs = []
     for i, (train_items, test_items) in enumerate(splits, start=1):
@@ -655,7 +630,7 @@ def run(argv=None) -> int:
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, ParseError, TrainingError, ValueError, OSError) as exc:
+    except (ValueError, OSError, TrainingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

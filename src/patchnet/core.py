@@ -4,7 +4,8 @@ one atomic-write helper every output file goes through.
 Everything downstream (parsing, preprocessing, the model, evaluation)
 speaks in terms of these types.  They are deliberately plain: frozen
 dataclasses holding strings, ints, and tuples, so they hash, compare,
-and serialize without ceremony.
+and serialize without ceremony.  A commit's label is a field of its
+RawCommit, set with dataclasses.replace; no other type carries one.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import contextlib
 import enum
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 COMMIT_ID_RE = re.compile(r"^[0-9a-f]{40}$")
 
@@ -131,7 +132,7 @@ class FileSnapshot:
 
 @dataclass(frozen=True)
 class RawCommit:
-    """A commit as parsed from an export stream, before preprocessing."""
+    """A commit as parsed from an export stream; ``label`` is None until set."""
 
     commit_id: str
     parent_ids: tuple[str, ...]
@@ -150,26 +151,6 @@ class RawCommit:
         if self.body:
             return self.subject + "\n" + self.body
         return self.subject
-
-
-@dataclass
-class LabeledDataset:
-    """Commits paired with labels, plus a human-readable provenance note.
-
-    Invariants: every item carries a definite label and commit ids are
-    unique; builders are responsible for both.
-    """
-
-    items: list[tuple[RawCommit, Label]] = field(default_factory=list)
-    provenance: str = ""
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def counts(self) -> tuple[int, int]:
-        """(stable, non_stable) item counts."""
-        stable = sum(1 for _, lab in self.items if lab is Label.STABLE)
-        return stable, len(self.items) - stable
 
 
 @contextlib.contextmanager

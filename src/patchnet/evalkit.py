@@ -98,12 +98,13 @@ def pr_curve(scores, labels) -> list[tuple[float, float]]:
     n_pos = int(y.sum())
     if n_pos == 0 or n_pos == y.size:
         raise ValueError("pr_curve requires both classes in labels")
-    points = []
-    for t in sorted(set(s.tolist()), reverse=True):
-        pred = s >= t
-        tp = int((pred & (y == 1)).sum())
-        points.append((tp / n_pos, tp / int(pred.sum())))
-    return points
+    order = np.argsort(-s, kind="stable")
+    ranked = s[order]
+    tp = np.cumsum(y[order])
+    # The threshold at a group of tied scores predicts through the
+    # group's last member.
+    ends = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
+    return [(int(tp[i]) / n_pos, int(tp[i]) / int(i + 1)) for i in ends]
 
 
 def metrics(scores, labels, threshold: float = 0.5) -> EvalReport:

@@ -1,5 +1,9 @@
 """Commit-stream parsing, eligibility filtering, labeling, and balancing.
 
+A label lives on the commit: label_commit computes one, the caller sets
+it as RawCommit.label with dataclasses.replace, and balancing and the
+JSONL writer read it from there.
+
 Input arrives as exported text, never via a git binary: either the
 record format documented below or JSONL.  Export records look like::
 
@@ -34,7 +38,6 @@ from .core import (
     FileSnapshot,
     Hunk,
     Label,
-    LabeledDataset,
     RawCommit,
     atomic_write,
 )
@@ -63,7 +66,7 @@ TOO_LONG = "TooLong"
 OTHER = "Other"
 
 
-class ParseError(Exception):
+class ParseError(ValueError):
     """Raised on malformed export records or diff headers."""
 
     def __init__(self, message: str, offset: int | None = None, lineno: int | None = None):
@@ -389,42 +392,43 @@ def label_commit(c: RawCommit, ev: StableEvidence) -> Label:
 
 
 def build_balanced_dataset(
-    labeled: "list[tuple[RawCommit, Label, int]]", seed: int = 0
-) -> LabeledDataset:
+    entries: "list[tuple[RawCommit, int]]", seed: int = 0
+) -> tuple[list[RawCommit], str]:
     """Keep every stable commit and match each with the unused non-stable
     commit of closest changed-line count.
 
-    Entries are (commit, label, changed-line count), the count as
-    check_eligibility reports it.
+    Entries are (labeled commit, changed-line count), the count as
+    check_eligibility reports it.  Returns the selected commits, stable
+    ones first, and a human-readable provenance note.
 
     Stable commits are processed in (date, commit_id) order; candidate
     ties break to the earlier date, then the lexicographically smaller
     id.  The procedure is deterministic and invariant under permutation
     of the input; the seed is recorded in provenance only.
     """
-    if not labeled:
+    if not entries:
         raise ValueError("labeled sequence is empty")
 
     size_of: dict[str, int] = {}
-    unique: list[tuple[RawCommit, Label]] = []
-    for c, lab, size in labeled:
+    unique: list[RawCommit] = []
+    for c, size in entries:
         if c.commit_id not in size_of:
             size_of[c.commit_id] = size
-            unique.append((c, lab))
+            unique.append(c)
 
     stable = sorted(
-        (c for c, lab in unique if lab is Label.STABLE),
+        (c for c in unique if c.label is Label.STABLE),
         key=lambda c: (c.date, c.commit_id),
     )
     pool = sorted(
-        (c for c, lab in unique if lab is Label.NON_STABLE),
+        (c for c in unique if c.label is Label.NON_STABLE),
         key=lambda c: (c.date, c.commit_id),
     )
 
     notes = [f"{len(stable)} stable, {len(pool)} non-stable candidates, seed={seed}"]
     if not stable:
         notes.append("WARNING: no stable commits in input")
-        return LabeledDataset(items=[], provenance="; ".join(notes))
+        return [], "; ".join(notes)
 
     if len(pool) <= len(stable):
         if len(pool) < len(stable):
@@ -443,17 +447,15 @@ def build_balanced_dataset(
             used[np.argmin(dist)] = True
         chosen = np.flatnonzero(used)
 
-    items = [(c, Label.STABLE) for c in stable]
-    items.extend((pool[i], Label.NON_STABLE) for i in chosen)
     notes.append(f"selected {len(chosen)} non-stable matches")
-    return LabeledDataset(items=items, provenance="; ".join(notes))
+    return stable + [pool[i] for i in chosen], "; ".join(notes)
 
 
 # ---------------------------------------------------------------------------
 # JSONL and id-file IO
 
 
-def commit_to_json_obj(c: RawCommit, label: Label | None = None) -> dict:
+def commit_to_json_obj(c: RawCommit) -> dict:
     obj = {
         "commit_id": c.commit_id,
         "parents": list(c.parent_ids),
@@ -469,9 +471,8 @@ def commit_to_json_obj(c: RawCommit, label: Label | None = None) -> dict:
             {"path": s.path, "before": s.before, "after": s.after}
             for s in c.file_snapshots
         ]
-    lab = label if label is not None else c.label
-    if lab is not None:
-        obj["label"] = lab.value
+    if c.label is not None:
+        obj["label"] = c.label.value
     return obj
 
 
@@ -503,17 +504,11 @@ def commit_from_json_obj(obj: dict) -> RawCommit:
     return c
 
 
-def write_commits_jsonl(path: str, items) -> None:
-    """Write commits (or (commit, label) pairs, or a LabeledDataset)."""
-    if isinstance(items, LabeledDataset):
-        items = items.items
+def write_commits_jsonl(path: str, commits) -> None:
+    """Write one JSON object per commit, its label included when set."""
     with atomic_write(path) as fh:
-        for entry in items:
-            if isinstance(entry, tuple):
-                c, label = entry
-            else:
-                c, label = entry, None
-            fh.write(json.dumps(commit_to_json_obj(c, label)) + "\n")
+        for c in commits:
+            fh.write(json.dumps(commit_to_json_obj(c)) + "\n")
 
 
 def load_commits(path: str) -> list[RawCommit]:

@@ -784,6 +784,32 @@ def test_label_subcommand_with_rc_ids(pipeline, tmp_path):
                 "--rc-ids", str(bad_rc), "--out", out]) == EXIT_DATA
 
 
+def test_ingest_keeps_file_labels_and_label_overrides_them(pipeline, tmp_path):
+    # 101 is stable by its back link and 301 non-stable by the evidence;
+    # the JSONL mainline says the opposite for both and leaves the rest
+    # unlabeled.
+    preset = {hex_id(101): Label.NON_STABLE, hex_id(301): Label.STABLE}
+    mainline = str(tmp_path / "mainline.jsonl")
+    write_commits_jsonl(mainline, [replace(c, label=preset.get(c.commit_id))
+                                   for c in load_commits(pipeline["mainline"])])
+    dataset = str(tmp_path / "data.jsonl")
+    assert run(["ingest", "--mainline", mainline, "--stable", pipeline["stable"],
+                "--out", dataset]) == EXIT_OK
+    labels = {r["commit_id"]: r["label"] for r in _read_jsonl(dataset)}
+    assert labels[hex_id(101)] == "non-stable"
+    assert labels[hex_id(301)] == "stable"
+    assert labels[hex_id(102)] == "stable"  # unlabeled: back link
+    assert labels[hex_id(302)] == "non-stable"  # unlabeled: no evidence
+
+    relabeled = str(tmp_path / "relabeled.jsonl")
+    assert run(["label", "--dataset", dataset, "--stable", pipeline["stable"],
+                "--out", relabeled]) == EXIT_OK
+    labels = {r["commit_id"]: r["label"] for r in _read_jsonl(relabeled)}
+    assert labels[hex_id(101)] == "stable"
+    assert labels[hex_id(301)] == "non-stable"
+    assert labels[hex_id(102)] == "stable"
+
+
 def test_stdout_summaries(pipeline, tmp_path, capsys):
     out = str(tmp_path / "b.jsonl")
     assert run(["baseline", "--dataset", pipeline["dataset"], "--out", out]) == EXIT_OK

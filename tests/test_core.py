@@ -8,7 +8,6 @@ from patchnet.core import (
     FileDiff,
     Hunk,
     Label,
-    LabeledDataset,
 )
 
 
@@ -79,17 +78,5 @@ class TestRawCommit:
         assert c.message == "x: subject"
 
 
-class TestLabeledDataset:
-    def test_counts(self):
-        ds = LabeledDataset(
-            items=[
-                (make_commit(1), Label.STABLE),
-                (make_commit(2), Label.NON_STABLE),
-                (make_commit(3), Label.STABLE),
-            ]
-        )
-        assert ds.counts() == (2, 1)
-        assert len(ds) == 3
-
-    def test_ids_are_deterministic(self):
-        assert hex_id(1) == "0" * 39 + "1"
+def test_ids_are_deterministic():
+    assert hex_id(1) == "0" * 39 + "1"

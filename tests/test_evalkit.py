@@ -1,9 +1,12 @@
 """Tests for confusion metrics, AUC, PR curves, folds, and the baseline."""
 
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SAMPLE_MESSAGES, make_commit
 from patchnet.core import Label
@@ -16,6 +19,19 @@ from patchnet.evalkit import (
     metrics,
     pr_curve,
 )
+
+
+def loop_pr_curve(scores, labels):
+    """Reference: one pass over every score per distinct threshold."""
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels)
+    n_pos = int(y.sum())
+    points = []
+    for t in sorted(set(s.tolist()), reverse=True):
+        pred = s >= t
+        tp = int((pred & (y == 1)).sum())
+        points.append((tp / n_pos, tp / int(pred.sum())))
+    return points
 
 
 def pairwise_auc(scores, labels):
@@ -188,6 +204,27 @@ def test_pr_curve_requires_both_classes():
         pr_curve([0.1, 0.9], [1, 1])
     with pytest.raises(ValueError, match="both classes"):
         pr_curve([0.1, 0.9], [0, 0])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.sampled_from([-1.0, 0.0, 0.25, 0.5, 0.75, 1.0, 2.5]), st.integers(0, 1)),
+                min_size=2, max_size=60).filter(lambda rows: 0 < sum(y for _, y in rows) < len(rows)))
+def test_pr_curve_matches_the_loop_with_ties(rows):
+    scores = [s for s, _ in rows]
+    labels = [y for _, y in rows]
+    assert pr_curve(scores, labels) == loop_pr_curve(scores, labels)
+
+
+def test_metrics_scales_to_the_paper_dataset():
+    # 82,403 patches, the size of the paper's balanced dataset.
+    rng = np.random.default_rng(82_403)
+    labels = rng.integers(0, 2, 82_403)
+    scores = np.round(rng.random(82_403) * 0.6 + 0.4 * labels, 4)
+    start = time.perf_counter()
+    report = metrics(scores, labels)
+    assert time.perf_counter() - start <= 2.0
+    assert report.pr_points[-1] == (1.0, labels.sum() / labels.size)
+    assert len(report.pr_points) == np.unique(scores).size
 
 
 # ---------------------------------------------------------------------------

@@ -49,9 +49,15 @@ def size_of(c) -> int:
 
 
 def sized(labeled):
-    """(commit, label) pairs as build_balanced_dataset takes them, with
-    the changed-line count that check_eligibility reports."""
-    return [(c, lab, check_eligibility(c).changed_lines) for c, lab in labeled]
+    """Labeled commits as build_balanced_dataset takes them, each with the
+    changed-line count that check_eligibility reports."""
+    return [(c, check_eligibility(c).changed_lines) for c in labeled]
+
+
+def counts(commits) -> tuple[int, int]:
+    """(stable, non_stable) commit counts."""
+    stable = sum(c.label is Label.STABLE for c in commits)
+    return stable, len(commits) - stable
 
 
 def sized_diff(n_added: int, path: str = "kernel/sched.c") -> str:
@@ -415,11 +421,11 @@ class TestLabeling:
 def oracle_balance(labeled):
     """Greedy nearest-size matching, written as a direct min() scan."""
     stable = sorted(
-        (c for c, lab in labeled if lab is Label.STABLE),
+        (c for c in labeled if c.label is Label.STABLE),
         key=lambda c: (c.date, c.commit_id),
     )
     pool = sorted(
-        (c for c, lab in labeled if lab is Label.NON_STABLE),
+        (c for c in labeled if c.label is Label.NON_STABLE),
         key=lambda c: (c.date, c.commit_id),
     )
     if len(pool) <= len(stable):
@@ -440,61 +446,57 @@ def oracle_balance(labeled):
             used.add(best.commit_id)
             chosen.append(best)
         chosen.sort(key=lambda c: (c.date, c.commit_id))
-    return [(c, Label.STABLE) for c in stable] + [
-        (c, Label.NON_STABLE) for c in chosen
-    ]
+    return stable + chosen
 
 
 class TestBalancedDataset:
     def test_nearest_size_matching(self):
         # Stable sizes 4 and 90; candidates 5, 50, 91: expect 5 and 91.
         labeled = [
-            (make_commit(1, date=10, diff=sized_diff(4)), Label.STABLE),
-            (make_commit(2, date=20, diff=sized_diff(90)), Label.STABLE),
-            (make_commit(3, date=30, diff=sized_diff(5)), Label.NON_STABLE),
-            (make_commit(4, date=40, diff=sized_diff(50)), Label.NON_STABLE),
-            (make_commit(5, date=50, diff=sized_diff(91)), Label.NON_STABLE),
+            make_commit(1, date=10, diff=sized_diff(4), label=Label.STABLE),
+            make_commit(2, date=20, diff=sized_diff(90), label=Label.STABLE),
+            make_commit(3, date=30, diff=sized_diff(5), label=Label.NON_STABLE),
+            make_commit(4, date=40, diff=sized_diff(50), label=Label.NON_STABLE),
+            make_commit(5, date=50, diff=sized_diff(91), label=Label.NON_STABLE),
         ]
-        ds = build_balanced_dataset(sized(labeled))
+        commits, _ = build_balanced_dataset(sized(labeled))
         picked = [
             size_of(c)
-            for c, lab in ds.items
-            if lab is Label.NON_STABLE
+            for c in commits
+            if c.label is Label.NON_STABLE
         ]
         assert sorted(picked) == [5, 91]
-        assert ds.counts() == (2, 2)
+        assert counts(commits) == (2, 2)
 
     def test_distance_tie_breaks_to_earlier_date(self):
         labeled = [
-            (make_commit(1, date=10, diff=sized_diff(10)), Label.STABLE),
-            (make_commit(2, date=30, diff=sized_diff(9)), Label.NON_STABLE),
-            (make_commit(3, date=20, diff=sized_diff(11)), Label.NON_STABLE),
-            (make_commit(4, date=40, diff=sized_diff(30)), Label.NON_STABLE),
+            make_commit(1, date=10, diff=sized_diff(10), label=Label.STABLE),
+            make_commit(2, date=30, diff=sized_diff(9), label=Label.NON_STABLE),
+            make_commit(3, date=20, diff=sized_diff(11), label=Label.NON_STABLE),
+            make_commit(4, date=40, diff=sized_diff(30), label=Label.NON_STABLE),
         ]
-        ds = build_balanced_dataset(sized(labeled))
-        match = [c for c, lab in ds.items if lab is Label.NON_STABLE]
+        commits, _ = build_balanced_dataset(sized(labeled))
+        match = [c for c in commits if c.label is Label.NON_STABLE]
         assert size_of(match[0]) == 11
 
     def test_duplicate_ids_keep_first(self):
-        a = make_commit(1, date=10, diff=sized_diff(3))
-        dup = make_commit(1, date=99, diff=sized_diff(40))
-        b = make_commit(2, date=20, diff=sized_diff(3))
-        ds = build_balanced_dataset(
-            sized([(a, Label.STABLE), (dup, Label.STABLE), (b, Label.NON_STABLE)])
-        )
-        stable_items = [c for c, lab in ds.items if lab is Label.STABLE]
+        a = make_commit(1, date=10, diff=sized_diff(3), label=Label.STABLE)
+        dup = make_commit(1, date=99, diff=sized_diff(40), label=Label.STABLE)
+        b = make_commit(2, date=20, diff=sized_diff(3), label=Label.NON_STABLE)
+        commits, _ = build_balanced_dataset(sized([a, dup, b]))
+        stable_items = [c for c in commits if c.label is Label.STABLE]
         assert len(stable_items) == 1
         assert stable_items[0].date == 10
 
     def test_small_pool_warns_and_keeps_all(self):
         labeled = [
-            (make_commit(1, diff=sized_diff(3)), Label.STABLE),
-            (make_commit(2, diff=sized_diff(5)), Label.STABLE),
-            (make_commit(3, diff=sized_diff(4)), Label.NON_STABLE),
+            make_commit(1, diff=sized_diff(3), label=Label.STABLE),
+            make_commit(2, diff=sized_diff(5), label=Label.STABLE),
+            make_commit(3, diff=sized_diff(4), label=Label.NON_STABLE),
         ]
-        ds = build_balanced_dataset(sized(labeled))
-        assert ds.counts() == (2, 1)
-        assert "WARNING" in ds.provenance
+        commits, provenance = build_balanced_dataset(sized(labeled))
+        assert counts(commits) == (2, 1)
+        assert "WARNING" in provenance
 
     def test_matches_oracle_on_random_corpora(self):
         rng = np.random.default_rng(2024)
@@ -504,38 +506,34 @@ class TestBalancedDataset:
             for i in range(n):
                 stable = bool(rng.random() < 0.35) if i >= 2 else (i == 0)
                 labeled.append(
-                    (
-                        make_commit(
-                            1000 * trial + i,
-                            date=int(rng.integers(1, 500)),
-                            diff=sized_diff(int(rng.integers(1, 60))),
-                        ),
-                        Label.STABLE if stable else Label.NON_STABLE,
+                    make_commit(
+                        1000 * trial + i,
+                        date=int(rng.integers(1, 500)),
+                        diff=sized_diff(int(rng.integers(1, 60))),
+                        label=Label.STABLE if stable else Label.NON_STABLE,
                     )
                 )
             expected = oracle_balance(labeled)
-            got = build_balanced_dataset(sized(labeled)).items
-            assert [(c.commit_id, lab) for c, lab in got] == [
-                (c.commit_id, lab) for c, lab in expected
+            got, _ = build_balanced_dataset(sized(labeled))
+            assert [(c.commit_id, c.label) for c in got] == [
+                (c.commit_id, c.label) for c in expected
             ]
 
     def test_invariant_under_input_permutation(self):
         rng = np.random.default_rng(7)
         labeled = [
-            (
-                make_commit(
-                    i,
-                    date=int(rng.integers(1, 99)),
-                    diff=sized_diff(int(rng.integers(1, 30))),
-                ),
-                Label.STABLE if i % 3 == 0 else Label.NON_STABLE,
+            make_commit(
+                i,
+                date=int(rng.integers(1, 99)),
+                diff=sized_diff(int(rng.integers(1, 30))),
+                label=Label.STABLE if i % 3 == 0 else Label.NON_STABLE,
             )
             for i in range(12)
         ]
-        base = build_balanced_dataset(sized(labeled)).items
+        base = build_balanced_dataset(sized(labeled))[0]
         for _ in range(5):
             perm = [labeled[i] for i in rng.permutation(len(labeled))]
-            assert build_balanced_dataset(sized(perm)).items == base
+            assert build_balanced_dataset(sized(perm))[0] == base
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -547,42 +545,43 @@ class TestBalancedDataset:
     def test_follows_the_documented_rule(self, rows):
         # Duplicate ids, date and size ties, and pools both smaller and
         # larger than the stable set.
-        entries = [(make_commit(n, date=date), Label.STABLE if stable else Label.NON_STABLE, size)
+        entries = [(make_commit(n, date=date, label=Label.STABLE if stable else Label.NON_STABLE), size)
                    for n, date, size, stable in rows]
         first = {}
-        for c, lab, size in entries:
-            first.setdefault(c.commit_id, (c, lab, size))
+        for c, size in entries:
+            first.setdefault(c.commit_id, (c, size))
         key = lambda e: (e[0].date, e[0].commit_id)
-        stable = sorted((e for e in first.values() if e[1] is Label.STABLE), key=key)
-        pool = sorted((e for e in first.values() if e[1] is Label.NON_STABLE), key=key)
+        stable = sorted((e for e in first.values() if e[0].label is Label.STABLE), key=key)
+        pool = sorted((e for e in first.values() if e[0].label is Label.NON_STABLE), key=key)
         chosen = pool
         if stable and len(pool) > len(stable):
             unused, chosen = list(pool), []
-            for _, _, target in stable:
-                best = min(unused, key=lambda e: (abs(e[2] - target), e[0].date, e[0].commit_id))
+            for _, target in stable:
+                best = min(unused, key=lambda e: (abs(e[1] - target), e[0].date, e[0].commit_id))
                 unused.remove(best)
                 chosen.append(best)
             chosen.sort(key=key)
         want = [(e[0].commit_id, Label.STABLE) for e in stable]
         want += [(e[0].commit_id, Label.NON_STABLE) for e in chosen] if stable else []
-        got = build_balanced_dataset(entries).items
-        assert [(c.commit_id, lab) for c, lab in got] == want
+        got, _ = build_balanced_dataset(entries)
+        assert [(c.commit_id, c.label) for c in got] == want
 
     def test_scales_to_a_large_pool(self):
         rng = np.random.default_rng(11)
-        entries = [(make_commit(i, date=int(rng.integers(0, 1000))),
-                    Label.STABLE if i % 10 == 0 else Label.NON_STABLE, int(rng.integers(1, 500)))
+        entries = [(make_commit(i, date=int(rng.integers(0, 1000)),
+                                label=Label.STABLE if i % 10 == 0 else Label.NON_STABLE),
+                    int(rng.integers(1, 500)))
                    for i in range(20_000)]
         start = time.perf_counter()
-        ds = build_balanced_dataset(entries)
+        commits, _ = build_balanced_dataset(entries)
         assert time.perf_counter() - start <= 3.0
-        assert ds.counts() == (2_000, 2_000)
+        assert counts(commits) == (2_000, 2_000)
 
 
 class TestJsonlRoundTrip:
     def test_commit_obj_round_trip(self):
         c = make_commit(5, label=Label.STABLE)
-        obj = commit_to_json_obj(c, Label.STABLE)
+        obj = commit_to_json_obj(c)
         back = commit_from_json_obj(obj)
         assert back.commit_id == c.commit_id
         assert back.subject == c.subject
@@ -590,12 +589,12 @@ class TestJsonlRoundTrip:
         assert back.label is Label.STABLE
 
     def test_file_round_trip(self, tmp_path):
-        items = [
-            (make_commit(1), Label.STABLE),
-            (make_commit(2), Label.NON_STABLE),
+        commits = [
+            make_commit(1, label=Label.STABLE),
+            make_commit(2, label=Label.NON_STABLE),
         ]
         path = tmp_path / "ds.jsonl"
-        write_commits_jsonl(str(path), items)
+        write_commits_jsonl(str(path), commits)
         back = load_commits(str(path))
         assert [c.commit_id for c in back] == [hex_id(1), hex_id(2)]
         assert [c.label for c in back] == [Label.STABLE, Label.NON_STABLE]
