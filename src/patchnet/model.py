@@ -19,10 +19,11 @@ stages slide k-windows over token ids; the line stage runs on the
 batch's distinct rows of both sides, giving a table of line vectors
 and a grid of row ids; a hunk window is a tuple of k × lines row ids.
 Each stage embeds its distinct windows, convolves them (an nnkit conv
-maps each window to one value per filter; only this module slides),
-gathers the outputs back to every window position with `embed_lookup`
-(whose backward sums the gradients of repeats) and max-pools, so the
-features equal a per-window, per-patch computation bit for bit.  `features`
+maps each window to one value per filter; only this module slides)
+and max-pools the (U, F) outputs by the window id at every position
+(`max_pool(out, where)`, whose backward sends each pooled gradient to
+the winning window, summing repeats), so the features equal a
+per-window, per-patch computation bit for bit.  `features`
 runs once per batch; the head runs per patch (`forward_batch`), so a
 patch scores the same alone and in any batch.
 """
@@ -215,12 +216,20 @@ def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of a 2-D integer array, and each row's index among them.
 
     Rows compare as raw bytes (one memcmp sort), far faster than
-    np.unique(axis=0), which sorts field by field.
+    np.unique(axis=0), which sorts field by field.  The distinct rows
+    come in byte order, as np.unique gives them; that order is the order
+    their gradients are summed in.
     """
     a = np.ascontiguousarray(a)
     keys = a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1]))).ravel()
-    _, first, where = np.unique(keys, return_index=True, return_inverse=True)
-    return a[first], where.reshape(-1)
+    order = keys.argsort()
+    ordered = keys[order]
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    new[1:] = ordered[1:] != ordered[:-1]
+    where = np.empty(len(keys), dtype=np.intp)
+    where[order] = np.cumsum(new) - 1
+    return a[order[new]], where
 
 
 def _distinct_windows(ids: np.ndarray, k: int, tail: int) -> tuple[np.ndarray, np.ndarray]:
@@ -231,16 +240,18 @@ def _distinct_windows(ids: np.ndarray, k: int, tail: int) -> tuple[np.ndarray, n
     window at position i of a leading index is windows[where[..., i]].
     """
     axis = ids.ndim - 1 - tail
-    win = np.moveaxis(np.lib.stride_tricks.sliding_window_view(ids, k, axis=axis), -1, axis + 1)
+    lead = (slice(None),) * axis
+    n = ids.shape[axis] - k + 1
+    win = np.stack([ids[lead + (slice(j, j + n),)] for j in range(k)], axis=axis + 1)
     block = win.shape[axis + 1 :]
     windows, where = _distinct_rows(win.reshape(-1, int(np.prod(block))))
     return windows.reshape(-1, *block), where.reshape(win.shape[: axis + 1])
 
 
 def _conv_pool(ids: np.ndarray, table: Tensor, conv, params: ModelParams, layer: str, side: str = "") -> Tensor:
-    """Per filter size, convolve each distinct window of `ids` once, gather
-    the outputs back to every window position and max-pool over them;
-    then concatenate the filter sizes.
+    """Per filter size, convolve each distinct window of `ids` once and
+    max-pool the outputs over every window position; then concatenate
+    the filter sizes.
 
     `ids` holds row ids of `table`.  A window of ids covers the filter's
     block but its last axis, the table's width: (k,) for text, (k, N)
@@ -251,7 +262,7 @@ def _conv_pool(ids: np.ndarray, table: Tensor, conv, params: ModelParams, layer:
         filters, bias = (params[name] for name in _conv_names(layer, k, side))
         windows, where = _distinct_windows(ids, k, filters.data.ndim - 3)
         out = conv(embed_lookup(table, windows), filters, bias)  # (U, F)
-        parts.append(max_pool(embed_lookup(out, where), axis=-2))
+        parts.append(max_pool(out, where))
     return concat(parts, axis=-1)
 
 

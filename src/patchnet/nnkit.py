@@ -12,6 +12,13 @@ Conventions:
   - Convolution forwards materialize the filter×window products as
     C-contiguous blocks and reduce with a single multi-axis sum, which
     reproduces a naive per-window loop bit-for-bit at float64.
+  - `max_pool(t, where)` pools by position ids: t holds (U, F) window
+    outputs and where (..., P) the window at each position, so a
+    window seen at many positions is stored once.
+  - Gradients that land on table rows (`embed_lookup`, `max_pool`) go
+    through one ordered scatter, a `np.bincount` over flat cell ids.
+    Like `np.add.at` into zeros it adds each cell's contributions in
+    input order from 0.0, so the sums are the same bit for bit.
 """
 
 from __future__ import annotations
@@ -20,8 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Cap on elements in a materialized product block (8M doubles = 64 MB).
-_CHUNK_ELEMS = 1 << 23
+# Cap on elements in a materialized product block: 256K doubles = 2 MB,
+# one core's L2 on a 2-vCPU Xeon, so a block is still in cache when it
+# is summed.  A 100-patch training epoch at PatchDims() (batch 32) took
+# 2.1-2.6 s at 1<<16 ... 1<<18, 2.5-2.9 s at 1<<19 and 1<<20, and
+# 3.5-4.0 s at 1<<23 (64 MB blocks); the sums do not depend on the cap.
+_CHUNK_ELEMS = 1 << 18
 
 
 class Tensor:
@@ -60,6 +71,32 @@ def uniform_init(shape, rng: np.random.Generator, scale: float = 0.1) -> Tensor:
 # Ops
 
 
+def _gather(table: np.ndarray, indices, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """(indices, table[indices]).  Indices keep their own dtype (no copy);
+    non-integer ones are a TypeError and any outside [0, len(table)) an
+    IndexError (numpy's own check catches those past the end)."""
+    idx = np.asarray(indices)
+    if idx.dtype.kind not in "iu":
+        raise TypeError(f"{what} indices must be integers, got {idx.dtype}")
+    try:
+        if idx.dtype.kind == "i" and idx.size and idx.min() < 0:
+            raise IndexError
+        return idx, table[idx]
+    except IndexError:
+        raise IndexError(f"{what} index out of range [0, {len(table)})") from None
+
+
+def _scatter_rows(rows: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
+    """out[rows[..., j], j] += g[..., j] into (n, d) zeros, in input order.
+
+    `rows` is (..., 1) (one row per vector of g) or (..., d) (one row per
+    cell).  The sums equal `np.add.at` into zeros bit for bit.
+    """
+    d = g.shape[-1]
+    cells = rows.astype(np.intp) * d + np.arange(d)
+    return np.bincount(cells.ravel(), weights=g.ravel(), minlength=n * d).reshape(n, d)
+
+
 def embed_lookup(W: Tensor, indices) -> Tensor:
     """Row lookup: output[..., :] = W[indices[...]].
 
@@ -67,18 +104,10 @@ def embed_lookup(W: Tensor, indices) -> Tensor:
     participate like any other row.  Indices keep their own integer
     dtype (no copy); non-integer indices and out-of-range ones fault.
     """
-    idx = np.asarray(indices)
-    if not np.issubdtype(idx.dtype, np.integer):
-        raise TypeError(f"embedding indices must be integers, got {idx.dtype}")
-    size = W.data.shape[0]
-    if idx.size and (idx.min() < 0 or idx.max() >= size):
-        raise IndexError(f"embedding index out of range [0, {size})")
-    out_data = W.data[idx]
+    idx, out_data = _gather(W.data, indices, "embedding")
 
     def backward_fn(g: np.ndarray) -> None:
-        dW = np.zeros_like(W.data)
-        np.add.at(dW, idx.ravel(), g.reshape(-1, W.data.shape[1]))
-        _accumulate(W, dW)
+        _accumulate(W, _scatter_rows(idx[..., None], g, W.data.shape[0]))
 
     return Tensor(out_data, (W,), backward_fn)
 
@@ -133,17 +162,24 @@ def conv3d_hunks(B: Tensor, filters: Tensor, bias: Tensor) -> Tensor:
     return _conv_op(B, filters, bias, "conv3d_hunks")
 
 
-def max_pool(t: Tensor, axis: int = -1) -> Tensor:
-    """Maximum over one axis; gradient flows to the first argmax only."""
-    if t.data.shape[axis] == 0:
+def max_pool(t: Tensor, where) -> Tensor:
+    """Max over positions given by row ids: (U, F) and (..., P) -> (..., F).
+
+    out[..., f] = max over p of t[where[..., p], f].  The gradient flows
+    to the row at the first argmax position only, and a row that wins
+    at several leading indices sums their gradients.  `where` is checked
+    like `embed_lookup` indices.
+    """
+    if np.ndim(where) == 0 or np.shape(where)[-1] == 0:
         raise ValueError("max_pool: empty pooling axis")
-    arg = np.expand_dims(np.argmax(t.data, axis=axis), axis)
-    out_data = np.take_along_axis(t.data, arg, axis=axis).squeeze(axis)
+    pos, vals = _gather(t.data, where, "max_pool")  # (..., P), (..., P, F)
+    P, F = vals.shape[-2:]
+    arg = vals.argmax(axis=-2).reshape(-1, F)
+    winner = pos.reshape(-1, P)[np.arange(len(arg))[:, None], arg].reshape(*pos.shape[:-1], F)
+    out_data = t.data[winner, np.arange(F)]
 
     def backward_fn(g: np.ndarray) -> None:
-        dt = np.zeros_like(t.data)
-        np.put_along_axis(dt, arg, np.expand_dims(g, axis), axis=axis)
-        _accumulate(t, dt)
+        _accumulate(t, _scatter_rows(winner, g, t.data.shape[0]))
 
     return Tensor(out_data, (t,), backward_fn)
 

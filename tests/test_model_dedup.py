@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dense_patch
-from test_nnkit import cut_windows
+from test_nnkit import cut_windows, naive_max_pool
 from patchnet import model
 from patchnet.core import Label
 from patchnet.model import VARIANTS, HyperParams, features, forward, forward_batch, init_params
@@ -26,7 +26,6 @@ from patchnet.nnkit import (
     dropout,
     embed_lookup,
     loss,
-    max_pool,
     reshape,
     sigmoid_score,
     stack,
@@ -44,7 +43,7 @@ def _oracle_pool(table, ids, conv, tail, params, layer, side=""):
     for k in params.filter_sizes:
         filters, bias = (params[name] for name in model._conv_names(layer, k, side))
         windows = embed_lookup(table, cut_windows(ids, k, tail))
-        parts.append(max_pool(conv(windows, filters, bias), axis=-2))
+        parts.append(naive_max_pool(conv(windows, filters, bias), axis=-2))
     return concat(parts, axis=-1)
 
 
@@ -188,3 +187,24 @@ def test_each_conv_call_sees_only_the_distinct_windows(monkeypatch):
         hunk_rows = [code[f].reshape(dims.hunks, -1) for f in range(dims.files)]
         expected += [("hunks", k, len(_windows(hunk_rows, k))) for k in ks]
     assert calls == expected
+
+
+def test_distinct_windows_keep_np_unique_order():
+    """The distinct windows come in np.unique's order: that order fixes the
+    order gradients are summed in, so training stays bit-identical to the
+    np.unique route."""
+    rng = np.random.default_rng(5)
+    for case in range(40):
+        tail = case % 3
+        lead = rng.integers(1, 4, int(rng.integers(0, 3))).tolist()
+        n = int(rng.integers(2, 6))
+        ids = rng.integers(0, 3, (*lead, n, *[2] * tail)).astype(rng.choice([np.uint16, np.uint32, np.intp]))
+        k = int(rng.integers(1, n + 1))
+        win = cut_windows(ids, k, tail)
+        block = win.shape[ids.ndim - tail :]
+        flat = np.ascontiguousarray(win).reshape(-1, int(np.prod(block)))
+        keys = flat.view(np.dtype((np.void, flat.dtype.itemsize * flat.shape[1]))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        windows, where = model._distinct_windows(ids, k, tail)
+        assert np.array_equal(windows, flat[first].reshape(-1, *block)), f"case {case}"
+        assert np.array_equal(where, inverse.reshape(win.shape[: ids.ndim - tail])), f"case {case}"

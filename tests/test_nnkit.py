@@ -1,9 +1,11 @@
 """Tests for the differentiable kernel.
 
-Two independent oracles drive this file: a naive per-window convolution
-that materializes every window separately (checked bit-for-bit against
-the batched implementation), and central finite differences over every
-op's inputs (relative error under 1e-4 with a unit floor).
+Three independent oracles drive this file: a naive per-window
+convolution that materializes every window separately, the dense pooling
+route (gather every position, pool over an axis, scatter back with
+`np.add.at`), both checked bit-for-bit against the implementation, and
+central finite differences over every op's inputs (relative error under
+1e-4 with a unit floor).
 """
 
 import math
@@ -13,6 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from patchnet import nnkit
 from patchnet.nnkit import (
     AdamState,
     Tensor,
@@ -156,15 +159,22 @@ def test_conv3d_matches_naive_bit_exact():
         assert np.array_equal(got, want), f"case {case}"
 
 
-def test_conv_text_chunked_path_bit_exact():
-    # Filter size 2880 drops the chunk step below the window count, so
-    # the forward runs in several blocks; the result must not change.
+@pytest.fixture(scope="module")
+def chunk_case():
     rng = np.random.default_rng(403)
     M = rng.standard_normal((500, 10, 120))
     filters = rng.standard_normal((8, 3, 120))
     bias = rng.standard_normal(8)
+    return M, filters, bias, naive_conv_text(M, filters, bias)
+
+
+@pytest.mark.parametrize("chunk", [1 << 10, 1 << 16, 1 << 18, 1 << 23])
+def test_conv_text_chunked_path_bit_exact(chunk_case, chunk, monkeypatch):
+    # Filter size 2880 puts the chunk step (1 to 2912 windows) below the
+    # 4000 windows, so the forward runs in blocks; the result must not change.
+    monkeypatch.setattr(nnkit, "_CHUNK_ELEMS", chunk)
+    M, filters, bias, want = chunk_case
     got = conv_text(tensor(cut_windows(M, 3, 1)), tensor(filters), tensor(bias))
-    want = naive_conv_text(M, filters, bias)
     assert np.array_equal(np.moveaxis(got.data, -1, -2), want)
 
 
@@ -188,6 +198,76 @@ def test_conv_shape_validation():
         conv3d_hunks(
             tensor(np.zeros((2, 1, 3, 4))), tensor(np.zeros((2, 2, 3, 4))), tensor(np.zeros(2))
         )
+
+
+# ---------------------------------------------------------------------------
+# Naive pooling oracle: the dense route `max_pool` replaced
+
+
+def naive_embed_lookup(W, idx):
+    """W[idx], whose backward is np.add.at into zeros."""
+    idx = np.asarray(idx)
+
+    def backward_fn(g):
+        dW = np.zeros_like(W.data)
+        np.add.at(dW, idx.ravel(), g.reshape(-1, W.data.shape[1]))
+        W.grad = dW if W.grad is None else W.grad + dW
+
+    return Tensor(W.data[idx], (W,), backward_fn)
+
+
+def naive_max_pool(t, axis):
+    """Max over one axis; a dense gradient, zero but at the first argmax."""
+    arg = np.expand_dims(np.argmax(t.data, axis=axis), axis)
+
+    def backward_fn(g):
+        dt = np.zeros_like(t.data)
+        np.put_along_axis(dt, arg, np.expand_dims(g, axis), axis=axis)
+        t.grad = dt if t.grad is None else t.grad + dt
+
+    return Tensor(np.take_along_axis(t.data, arg, axis=axis).squeeze(axis), (t,), backward_fn)
+
+
+def naive_pool_by_ids(t, where):
+    """Every position's row gathered, then pooled over positions."""
+    return naive_max_pool(naive_embed_lookup(t, where), axis=-2)
+
+
+def test_max_pool_matches_the_dense_route_bit_for_bit():
+    rng = np.random.default_rng(405)
+    for case in range(80):
+        U = int(rng.integers(1, 6))
+        F = int(rng.integers(1, 5))
+        lead = tuple(int(rng.integers(1, 4)) for _ in range(int(rng.integers(0, 3))))
+        P = int(rng.integers(1, 7))
+        where = rng.integers(0, U, (*lead, P)).astype(rng.choice([np.uint16, np.uint32, np.intp]))
+        data = rng.standard_normal((U, F))
+        if case % 2:
+            data = np.round(data)  # ties within and across rows
+        R = rng.standard_normal((*lead, F)) * rng.choice((1e-8, 1.0, 1e8), (*lead, F))
+        t = tensor(data)
+        got = max_pool(t, where)
+        want = naive_pool_by_ids(t, where)
+        assert got.data.shape == (*lead, F)
+        assert np.array_equal(got.data, want.data), f"case {case}"
+        (g_got,) = backward(weighted_sum(got, R), [t])
+        (g_want,) = backward(weighted_sum(want, R), [t])
+        assert np.array_equal(g_got, g_want), f"case {case}"
+
+
+def test_embed_lookup_gradient_matches_add_at_bit_for_bit():
+    # Few rows, many lookups and weights of very different sizes: the
+    # sums depend on their order, which must be the input order.
+    rng = np.random.default_rng(406)
+    for case in range(20):
+        n, d = int(rng.integers(1, 8)), int(rng.integers(1, 6))
+        lead = tuple(int(rng.integers(1, 40)) for _ in range(int(rng.integers(0, 3))))
+        idx = rng.integers(0, n, lead).astype(np.uint32)
+        R = rng.standard_normal((*lead, d)) * rng.choice((1e-9, 1.0, 1e9), (*lead, d))
+        W = tensor(rng.standard_normal((n, d)))
+        (got,) = backward(weighted_sum(embed_lookup(W, idx), R), [W])
+        (want,) = backward(weighted_sum(naive_embed_lookup(W, idx), R), [W])
+        assert np.array_equal(got, want), f"case {case}"
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +306,10 @@ def test_grad_conv3d_hunks():
 
 def test_grad_max_pool():
     rng = np.random.default_rng(413)
-    t = tensor(rng.standard_normal((3, 4, 5)))
-    R = rng.standard_normal((3, 4))
-    assert_grads_match(lambda: weighted_sum(max_pool(t), R), [t])
+    t = tensor(rng.standard_normal((5, 4)))
+    where = rng.integers(0, 5, (2, 3, 6))
+    R = rng.standard_normal((2, 3, 4))
+    assert_grads_match(lambda: weighted_sum(max_pool(t, where), R), [t])
 
 
 def test_grad_dense():
@@ -309,8 +390,8 @@ def test_grad_composite_graph():
 
     def build():
         parts = [
-            max_pool(conv_text(embed_lookup(W, cut_windows(idx, 1, 0)), f1, b1), axis=-2),
-            max_pool(conv_text(embed_lookup(W, cut_windows(idx, 2, 0)), f2, b2), axis=-2),
+            max_pool(conv_text(embed_lookup(W, cut_windows(idx, 1, 0)), f1, b1), np.arange(5)),
+            max_pool(conv_text(embed_lookup(W, cut_windows(idx, 2, 0)), f2, b2), np.arange(4)),
         ]
         e = concat(parts, axis=-1)
         z = sigmoid_score(dense(e, wh, bh), wo)
@@ -365,29 +446,63 @@ def test_embed_lookup_indexes_with_the_given_dtype():
     assert np.array_equal(g32, g64)
 
 
-def test_max_pool_over_an_inner_axis():
-    rng = np.random.default_rng(420)
-    t = tensor(rng.standard_normal((2, 5, 3)))
-    out = max_pool(t, axis=-2)
-    assert np.array_equal(out.data, max_pool(tensor(np.swapaxes(t.data, -1, -2))).data)
-    R = rng.standard_normal((2, 3))
-    assert_grads_match(lambda: weighted_sum(max_pool(t, axis=1), R), [t])
-    ties = max_pool(tensor(np.array([[5.0], [5.0], [3.0]])), axis=0)
-    (g,) = backward(weighted_sum(ties, np.ones(1)), [ties.parents[0]])
-    assert g.ravel().tolist() == [1.0, 0.0, 0.0]
+def test_max_pool_gathers_by_position_and_sums_repeats():
+    t = tensor(np.array([[1.0, 9.0], [4.0, 0.0], [2.0, 3.0]]))
+    where = np.array([[0, 1, 1], [2, 2, 0], [1, 1, 1]], dtype=np.uint32)
+    out = max_pool(t, where)
+    assert out.data.tolist() == [[4.0, 9.0], [2.0, 9.0], [4.0, 0.0]]
+    (gt,) = backward(weighted_sum(out, np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])), [t])
+    # Row 1 wins filter 0 in rows 0 and 2 of `where`; row 0 wins filter 1 twice.
+    assert gt.tolist() == [[0.0, 6.0], [6.0, 6.0], [3.0, 0.0]]
+
+
+def test_max_pool_single_position():
+    t = tensor(np.array([[1.0, -2.0], [3.0, 4.0]]))
+    out = max_pool(t, np.array([[1], [0], [1]]))
+    assert out.data.tolist() == [[3.0, 4.0], [1.0, -2.0], [3.0, 4.0]]
+    (gt,) = backward(weighted_sum(out, np.ones((3, 2))), [t])
+    assert gt.tolist() == [[1.0, 1.0], [2.0, 2.0]]
 
 
 def test_max_pool_first_argmax_wins_ties():
-    t = tensor(np.array([[3.0, 5.0, 5.0]]))
-    out = max_pool(t)
+    t = tensor(np.array([[3.0], [5.0], [5.0]]))
+    out = max_pool(t, np.array([0, 1, 2]))
     assert out.data.tolist() == [5.0]
     (gt,) = backward(weighted_sum(out, np.array([2.0])), [t])
-    assert gt.tolist() == [[0.0, 2.0, 0.0]]
+    assert gt.tolist() == [[0.0], [2.0], [0.0]]
+    # The first position wins, not the lowest row id.
+    (gt,) = backward(weighted_sum(max_pool(t, np.array([2, 1, 0])), np.array([2.0])), [t])
+    assert gt.tolist() == [[0.0], [0.0], [2.0]]
 
 
 def test_max_pool_empty_axis_rejected():
     with pytest.raises(ValueError, match="empty"):
-        max_pool(tensor(np.zeros((2, 0))))
+        max_pool(tensor(np.zeros((2, 3))), np.zeros((2, 0), dtype=np.intp))
+
+
+def test_max_pool_checks_position_ids():
+    t = tensor(np.zeros((2, 3)))
+    with pytest.raises(IndexError):
+        max_pool(t, np.array([0, 2]))
+    with pytest.raises(TypeError, match="integers"):
+        max_pool(t, np.array([0.0, 1.0]))
+
+
+def test_max_pool_backward_stays_below_one_dense_position_block():
+    """The backward scatters the (B, F) winners, never a (B, P, F) block."""
+    B, P, F, U = 4, 20000, 8, 64
+    rng = np.random.default_rng(423)
+    t = tensor(rng.standard_normal((U, F)))
+    where = rng.integers(0, U, (B, P)).astype(np.uint32)
+    total = weighted_sum(max_pool(t, where), np.ones((B, F)))
+    tracemalloc.start()
+    try:
+        (gt,) = backward(total, [t])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gt.sum() == B * F
+    assert peak < B * P * F * 8
 
 
 def test_dense_shape_check_and_relu():
@@ -547,7 +662,8 @@ def _small_model(rng):
     params = [W, f, b, wo]
 
     def build():
-        pooled = max_pool(conv_text(embed_lookup(W, cut_windows(idx, 2, 0)), f, b), axis=-2)  # (2, 2)
+        out = conv_text(embed_lookup(W, cut_windows(idx, 2, 0).reshape(6, 2)), f, b)  # (6, 2)
+        pooled = max_pool(out, np.arange(6).reshape(2, 3))  # (2, 2)
         z = sigmoid_score(reshape(pooled, (4,)), wo)
         return loss(z, np.asarray(1.0), params, lam=0.01)
 
