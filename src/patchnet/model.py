@@ -23,9 +23,9 @@ maps each window to one value per filter; only this module slides)
 and max-pools the (U, F) outputs by the window id at every position
 (`max_pool(out, where)`, whose backward sends each pooled gradient to
 the winning window, summing repeats), so the features equal a
-per-window, per-patch computation bit for bit.  `features`
-runs once per batch; the head runs per patch (`forward_batch`), so a
-patch scores the same alone and in any batch.
+per-window, per-patch computation bit for bit.  The head runs once
+per batch too: no nnkit op sums across rows, so a patch scores the same
+alone and in any batch.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .nnkit import (
     sigmoid_score,
     uniform_init,
 )
-from .preprocess import INDEX_DTYPE, PatchDims, PreprocessedPatch, check_patch
+from .preprocess import INDEX_DTYPE, PatchDims, PreprocessedPatch, check_patch, check_positive_ints
 from .vocab import PAD_INDEX
 
 VARIANTS = ("full", "code", "message")
@@ -70,11 +70,10 @@ class HyperParams:
     variant: str = "full"
 
     def __post_init__(self) -> None:
-        for name in ("d_msg", "d_code", "n_filters", "fc_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        if not self.filter_sizes or any(k < 1 for k in self.filter_sizes):
-            raise ValueError("filter_sizes must be positive")
+        check_positive_ints(d_msg=self.d_msg, d_code=self.d_code, n_filters=self.n_filters, fc_size=self.fc_size)
+        if not self.filter_sizes:
+            raise ValueError("filter_sizes must not be empty")
+        check_positive_ints(**{f"filter_sizes[{i}]": k for i, k in enumerate(self.filter_sizes)})
         if len(set(self.filter_sizes)) != len(self.filter_sizes):
             raise ValueError("filter_sizes must be distinct")
         if not 0.0 < self.threshold < 1.0:
@@ -338,25 +337,19 @@ def forward_batch(
     hp: HyperParams,
     mode: str = "infer",
     rng: "np.random.Generator | None" = None,
-) -> list[Tensor]:
-    """Differentiable score tensor (0-d) per patch, in order.
+) -> Tensor:
+    """Differentiable (B,) score tensor, one score per patch in order.
 
-    The features come from one batched pass; the head (dropout, dense,
-    sigmoid) runs per patch, one dropout draw each in patch order, so a
-    patch scores the same alone and in any batch.
+    Features, dropout, dense and sigmoid each run once over the batch.
+    The (B, e_dim) dropout mask takes the rng's values in patch order.
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
     training = mode == "train"
     if training and rng is None:
         raise ValueError("training mode requires an rng for dropout")
-    e = features(patches, params, hp)
-    scores = []
-    for b in range(len(patches)):
-        e_b = dropout(embed_lookup(e, np.intp(b)), hp.dropout, rng, training)
-        h = dense(e_b, params["w_hidden"], params["b_hidden"])
-        scores.append(sigmoid_score(h, params["w_out"]))
-    return scores
+    e = dropout(features(patches, params, hp), hp.dropout, rng, training)
+    return sigmoid_score(dense(e, params["w_hidden"], params["b_hidden"]), params["w_out"])
 
 
 def forward(
@@ -367,7 +360,7 @@ def forward(
     rng: "np.random.Generator | None" = None,
 ) -> Tensor:
     """Differentiable score tensor for one patch (0-d): a batch of one."""
-    return forward_batch([p], params, hp, mode, rng)[0]
+    return reshape(forward_batch([p], params, hp, mode, rng), ())
 
 
 def predict(p: PreprocessedPatch, params: ModelParams, hp: HyperParams) -> Score:

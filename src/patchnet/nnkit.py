@@ -19,6 +19,10 @@ Conventions:
     through one ordered scatter, a `np.bincount` over flat cell ids.
     Like `np.add.at` into zeros it adds each cell's contributions in
     input order from 0.0, so the sums are the same bit for bit.
+  - `dense` is a convolution with one window, the whole (n,) input row.
+    No op calls BLAS: every reduction is numpy's sum or a non-optimized
+    `einsum`, so a row's result depends neither on the other rows of its
+    batch nor on the BLAS build and its thread count.
 """
 
 from __future__ import annotations
@@ -185,29 +189,16 @@ def max_pool(t: Tensor, where) -> Tensor:
 
 
 def dense(e: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """h = ReLU(w · e + b): (..., n) x (m, n) -> (..., m)."""
-    if e.data.shape[-1] != w.data.shape[1]:
-        raise ValueError(
-            f"dense: input dim {e.data.shape[-1]} != weight dim {w.data.shape[1]}"
-        )
-    pre = e.data @ w.data.T + b.data
-    out_data = np.maximum(pre, 0.0)
-    mask = pre > 0.0
+    """h = ReLU(w · e + b): (..., n) x (m, n) -> (..., m).
 
-    def backward_fn(g: np.ndarray) -> None:
-        gz = g * mask  # (..., m)
-        _accumulate(e, gz @ w.data)
-        gz2 = gz.reshape(-1, w.data.shape[0])
-        e2 = e.data.reshape(-1, w.data.shape[1])
-        _accumulate(w, gz2.T @ e2)
-        _accumulate(b, gz2.sum(axis=0))
-
-    return Tensor(out_data, (e, w, b), backward_fn)
+    A convolution whose one window is the whole input: m filters of width n.
+    """
+    return _conv_op(e, w, b, "dense")
 
 
 def sigmoid_score(h: Tensor, w_o: Tensor) -> Tensor:
     """z = sigmoid(h · w_o): (..., m) -> (...), overflow-safe."""
-    s = h.data @ w_o.data
+    s = (h.data * w_o.data).sum(axis=-1)
     z = np.empty_like(s)
     pos = s >= 0
     z[pos] = 1.0 / (1.0 + np.exp(-s[pos]))

@@ -37,6 +37,16 @@ TENSOR_VERSION = 2
 NO_LABEL_BYTE = 255
 
 
+def check_positive_ints(**values) -> None:
+    """Raise ValueError unless every value is an integer >= 1; a float or
+    a bool is not an integer here, even when it is whole."""
+    for name, v in values.items():
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {v!r}")
+        if v < 1:
+            raise ValueError(f"{name} must be positive")
+
+
 @dataclass(frozen=True)
 class PatchDims:
     """Tensor extents: message length and files/hunks/lines/words."""
@@ -48,9 +58,7 @@ class PatchDims:
     words: int = 120
 
     def __post_init__(self) -> None:
-        for name in ("msg_len", "files", "hunks", "lines", "words"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+        check_positive_ints(**vars(self))
 
     @property
     def code_shape(self) -> tuple[int, int, int, int]:
@@ -119,6 +127,8 @@ def check_patch(p: PreprocessedPatch, dims: PatchDims) -> None:
         raise ValueError(f"code grid shape {p.grid.shape} != {dims.grid_shape}")
     if p.rows.ndim != 2 or p.rows.shape[1] != dims.words or len(p.rows) > p.grid.size:
         raise ValueError(f"code rows shape {p.rows.shape} does not fit {p.grid.size} rows of {dims.words}")
+    if p.grid.dtype.kind != "u":
+        raise ValueError(f"code grid dtype {p.grid.dtype} is not unsigned")
     if p.grid.max() > len(p.rows):
         raise ValueError(f"code grid row id {int(p.grid.max())} past the {len(p.rows)} rows")
 

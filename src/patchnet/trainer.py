@@ -17,7 +17,7 @@ import numpy as np
 from .codeprep import FunctionNameTable
 from .core import Label, atomic_write
 from .model import HyperParams, ModelParams, Score, forward_batch, init_params, param_specs
-from .nnkit import AdamState, Tensor, adam_step, backward, loss, stack
+from .nnkit import AdamState, Tensor, adam_step, backward, loss
 from .preprocess import PreprocessedPatch
 from .vocab import Vocabulary
 
@@ -162,8 +162,8 @@ def train(
         for batch_index, batch in enumerate(
             minibatches(items, config.batch_size, rng, config.shuffle), start=1
         ):
-            zs = forward_batch(batch, params, hp, mode="train", rng=rng)
-            batch_loss = loss(stack(zs), _labels_array(batch), tensors, hp.l2_reg_lambda)
+            z = forward_batch(batch, params, hp, mode="train", rng=rng)
+            batch_loss = loss(z, _labels_array(batch), tensors, hp.l2_reg_lambda)
             value = float(batch_loss.data)
             if not np.isfinite(value):
                 raise TrainingError(
@@ -197,9 +197,9 @@ def score_items(items, params: ModelParams, hp: HyperParams) -> list[Score]:
     """Inference-mode scores in input order, SCORE_CHUNK patches per forward."""
     items = list(items)
     return [
-        Score.from_z(float(z.data), hp.threshold)
+        Score.from_z(float(z), hp.threshold)
         for start in range(0, len(items), SCORE_CHUNK)
-        for z in forward_batch(items[start : start + SCORE_CHUNK], params, hp)
+        for z in forward_batch(items[start : start + SCORE_CHUNK], params, hp).data
     ]
 
 

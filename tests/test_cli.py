@@ -433,6 +433,21 @@ def _checkpoint_with_header(header):
     return case
 
 
+def _checkpoint_with_float_hyperparameter(key):
+    """The pipeline's checkpoint with the integer hyperparameter `key` as a float."""
+    def case(p, tmp_path):
+        blob = open(p["checkpoint"], "rb").read()
+        (n,) = struct.unpack_from("<I", blob, 8)
+        header = json.loads(blob[12 : 12 + n])
+        header["hyperparams"][key] = float(header["hyperparams"][key])
+        payload = json.dumps(header).encode("utf-8")
+        path = tmp_path / "float.ckpt"
+        path.write_bytes(blob[:8] + struct.pack("<I", len(payload)) + payload + blob[12 + n :])
+        return _predict_argv(p, tmp_path, checkpoint=str(path))
+
+    return case
+
+
 def _checkpoint_with_nan_parameter(p, tmp_path):
     blob = bytearray(open(p["checkpoint"], "rb").read())
     blob[-4:] = struct.pack("<f", float("nan"))
@@ -497,6 +512,7 @@ def _vocab_file(text):
 
 
 _HP = HyperParams().to_json_obj()
+FLOAT_KEYS = ("d_msg", "n_filters", "fc_size", "words", "msg_len")
 
 
 @pytest.mark.parametrize(
@@ -513,6 +529,7 @@ _HP = HyperParams().to_json_obj()
         _checkpoint_with_header([]),
         _checkpoint_with_header({"hyperparams": {**_HP, "bogus": 1}}),
         _checkpoint_with_header({"hyperparams": {k: v for k, v in _HP.items() if k != "words"}}),
+        *[_checkpoint_with_float_hyperparameter(key) for key in FLOAT_KEYS],
         _checkpoint_with_nan_parameter,
         _index_past_vocabulary("predict"),
         _index_past_vocabulary("train"),
@@ -537,6 +554,7 @@ _HP = HyperParams().to_json_obj()
         "checkpoint-header-list",
         "checkpoint-unknown-hyperparameter",
         "checkpoint-missing-hyperparameter",
+        *[f"checkpoint-float-{key}" for key in FLOAT_KEYS],
         "checkpoint-nan-parameter",
         "predict-index-past-vocabulary",
         "train-index-past-vocabulary",

@@ -22,7 +22,7 @@ from patchnet.model import (
     predict,
 )
 from patchnet.nnkit import Tensor, backward, concat, dense, loss, sigmoid_score
-from patchnet.preprocess import PatchDims
+from patchnet.preprocess import PatchDims, check_patch
 
 TINY = HyperParams(
     d_msg=3,
@@ -97,6 +97,12 @@ def test_hyperparams_validation():
         HyperParams(variant="both")
     with pytest.raises(ValueError, match="filter size"):
         HyperParams(dims=PatchDims(hunks=1), filter_sizes=(1, 2))
+    # A whole float or a bool is not an integer: shapes built from it fail later.
+    for make in (lambda: HyperParams(d_msg=16.0), lambda: HyperParams(fc_size=True),
+                 lambda: HyperParams(filter_sizes=(1, 2.0)), lambda: PatchDims(words=120.0),
+                 lambda: PatchDims(files=False)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            make()
 
 
 def test_ablation_variants():
@@ -219,6 +225,10 @@ def test_forward_shape_validation():
     bad_id = replace(good, rows=good.rows[:1])
     with pytest.raises(ValueError, match="row id"):
         forward(bad_id, params, TINY)
+    signed = good.grid.astype(np.int64)
+    signed[0, 0, 0, 0] = -1  # in a batch, the row before this patch's table
+    with pytest.raises(ValueError, match="unsigned"):
+        check_patch(replace(good, grid=signed), TINY.dims)
 
 
 def test_forward_accepts_empty_message_and_rows():

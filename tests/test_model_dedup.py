@@ -2,10 +2,12 @@
 
 The oracle here is the plain route: every window position of every
 message, line slot and hunk goes through `conv_text` / `conv3d_hunks`,
-one patch at a time.  The model's features must equal it bit for bit,
-its gradients must match to 1e-12, and a patch must score the same
-alone and in any batch.  A second test pins the work: each conv call
-sees exactly the distinct windows of the batch, counted here by hand.
+and the head (dropout, dense, sigmoid) runs once per patch.  The model's
+features and scores must equal it bit for bit, its gradients must match
+to 1e-12, and a patch must score the same alone and in any batch.  Other
+tests pin the work: each conv call sees exactly the distinct windows of
+the batch, counted here by hand, and the training tape does not grow
+with the batch.
 """
 
 import numpy as np
@@ -18,6 +20,7 @@ from patchnet import model
 from patchnet.core import Label
 from patchnet.model import VARIANTS, HyperParams, features, forward, forward_batch, init_params
 from patchnet.nnkit import (
+    _topo_order,
     backward,
     concat,
     conv3d_hunks,
@@ -117,7 +120,8 @@ def test_features_and_scores_match_the_oracle_bit_for_bit(case):
     assert np.array_equal(features(patches, params, hp).data, oracle_features(patches, params, hp).data)
     got = forward_batch(patches, params, hp, mode="train", rng=np.random.default_rng(3))
     want = oracle_scores(patches, params, hp, training=True, rng=np.random.default_rng(3))
-    assert [float(z.data) for z in got] == [float(z.data) for z in want]
+    assert got.data.shape == (len(patches),)
+    assert got.data.tolist() == [float(z.data) for z in want]
 
 
 @SMALL
@@ -128,8 +132,8 @@ def test_gradients_match_the_oracle(case):
     tensors = params.all()
     grads = []
     for scores in (forward_batch(patches, params, hp, mode="train", rng=np.random.default_rng(4)),
-                   oracle_scores(patches, params, hp, training=True, rng=np.random.default_rng(4))):
-        grads.append(backward(loss(stack(scores), labels, tensors, 1e-3), tensors))
+                   stack(oracle_scores(patches, params, hp, training=True, rng=np.random.default_rng(4)))):
+        grads.append(backward(loss(scores, labels, tensors, 1e-3), tensors))
     for (name, _), got, want in zip(params.named(), *grads):
         scale = np.abs(want).max()
         assert np.abs(got - want).max() <= 1e-12 * scale, name
@@ -142,8 +146,17 @@ def test_a_patch_scores_the_same_alone_and_in_any_batch(case, shuffle):
     alone = {p.commit_id: float(forward(p, params, hp).data) for p in patches}
     batch = patches + patches[:1]
     shuffle.shuffle(batch)
-    for p, z in zip(batch, forward_batch(batch, params, hp)):
-        assert float(z.data) == alone[p.commit_id]
+    for p, z in zip(batch, forward_batch(batch, params, hp).data):
+        assert float(z) == alone[p.commit_id]
+
+
+def test_the_training_tape_does_not_grow_with_the_batch():
+    case = {"dims": PatchDims(msg_len=5, files=2, hunks=3, lines=2, words=4),
+            "variant": "full", "batch": 8, "ids": VOCAB, "seed": 9}
+    hp, params, patches = _setup(case)
+    sizes = [len(_topo_order(forward_batch(patches[:b], params, hp, mode="train", rng=np.random.default_rng(0))))
+             for b in (1, 4, 8)]
+    assert sizes[0] == sizes[1] == sizes[2]
 
 
 def _windows(rows, k):

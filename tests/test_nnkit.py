@@ -515,6 +515,23 @@ def test_dense_shape_check_and_relu():
         dense(tensor(np.zeros(3)), w, b)
 
 
+def test_dense_and_sigmoid_score_rows_do_not_depend_on_their_batch():
+    rng = np.random.default_rng(509)
+    e = rng.standard_normal((32, 1408))
+    w = tensor(rng.standard_normal((100, 1408)) * 0.05)
+    b = tensor(rng.standard_normal(100) * 0.1)
+    w_o = tensor(rng.standard_normal(100))
+    h = dense(tensor(e), w, b)
+    z = sigmoid_score(h, w_o)
+    naive = [[max((e[q] * w.data[f]).sum() + b.data[f], 0.0) for f in range(100)] for q in range(32)]
+    assert h.data.tolist() == naive
+    for q in range(32):
+        h_q = dense(tensor(e[q]), w, b)
+        assert np.array_equal(h_q.data, h.data[q])
+        assert sigmoid_score(h_q, w_o).data == z.data[q]
+        assert sigmoid_score(tensor(h.data[q : q + 1]), w_o).data[0] == z.data[q]
+
+
 def test_sigmoid_score_is_overflow_safe():
     w = tensor(np.array([1.0]))
     with np.errstate(over="raise"):
