@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import fields, replace
 from datetime import datetime, timezone
 
@@ -84,8 +85,9 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def _write_manifest(args, seed, inputs, outputs, started_at) -> None:
-    """RunManifest JSON beside the primary (first) output path."""
+def _write_manifest(args, seed, inputs, outputs, started_at, counts=None) -> None:
+    """RunManifest JSON beside the primary (first) output path, with the
+    counts a handler reports, if any."""
     config = {
         k: v
         for k, v in sorted(vars(args).items())
@@ -102,6 +104,7 @@ def _write_manifest(args, seed, inputs, outputs, started_at) -> None:
             "tool_version": __version__,
             "started_at": started_at,
             "finished_at": _utc_now(),
+            **(counts or {}),
         },
     )
 
@@ -246,7 +249,8 @@ def _check_indices(patches, message_vocab, code_vocab) -> None:
 # ---------------------------------------------------------------------------
 # Subcommand handlers: each takes the parsed args and the resolved seed
 # (None for commands without --seed) and returns (inputs, outputs) for
-# the manifest; run() owns everything else.
+# the manifest, optionally with a dict of counts to add to it; run()
+# owns everything else.
 
 
 def _cmd_ingest(args, seed):
@@ -256,12 +260,15 @@ def _cmd_ingest(args, seed):
     evidence = extract_stable_evidence(stable, rc_ids)
 
     entries = []
+    ineligible: Counter[str] = Counter()
     for c in mainline:
         report = check_eligibility(c)
         if report.eligible:
             if c.label is None:
                 c = replace(c, label=label_commit(c, evidence))
             entries.append((c, report.changed_lines))
+        # A commit counts once under each of its reasons; "Other: <why>" under OTHER.
+        ineligible.update(r.split(":", 1)[0] for r in report.reasons)
     commits, provenance = build_balanced_dataset(entries, seed=seed)
     write_commits_jsonl(args.out, commits)
 
@@ -270,9 +277,11 @@ def _cmd_ingest(args, seed):
         f"ingest: {len(mainline)} mainline, {len(entries)} eligible, "
         f"{n_stable} stable + {len(commits) - n_stable} non-stable written to {args.out}"
     )
+    by_reason = dict(sorted(ineligible.items()))
+    print("ineligible by reason: " + (", ".join(f"{r} {n}" for r, n in by_reason.items()) or "none"))
     print(f"provenance: {provenance}")
     inputs = [args.mainline, args.stable] + ([args.rc_ids] if args.rc_ids else [])
-    return inputs, [args.out]
+    return inputs, [args.out], {"ineligible": by_reason}
 
 
 def _cmd_label(args, seed):
@@ -622,8 +631,8 @@ def run(argv=None) -> int:
             args = _apply_config(parser, by_name, args, argv)
         started = _utc_now()
         seed = _resolve_seed(args) if "seed" in vars(args) else None
-        inputs, outputs = args.func(args, seed)
-        _write_manifest(args, seed, inputs, outputs, started)
+        inputs, outputs, *counts = args.func(args, seed)
+        _write_manifest(args, seed, inputs, outputs, started, *counts)
         return EXIT_OK
     except SystemExit as exc:  # --help and --version
         return int(exc.code or 0)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,13 +46,15 @@ from .core import (
 COMMIT_SEP = "\x01COMMIT\x01"
 DIFF_SEP = "\x01DIFF\x01"
 
-RE_COMMIT_SEP = re.compile(r"(?m)^\x01COMMIT\x01$")
 RE_HEADER = re.compile(r"^(id|parents|author|email|date): ?(.*)$")
 RE_DIFF_GIT = re.compile(r"^diff --git (?:a/)?(\S+) (?:b/)?(\S+)")
 RE_OLD_FILE = re.compile(r"^--- (?:a/)?(.*?)(?:\t.*)?$")
 RE_NEW_FILE = re.compile(r"^\+\+\+ (?:b/)?(.*?)(?:\t.*)?$")
 RE_HUNK_HEADER = re.compile(r"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@(.*)$")
 RE_BINARY = re.compile(r"^(Binary files .* differ|GIT binary patch)$")
+# A line start whose line cannot be in a hunk body: a body line starts
+# with '-', '+', ' ' or '\' or is empty.
+RE_BODY_END = re.compile(r"^[^-+ \\\n]", re.M)
 
 # Pattern stable maintainers use to cite the mainline commit.
 RE_BACK_LINK = re.compile(r"commit\s+([0-9a-fA-F]{40})\s+upstream[.,;:!]?", re.IGNORECASE)
@@ -106,13 +109,20 @@ class StableEvidence:
 def parse_commit_stream(text: str) -> list[RawCommit]:
     """Parse an export stream into RawCommits, preserving record order.
 
-    Diff text is preserved byte-exactly.  Malformed headers raise
-    ParseError naming the byte offset of the offending line.
+    A record separator is a whole line.  Diff text is preserved
+    byte-exactly.  Malformed headers raise ParseError naming the byte
+    offset of the offending line.
     """
     commits: list[RawCommit] = []
     if not text.strip():
         return commits
-    seps = [m.start() for m in RE_COMMIT_SEP.finditer(text)]
+    seps = []
+    i = text.find(COMMIT_SEP)
+    while i >= 0:
+        j = i + len(COMMIT_SEP)
+        if (i == 0 or text[i - 1] == "\n") and (j == len(text) or text[j] == "\n"):
+            seps.append(i)
+        i = text.find(COMMIT_SEP, i + 1)
     if not seps:
         raise ParseError("no record separator found", offset=0)
     if text[: seps[0]].strip():
@@ -197,125 +207,109 @@ def _parse_record(text: str, start: int, end: int) -> RawCommit:
     )
 
 
-def parse_unified_diff(diff_text: str) -> list[FileDiff]:
-    """Parse unified-diff text into per-file hunk structures.
+class _HunkSpan(NamedTuple):
+    """One hunk as the scanner finds it: its @@ numbers, its body as
+    diff_text[start:end], and the counts of '-' and '+' lines in it."""
 
-    Line numbers are computed from each @@ header's starts plus the
-    running offset; context advances both sides.  Binary changes yield
-    a FileDiff with zero hunks.  A malformed @@ header raises
-    ParseError with its 1-based line number.
+    old_start: int
+    old_count: int
+    new_start: int
+    new_count: int
+    start: int
+    end: int
+    removed: int
+    added: int
+
+
+class _FileSpan(NamedTuple):
+    """One file as the scanner finds it: FileDiff's fields, with hunk
+    spans in place of Hunks."""
+
+    path: str
+    old_path: str
+    is_new_file: bool
+    is_deleted_file: bool
+    hunks: list[_HunkSpan]
+
+    language_relevant = FileDiff.language_relevant
+    is_modification = FileDiff.is_modification
+
+
+def _scan_diff(text: str) -> list[_FileSpan]:
+    """The unified-diff grammar, in one pass that builds no lines.
+
+    A file starts at "diff --git", or at a "--- " line outside a hunk
+    once the file so far has hunks.  A hunk is an @@ header and its body:
+    the lines after it that start with '-', '+', ' ' or '\\' or are
+    empty, so "--- " and "+++ " inside a body are changed lines.  Any
+    other line ends the body and is read as a header line.  A malformed
+    @@ header raises ParseError with its 1-based line number.
     """
-    lines = diff_text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-
-    files: list[FileDiff] = []
-    # Per-file accumulation state.
+    files: list[_FileSpan] = []
+    # Per-file state; "new file mode" and "deleted file mode" seen
+    # before a file's first header carry into that file.
     old_path: str | None = None
     new_path: str | None = None
-    hunks: list[Hunk] = []
-    is_new = False
-    is_deleted = False
-    seen_file = False
-    # Per-hunk state.
-    in_hunk = False
-    old_line = new_line = 0
-    removed: list[CodeLine] = []
-    added: list[CodeLine] = []
-    hunk_header: tuple[int, int, int, int] | None = None
-
-    def close_hunk() -> None:
-        nonlocal in_hunk, hunk_header
-        if in_hunk and hunk_header is not None:
-            a, b, c, d = hunk_header
-            hunks.append(
-                Hunk(
-                    index=len(hunks) + 1,
-                    old_start=a,
-                    old_count=b,
-                    new_start=c,
-                    new_count=d,
-                    removed=tuple(removed),
-                    added=tuple(added),
-                )
-            )
-        in_hunk = False
-        hunk_header = None
+    hunks: list[_HunkSpan] = []
+    is_new = is_deleted = seen_file = False
 
     def close_file() -> None:
         nonlocal seen_file, old_path, new_path, hunks, is_new, is_deleted
-        close_hunk()
         if not seen_file:
             return
         path = new_path if new_path not in (None, "/dev/null") else old_path
-        files.append(
-            FileDiff(
-                path=path or "",
-                hunks=tuple(hunks),
-                old_path="" if old_path in (None, "/dev/null") else old_path,
-                is_new_file=is_new or old_path == "/dev/null",
-                is_deleted_file=is_deleted or new_path == "/dev/null",
-            )
-        )
+        files.append(_FileSpan(
+            path or "",
+            "" if old_path in (None, "/dev/null") else old_path,
+            is_new or old_path == "/dev/null",
+            is_deleted or new_path == "/dev/null",
+            hunks,
+        ))
         seen_file = False
         old_path = new_path = None
         hunks = []
         is_new = is_deleted = False
 
-    for lineno, line in enumerate(lines, start=1):
-        if line.startswith("diff --git"):
+    pos, n = 0, len(text)
+    while pos < n:
+        eol = text.find("\n", pos)
+        if eol < 0:
+            eol = n
+        line = text[pos:eol]
+        pos = eol + 1
+        if line.startswith("@@"):
+            m = RE_HUNK_HEADER.match(line)
+            if not m:
+                lineno = text.count("\n", 0, eol) + 1
+                raise ParseError(f"malformed hunk header {line!r}", lineno=lineno)
+            seen_file = True
+            a, b, c, d = m.group(1, 2, 3, 4)
+            body_end = RE_BODY_END.search(text, pos)
+            end = body_end.start() if body_end else n
+            # A body line starts after a newline; the first one after
+            # the header's, at eol.
+            hunks.append(_HunkSpan(
+                int(a), 1 if b is None else int(b), int(c), 1 if d is None else int(d),
+                min(pos, n), end, text.count("\n-", eol, end), text.count("\n+", eol, end),
+            ))
+            pos = end
+        elif line.startswith("diff --git"):
             close_file()
             seen_file = True
             m = RE_DIFF_GIT.match(line)
             if m:
                 old_path, new_path = m.group(1), m.group(2)
-            continue
-        if line.startswith("@@"):
-            m = RE_HUNK_HEADER.match(line)
-            if not m:
-                raise ParseError(f"malformed hunk header {line!r}", lineno=lineno)
-            close_hunk()
-            seen_file = True
-            a = int(m.group(1))
-            b = int(m.group(2)) if m.group(2) is not None else 1
-            c = int(m.group(3))
-            d = int(m.group(4)) if m.group(4) is not None else 1
-            hunk_header = (a, b, c, d)
-            in_hunk = True
-            old_line = a if a > 0 else 1
-            new_line = c if c > 0 else 1
-            removed = []
-            added = []
-            continue
-        if line.startswith("--- ") and not in_hunk:
+        elif line.startswith("--- "):
             if seen_file and hunks:
                 close_file()
             seen_file = True
             m = RE_OLD_FILE.match(line)
             old_path = m.group(1) if m else None
-            continue
-        if line.startswith("+++ ") and not in_hunk:
+        elif line.startswith("+++ "):
             seen_file = True
             m = RE_NEW_FILE.match(line)
             new_path = m.group(1) if m else None
-            continue
-        if in_hunk:
-            if line.startswith("-"):
-                removed.append(CodeLine(old_line, line[1:], "-"))
-                old_line += 1
-                continue
-            if line.startswith("+"):
-                added.append(CodeLine(new_line, line[1:], "+"))
-                new_line += 1
-                continue
-            if line.startswith(" ") or line == "":
-                old_line += 1
-                new_line += 1
-                continue
-            if line.startswith("\\"):
-                continue  # "\ No newline at end of file"
-            close_hunk()
-        if line.startswith("new file mode"):
+        elif line.startswith("new file mode"):
             is_new = True
         elif line.startswith("deleted file mode"):
             is_deleted = True
@@ -323,6 +317,44 @@ def parse_unified_diff(diff_text: str) -> list[FileDiff]:
             seen_file = True
     close_file()
     return files
+
+
+def _build_hunk(text: str, index: int, h: _HunkSpan) -> Hunk:
+    """The Hunk of one span, its changed lines numbered from the @@
+    starts; context advances both sides."""
+    lines = text[h.start : h.end].split("\n")
+    if lines[-1] == "":  # the piece after the last line's newline
+        lines.pop()
+    old_line, new_line = max(h.old_start, 1), max(h.new_start, 1)
+    removed: list[CodeLine] = []
+    added: list[CodeLine] = []
+    for line in lines:
+        sign = line[:1]
+        if sign == "-":
+            removed.append(CodeLine(old_line, line[1:], "-"))
+            old_line += 1
+        elif sign == "+":
+            added.append(CodeLine(new_line, line[1:], "+"))
+            new_line += 1
+        elif sign != "\\":  # context; "\ No newline at end of file" is neither
+            old_line += 1
+            new_line += 1
+    return Hunk(index, h.old_start, h.old_count, h.new_start, h.new_count,
+                tuple(removed), tuple(added))
+
+
+def parse_unified_diff(diff_text: str) -> list[FileDiff]:
+    """Parse unified-diff text into per-file hunk structures.
+
+    The grammar is _scan_diff's; this builds the CodeLines of each hunk
+    body.  Binary changes yield a FileDiff with zero hunks.  A malformed
+    @@ header raises ParseError with its 1-based line number.
+    """
+    return [
+        FileDiff(f.path, tuple(_build_hunk(diff_text, i, h) for i, h in enumerate(f.hunks, start=1)),
+                 f.old_path, f.is_new_file, f.is_deleted_file)
+        for f in _scan_diff(diff_text)
+    ]
 
 
 def diff_reported_length(files: list[FileDiff]) -> int:
@@ -341,12 +373,13 @@ def changed_line_count(files: list[FileDiff]) -> int:
 
 def check_eligibility(c: RawCommit) -> EligibilityReport:
     """Apply the dataset filters: not a merge, modifies a .c/.h file
-    in place, and the reported diff is at most 100 lines."""
+    in place, and the reported diff is at most 100 lines.  The lengths
+    come from the scanner's line counts; no CodeLine is built."""
     reasons: list[str] = []
     if len(c.parent_ids) > 1:
         reasons.append(MERGE_COMMIT)
     try:
-        files = parse_unified_diff(c.diff_text)
+        files = _scan_diff(c.diff_text)
     except ParseError as exc:
         reasons.append(f"{OTHER}: {exc}")
         return EligibilityReport(tuple(reasons), 0)
@@ -355,9 +388,10 @@ def check_eligibility(c: RawCommit) -> EligibilityReport:
         reasons.append(NO_C_OR_H_FILE_MODIFIED)
     elif not any(fd.is_modification for fd in relevant):
         reasons.append(ONLY_ADDS_OR_REMOVES_FILES)
-    if diff_reported_length(files) > MAX_REPORTED_DIFF_LINES:
+    hunks = [h for fd in files for h in fd.hunks]
+    if sum(h.old_count + h.added for h in hunks) > MAX_REPORTED_DIFF_LINES:
         reasons.append(TOO_LONG)
-    return EligibilityReport(tuple(reasons), changed_line_count(files))
+    return EligibilityReport(tuple(reasons), sum(h.removed + h.added for h in hunks))
 
 
 def extract_stable_evidence(

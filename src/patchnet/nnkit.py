@@ -375,13 +375,24 @@ class AdamState:
 
 
 def adam_step(param, grad: np.ndarray, state: AdamState):
-    """Bias-corrected Adam update, in place on param and state."""
+    """Bias-corrected Adam update, in place on param and state.  It keeps
+    the op order of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g) and
+    lr * m_hat / (sqrt(v_hat) + eps), so it is bit-identical to them."""
     state.step += 1
-    state.first_moment = state.beta1 * state.first_moment + (1.0 - state.beta1) * grad
-    state.second_moment = state.beta2 * state.second_moment + (1.0 - state.beta2) * (grad * grad)
-    m_hat = state.first_moment / (1.0 - state.beta1**state.step)
-    v_hat = state.second_moment / (1.0 - state.beta2**state.step)
-    update = state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+    m, v = state.first_moment, state.second_moment
+    tmp = (1.0 - state.beta1) * grad
+    m *= state.beta1
+    m += tmp
+    np.multiply(grad, grad, out=tmp)
+    tmp *= 1.0 - state.beta2
+    v *= state.beta2
+    v += tmp
+    np.divide(v, 1.0 - state.beta2**state.step, out=tmp)  # v_hat
+    np.sqrt(tmp, out=tmp)
+    tmp += state.eps
+    update = m / (1.0 - state.beta1**state.step)  # m_hat
+    update *= state.learning_rate
+    update /= tmp
     data = param.data if isinstance(param, Tensor) else param
     data -= update
     return param, state

@@ -232,6 +232,7 @@ def test_manifests_written(pipeline):
     assert manifest["tool_version"] == __version__
     assert manifest["started_at"] <= manifest["finished_at"]
     assert "func" not in manifest["config"] and "command" not in manifest["config"]
+    assert manifest["ineligible"] == {"MergeCommit": 1}
 
     train_manifest = json.load(open(pipeline["checkpoint"] + ".manifest.json"))
     assert train_manifest["seed"] == 7
@@ -241,6 +242,33 @@ def test_manifests_written(pipeline):
     assert pre_manifest["outputs"] == [
         pipeline["tensors"], pipeline["vocab"], pipeline["tensors"] + ".functions.json"
     ]
+
+
+def test_ingest_counts_ineligible_commits_by_reason(tmp_path, capsys):
+    """One count per reason a commit has; every parse failure under Other."""
+    diffs = {
+        "merge-too-long": simple_diff(added=tuple(f"\tx{i} = {i};" for i in range(100))),
+        "no-c": simple_diff(path="tools/run.py"),
+        "bad-header-1": "--- a/x.c\n+++ b/x.c\n@@ nope @@\n",
+        "bad-header-2": "@@ -x @@\n",
+        "new-only": simple_diff(path="new.c").replace("--- a/new.c", "--- /dev/null"),
+        "ok": simple_diff(),
+    }
+    records = [
+        export_record(hex_id(700 + i), f"{hex_id(1)} {hex_id(2)}" if name.startswith("merge") else "",
+                      "Dev", "dev@example.org", 1_500_000_000 + i, f"fix {name}", diff)
+        for i, (name, diff) in enumerate(diffs.items())
+    ]
+    mainline, stable = tmp_path / "mainline.export", tmp_path / "stable.export"
+    mainline.write_text("".join(records))
+    stable.write_text(_stable_records()[0])
+    out = str(tmp_path / "data.jsonl")
+    assert run(["ingest", "--mainline", str(mainline), "--stable", str(stable), "--out", out]) == EXIT_OK
+    want = {"MergeCommit": 1, "NoCOrHFileModified": 1, "OnlyAddsOrRemovesFiles": 1, "Other": 2,
+            "TooLong": 1}
+    assert json.load(open(out + ".manifest.json"))["ineligible"] == want
+    assert ("ineligible by reason: MergeCommit 1, NoCOrHFileModified 1, "
+            "OnlyAddsOrRemovesFiles 1, Other 2, TooLong 1") in capsys.readouterr().out.splitlines()
 
 
 def test_predict_from_commits_file(pipeline, tmp_path):

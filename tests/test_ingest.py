@@ -1,6 +1,8 @@
 """Export parsing, diff structure, eligibility, labeling, balancing."""
 
+import importlib
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,13 +22,16 @@ from conftest import (
     make_commit,
     simple_diff,
 )
+from patchnet import ingest
 from patchnet.core import Label
 from patchnet.ingest import (
+    MAX_REPORTED_DIFF_LINES,
     MERGE_COMMIT,
     NO_C_OR_H_FILE_MODIFIED,
     ONLY_ADDS_OR_REMOVES_FILES,
     OTHER,
     TOO_LONG,
+    EligibilityReport,
     ParseError,
     build_balanced_dataset,
     changed_line_count,
@@ -124,6 +129,24 @@ class TestParseCommitStream:
         with pytest.raises(ParseError) as err:
             parse_commit_stream(text)
         assert err.value.offset == 0
+
+    def test_a_record_separator_is_a_whole_line(self):
+        message = "subject\n\nsee \x01COMMIT\x01 here\n\x01COMMIT\x01\x01COMMIT\x01\n \x01COMMIT\x01"
+        first = export_record(hex_id(1), "", "a", "b@c", 1, message, "")
+        second = export_record(hex_id(2), "", "a", "b@c", 2, "m", "diff --git a/x.c b/x.c\n")
+        commits = parse_commit_stream(first + second)
+        assert [c.commit_id for c in commits] == [hex_id(1), hex_id(2)]
+        assert commits[0].body == message.split("\n\n", 1)[1]
+        rejected = {
+            first + "\x01COMMIT\x01": ("record separator at end of input", len(first)),
+            "x\x01COMMIT\x01\n": ("no record separator found", 0),
+            "\x01COMMIT\x01\r\n" + first.split("\n", 1)[1]: ("no record separator found", 0),
+            "garbage\n" + first: ("content before first record separator", 0),
+        }
+        for text, (message, offset) in rejected.items():
+            with pytest.raises(ParseError) as err:
+                parse_commit_stream(text)
+            assert (err.value.message, err.value.offset) == (message, offset)
 
     def test_header_order_enforced(self):
         text = (
@@ -386,6 +409,122 @@ class TestEligibility:
         report = check_eligibility(make_commit(1, diff=bad))
         assert any(r.startswith(f"{OTHER}:") for r in report.reasons)
         assert not report.eligible and report.changed_lines == 0
+
+
+def oracle_eligibility(c) -> EligibilityReport:
+    """check_eligibility by the route it replaced: build every line with
+    parse_unified_diff, then count what was built."""
+    reasons = [MERGE_COMMIT] if len(c.parent_ids) > 1 else []
+    try:
+        files = parse_unified_diff(c.diff_text)
+    except ParseError as exc:
+        return EligibilityReport((*reasons, f"{OTHER}: {exc}"), 0)
+    relevant = [fd for fd in files if fd.language_relevant]
+    if not relevant:
+        reasons.append(NO_C_OR_H_FILE_MODIFIED)
+    elif not any(fd.is_modification for fd in relevant):
+        reasons.append(ONLY_ADDS_OR_REMOVES_FILES)
+    if diff_reported_length(files) > MAX_REPORTED_DIFF_LINES:
+        reasons.append(TOO_LONG)
+    return EligibilityReport(tuple(reasons), changed_line_count(files))
+
+
+HEAD = "diff --git a/x.c b/x.c\n--- a/x.c\n+++ b/x.c\n"
+# name: (diff, reasons, changed lines), as check_eligibility reported
+# them when it still built every line.
+AGREEMENT_CASES = {
+    "malformed-hunk-header": (
+        HEAD + "@@ -1,2 +1,2 @@\n-a\n+b\n@@ -9 +9 @ broken\n-c\n",
+        (f"{OTHER}: malformed hunk header '@@ -9 +9 @ broken' at line 7",), 0),
+    "no-newline-marker": (
+        HEAD + "@@ -1 +1 @@\n-old\n\\ No newline at end of file\n+new\n\\ No newline at end of file\n",
+        (), 2),
+    "binary-files-differ": (
+        "diff --git a/fw.bin b/fw.bin\nindex 1111111..2222222 100644\n"
+        "Binary files a/fw.bin and b/fw.bin differ\n" + HEAD + "@@ -1 +1 @@\n-a\n+b\n",
+        (), 2),
+    "git-binary-patch-only": (
+        "diff --git a/fw.bin b/fw.bin\nGIT binary patch\nliteral 3\nabc\n",
+        (NO_C_OR_H_FILE_MODIFIED,), 0),
+    "new-file-mode": (
+        "diff --git a/n.c b/n.c\nnew file mode 100644\n--- /dev/null\n+++ b/n.c\n@@ -0,0 +1,2 @@\n+a\n+b\n",
+        (ONLY_ADDS_OR_REMOVES_FILES,), 2),
+    "deleted-file-mode": (
+        "diff --git a/d.c b/d.c\ndeleted file mode 100644\n--- a/d.c\n+++ /dev/null\n@@ -1,2 +0,0 @@\n-a\n-b\n",
+        (ONLY_ADDS_OR_REMOVES_FILES,), 2),
+    # No "diff --git": a "--- " line after a hunk starts the next file.
+    "dev-null-on-either-side": (
+        "--- /dev/null\n+++ b/n.h\n@@ -0,0 +1 @@\n+x\nindex 0000000..1111111\n"
+        "--- a/o.c\n+++ /dev/null\n@@ -1 +0,0 @@\n-y\n",
+        (ONLY_ADDS_OR_REMOVES_FILES,), 2),
+    "mode-line-before-first-header": (
+        "new file mode 100644\n" + HEAD + "@@ -1 +1 @@\n-a\n+b\n", (ONLY_ADDS_OR_REMOVES_FILES,), 2),
+    "file-headers-inside-body": (
+        HEAD + "@@ -1,3 +1,3 @@\n ctx\n--- not a header\n+++ not a header either\n", (), 2),
+    "empty-context-and-no-final-newline": (HEAD + "@@ -1,4 +1,4 @@\n a\n\n-b\n+c\n d", (), 2),
+    # "\r" is part of each line: the paths end in it, and a bare "\r"
+    # line is not an empty context line, so it ends the hunk.
+    "crlf": (
+        HEAD.replace("\n", "\r\n") + "@@ -1,3 +1,3 @@\r\n a\r\n-b\r\n+c\r\n\r\n-after a bare CR line\r\n",
+        (NO_C_OR_H_FILE_MODIFIED,), 2),
+    "too-long": (sized_diff(MAX_REPORTED_DIFF_LINES), (TOO_LONG,), MAX_REPORTED_DIFF_LINES),
+}
+
+DIFF_ATOMS = [
+    "diff --git a/x.c b/x.c", "diff --git a/y.py b/y.py", "--- a/x.c", "--- /dev/null",
+    "+++ b/x.c", "+++ /dev/null", "@@ -1,3 +1,4 @@", "@@ -0,0 +1 @@ fn", "@@ broken @@",
+    "-old", "+new", " ctx", "", "\\ No newline at end of file", "new file mode 100644",
+    "deleted file mode 100644", "Binary files a/b and b/b differ", "index 1..2", "\r", "x",
+]
+
+
+class TestScannerAgreesWithParser:
+    """check_eligibility counts lines with the diff scanner and builds
+    none; it must report what counting parse_unified_diff's output does."""
+
+    @pytest.mark.parametrize("name", sorted(AGREEMENT_CASES))
+    def test_on_diff_edge_cases(self, name):
+        diff, reasons, changed = AGREEMENT_CASES[name]
+        assert check_eligibility(make_commit(1, diff=diff)) == EligibilityReport(reasons, changed)
+        for parents in ((hex_id(2),), (hex_id(2), hex_id(3))):
+            c = make_commit(1, parents=parents, diff=diff)
+            assert check_eligibility(c) == oracle_eligibility(c)
+
+    @given(
+        st.lists(st.sampled_from(DIFF_ATOMS), max_size=14),
+        st.sampled_from(["\n", "\r\n"]),
+        st.sampled_from(["", "\n", "\n\n"]),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_on_diffs_made_of_grammar_lines(self, lines, newline, tail):
+        c = make_commit(1, diff=newline.join(lines) + tail)
+        assert check_eligibility(c) == oracle_eligibility(c)
+
+    def test_on_a_seeded_benchmark_corpus(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "benchmarks"))
+        corpus = importlib.import_module("corpus")
+        shape = corpus.CorpusShape(
+            mainline=300, backlink_stable=8, subject_stable=4, rc_stable=2, stable_only=10,
+            ineligible_share=0.3, files=(1, 2), hunks=(1, 3), lines=(1, 5), message_words=(8, 12),
+            call_pool=20, define_share=0.3, planted_stable=0.9, planted_other=0.05,
+        )
+        corpus.generate(shape, 5, tmp_path)
+        commits = load_commits(str(tmp_path / "mainline.export"))
+        reports = [check_eligibility(c) for c in commits]
+        assert reports == [oracle_eligibility(c) for c in commits]
+        seen = {r for report in reports for r in report.reasons}
+        assert seen == {MERGE_COMMIT, NO_C_OR_H_FILE_MODIFIED, ONLY_ADDS_OR_REMOVES_FILES, TOO_LONG}
+
+    def test_builds_no_lines(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a line, hunk or file")
+
+        for name in ("CodeLine", "Hunk", "FileDiff"):
+            monkeypatch.setattr(ingest, name, refuse)
+        for diff, reasons, changed in AGREEMENT_CASES.values():
+            assert check_eligibility(make_commit(1, diff=diff)) == EligibilityReport(reasons, changed)
+        with pytest.raises(AssertionError, match="built a line"):
+            parse_unified_diff(simple_diff())
 
 
 class TestLabeling:

@@ -751,6 +751,22 @@ def test_adam_second_step_matches_hand_calculation():
     assert state.step == 2
 
 
+def test_adam_is_bit_identical_to_the_formula_it_updates_in_place():
+    rng = np.random.default_rng(11)
+    p = tensor(rng.standard_normal((40, 7)))
+    state = AdamState.for_param(p, learning_rate=0.01)
+    want, m, v = p.data.copy(), np.zeros((40, 7)), np.zeros((40, 7))
+    b1, b2, lr, eps = state.beta1, state.beta2, state.learning_rate, state.eps
+    for step in range(1, 9):
+        g = rng.standard_normal((40, 7)) * 10.0 ** rng.integers(-6, 3, size=(40, 1))
+        adam_step(p, g, state)
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * (g * g)
+        want -= lr * (m / (1.0 - b1**step)) / (np.sqrt(v / (1.0 - b2**step)) + eps)
+        assert np.array_equal(p.data, want)
+        assert np.array_equal(state.first_moment, m) and np.array_equal(state.second_moment, v)
+
+
 def test_adam_accepts_raw_arrays():
     arr = np.array([1.0])
     state = AdamState.for_param(arr, learning_rate=0.5)
