@@ -109,6 +109,8 @@ def pr_curve(scores, labels) -> list[tuple[float, float]]:
 
 def metrics(scores, labels, threshold: float = 0.5) -> EvalReport:
     """Confusion metrics at `score >= threshold`, plus AUC and PR curve."""
+    if not np.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
     s, y = _pair(scores, labels)
     pred = (s >= threshold).astype(np.int64)
 

@@ -116,24 +116,26 @@ def parse_commit_stream(text: str) -> list[RawCommit]:
     commits: list[RawCommit] = []
     if not text.strip():
         return commits
-    seps = []
-    i = text.find(COMMIT_SEP)
-    while i >= 0:
-        j = i + len(COMMIT_SEP)
-        if (i == 0 or text[i - 1] == "\n") and (j == len(text) or text[j] == "\n"):
-            seps.append(i)
-        i = text.find(COMMIT_SEP, i + 1)
+    seps = list(_whole_lines(text, COMMIT_SEP, 0, len(text)))
     if not seps:
         raise ParseError("no record separator found", offset=0)
     if text[: seps[0]].strip():
         raise ParseError("content before first record separator", offset=0)
-    for i, start in enumerate(seps):
-        newline = text.find("\n", start)
-        if newline < 0:
+    for start, end in zip(seps, seps[1:] + [len(text)]):
+        if start + len(COMMIT_SEP) == len(text):
             raise ParseError("record separator at end of input", offset=start)
-        end = seps[i + 1] if i + 1 < len(seps) else len(text)
-        commits.append(_parse_record(text, newline + 1, end))
+        commits.append(_parse_record(text, start + len(COMMIT_SEP) + 1, end))
     return commits
+
+
+def _whole_lines(text: str, marker: str, start: int, end: int):
+    """Yield the offset of each line of text[start:end] that is exactly marker."""
+    i = text.find(marker, start, end)
+    while i >= 0:
+        j = i + len(marker)
+        if (i == start or text[i - 1] == "\n") and (j == end or text[j] == "\n"):
+            yield i
+        i = text.find(marker, i + 1, end)
 
 
 def _parse_record(text: str, start: int, end: int) -> RawCommit:
@@ -150,9 +152,7 @@ def _parse_record(text: str, start: int, end: int) -> RawCommit:
         header[name] = m.group(2)
         pos = eol + 1
 
-    commit_id = header["id"].strip().lower()
-    if not COMMIT_ID_RE.match(commit_id):
-        raise ParseError(f"malformed commit id {header['id']!r}", offset=start)
+    commit_id = _commit_id(header["id"], offset=start)
     parent_ids = tuple(p.lower() for p in header["parents"].split())
     try:
         date = int(header["date"].strip())
@@ -164,47 +164,32 @@ def _parse_record(text: str, start: int, end: int) -> RawCommit:
         raise ParseError("expected blank line after headers", offset=pos)
     pos = eol + 1
 
-    # Message lines run until the diff separator line.
-    message_lines: list[str] = []
-    diff_text = ""
-    found_diff = False
-    while pos < end:
-        eol = text.find("\n", pos, end)
-        line = text[pos : eol if eol >= 0 else end]
-        if line == DIFF_SEP:
-            diff_start = (eol + 1) if eol >= 0 else end
-            diff_text = text[diff_start:end]
-            found_diff = True
-            break
-        message_lines.append(line.rstrip("\r"))
-        if eol < 0:
-            break
-        pos = eol + 1
-    if not found_diff:
+    # The message runs to the first diff separator line: the subject is
+    # its first non-blank line, the body the second to the last one.
+    sep = next(_whole_lines(text, DIFF_SEP, pos, end), None)
+    if sep is None:
         raise ParseError("record missing diff separator", offset=start)
-
-    subject = ""
-    body_lines: list[str] = []
-    for j, line in enumerate(message_lines):
-        if line.strip():
-            subject = line.strip()
-            body_lines = message_lines[j + 1 :]
-            break
-    while body_lines and not body_lines[0].strip():
-        body_lines.pop(0)
-    while body_lines and not body_lines[-1].strip():
-        body_lines.pop()
-
+    lines = [line.rstrip("\r") for line in text[pos:sep].split("\n")]
+    filled = [j for j, line in enumerate(lines) if line.strip()]
     return RawCommit(
         commit_id=commit_id,
         parent_ids=parent_ids,
         author_name=header["author"].strip(),
         author_email=header["email"].strip(),
         date=date,
-        subject=subject,
-        body="\n".join(body_lines),
-        diff_text=diff_text,
+        subject=lines[filled[0]].strip() if filled else "",
+        body="\n".join(lines[filled[1] : filled[-1] + 1]) if len(filled) > 1 else "",
+        diff_text=text[sep + len(DIFF_SEP) + 1 : end],
     )
+
+
+def _commit_id(raw, **where) -> str:
+    """raw stripped and lowercased: the one check of a commit id that every
+    reader makes.  Anything but 40 hex digits is a ParseError at `where`."""
+    commit_id = raw.strip().lower() if isinstance(raw, str) else ""
+    if not COMMIT_ID_RE.match(commit_id):
+        raise ParseError(f"malformed commit id {raw!r}", **where)
+    return commit_id
 
 
 class _HunkSpan(NamedTuple):
@@ -511,16 +496,20 @@ def commit_to_json_obj(c: RawCommit) -> dict:
 
 
 def commit_from_json_obj(obj: dict) -> RawCommit:
-    """Inverse of commit_to_json_obj.  A missing id or date, or a text
-    field that is not a string, is a ValueError or TypeError."""
+    """Inverse of commit_to_json_obj.  A missing or malformed id, a missing
+    date, parents that are not a list, or a text field that is not a
+    string is a ValueError or TypeError."""
     snapshots = tuple(
         FileSnapshot(f["path"], f.get("before"), f.get("after"))
         for f in obj.get("files", [])
     )
     label = Label.from_string(obj["label"]) if "label" in obj else None
+    parents = obj.get("parents", [])
+    if not isinstance(parents, list):
+        raise TypeError(f"parents must be a list of commit ids, got {parents!r}")
     c = RawCommit(
-        commit_id=obj["commit_id"],
-        parent_ids=tuple(obj.get("parents", [])),
+        commit_id=_commit_id(obj["commit_id"]),
+        parent_ids=tuple(parents),
         author_name=obj.get("author_name", ""),
         author_email=obj.get("author_email", ""),
         date=int(obj["date"]),
@@ -530,7 +519,7 @@ def commit_from_json_obj(obj: dict) -> RawCommit:
         file_snapshots=snapshots,
         label=label,
     )
-    texts = [c.commit_id, *c.parent_ids, c.author_name, c.author_email, c.subject, c.body,
+    texts = [*c.parent_ids, c.author_name, c.author_email, c.subject, c.body,
              c.diff_text, *(s.path for s in snapshots),
              *(t for s in snapshots for t in (s.before, s.after) if t is not None)]
     if not all(isinstance(t, str) for t in texts):
@@ -570,10 +559,7 @@ def read_rc_ids(path: str) -> set[str]:
     ids: set[str] = set()
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            entry = line.split("#", 1)[0].strip().lower()
-            if not entry:
-                continue
-            if not COMMIT_ID_RE.match(entry):
-                raise ParseError(f"malformed commit id {entry!r}", lineno=lineno)
-            ids.add(entry)
+            entry = line.split("#", 1)[0].strip()
+            if entry:
+                ids.add(_commit_id(entry, lineno=lineno))
     return ids

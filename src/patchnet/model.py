@@ -80,8 +80,8 @@ class HyperParams:
             raise ValueError("threshold must lie in (0, 1)")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
-        if self.l2_reg_lambda < 0.0:
-            raise ValueError("l2_reg_lambda must be non-negative")
+        if not 0.0 <= self.l2_reg_lambda < np.inf:
+            raise ValueError(f"l2_reg_lambda must be finite and non-negative, got {self.l2_reg_lambda}")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
         kmax = max(self.filter_sizes)

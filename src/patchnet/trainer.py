@@ -18,7 +18,7 @@ from .codeprep import FunctionNameTable
 from .core import Label, atomic_write
 from .model import HyperParams, ModelParams, Score, forward_batch, init_params, param_specs
 from .nnkit import AdamState, Tensor, adam_step, backward, loss
-from .preprocess import PreprocessedPatch
+from .preprocess import PreprocessedPatch, check_positive_ints
 from .vocab import Vocabulary
 
 CHECKPOINT_MAGIC = b"PNET"
@@ -42,14 +42,9 @@ class TrainConfig:
     shuffle: bool = True
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be positive")
-        if self.patience < 1:
-            raise ValueError("patience must be positive")
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
+        check_positive_ints(batch_size=self.batch_size, max_epochs=self.max_epochs, patience=self.patience)
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,13 @@ class Vocabulary:
         return self.index_to_word[2:]
 
     @classmethod
-    def from_words(cls, channel: str, words) -> "Vocabulary":
+    def from_words(cls, channel: str, words: list[str]) -> "Vocabulary":
+        """The vocabulary with PAD, UNK, then `words`: a list of distinct
+        strings other than PAD_WORD and UNK_WORD, or a ValueError."""
+        if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
+            raise ValueError(f"{channel} vocabulary: words must be a list of strings")
+        if len(set(words) - {PAD_WORD, UNK_WORD}) != len(words):
+            raise ValueError(f"{channel} vocabulary: words must be distinct and not {PAD_WORD} or {UNK_WORD}")
         index_to_word = (PAD_WORD, UNK_WORD, *words)
         return cls(
             channel=channel,
@@ -59,9 +65,7 @@ def build_vocab(token_stream, channel: str, min_count: int = 1) -> Vocabulary:
         t for t in token_stream if t not in (PAD_WORD, UNK_WORD)
     )
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return Vocabulary.from_words(
-        channel, (w for w, k in ordered if k >= min_count)
-    )
+    return Vocabulary.from_words(channel, [w for w, k in ordered if k >= min_count])
 
 
 def index_of(v: Vocabulary, word: str) -> int:

@@ -461,19 +461,58 @@ def _checkpoint_with_header(header):
     return case
 
 
-def _checkpoint_with_float_hyperparameter(key):
-    """The pipeline's checkpoint with the integer hyperparameter `key` as a float."""
+def _checkpoint_with_header_change(change):
+    """predict with the pipeline's checkpoint, its header edited by change(header)."""
     def case(p, tmp_path):
         blob = open(p["checkpoint"], "rb").read()
         (n,) = struct.unpack_from("<I", blob, 8)
         header = json.loads(blob[12 : 12 + n])
-        header["hyperparams"][key] = float(header["hyperparams"][key])
+        change(header)
         payload = json.dumps(header).encode("utf-8")
-        path = tmp_path / "float.ckpt"
+        path = tmp_path / "changed.ckpt"
         path.write_bytes(blob[:8] + struct.pack("<I", len(payload)) + payload + blob[12 + n :])
         return _predict_argv(p, tmp_path, checkpoint=str(path))
 
     return case
+
+
+def _checkpoint_with_float_hyperparameter(key):
+    """The pipeline's checkpoint with the integer hyperparameter `key` as a float."""
+    def change(header):
+        header["hyperparams"][key] = float(header["hyperparams"][key])
+
+    return _checkpoint_with_header_change(change)
+
+
+def _checkpoint_with_message_words(make):
+    def change(header):
+        header["message_vocab"] = make(header["message_vocab"])
+
+    return _checkpoint_with_header_change(change)
+
+
+def _vocab_file_with_message_words(make):
+    """train with the pipeline's vocabulary, its message words replaced by make(words)."""
+    def case(p, tmp_path):
+        objs = json.loads(open(p["vocab"]).read())
+        objs[0]["words"] = make(objs[0]["words"])
+        path = tmp_path / "vocab.json"
+        path.write_text(json.dumps(objs))
+        return ["train", "--tensors", p["tensors"], "--vocab", str(path),
+                "--out", str(tmp_path / "m.ckpt"), *TRAIN_FLAGS]
+
+    return case
+
+
+# Word lists that neither vocabulary reader may accept, each as long as
+# the list it replaces, so the parameter shapes still fit.
+BAD_WORDS = {
+    "string": lambda words: "x" * len(words),
+    "non-string": lambda words: [1, *words[1:]],
+    "duplicate": lambda words: [words[1], *words[1:]],
+    "pad": lambda words: ["<pad>", *words[1:]],
+    "unk": lambda words: [*words[:-1], "<unk>"],
+}
 
 
 def _checkpoint_with_nan_parameter(p, tmp_path):
@@ -569,6 +608,10 @@ FLOAT_KEYS = ("d_msg", "n_filters", "fc_size", "words", "msg_len")
         _commit_record_with(files=[{"path": "drivers/net/foo.c", "before": 5}]),
         _vocab_file("[1]\n"),
         _vocab_file('[{"channel": "message"}, {"channel": "code", "words": []}]\n'),
+        *[_vocab_file_with_message_words(make) for make in BAD_WORDS.values()],
+        *[_checkpoint_with_message_words(make) for make in BAD_WORDS.values()],
+        _commit_record_with(commit_id="abc"),
+        _commit_record_with(parents="abc"),
     ],
     ids=[
         "tensor-file-under-32-bytes",
@@ -594,6 +637,10 @@ FLOAT_KEYS = ("d_msg", "n_filters", "fc_size", "words", "msg_len")
         "commits-jsonl-snapshot-not-string",
         "vocab-non-object-entry",
         "vocab-entry-without-words",
+        *[f"vocab-words-{name}" for name in BAD_WORDS],
+        *[f"checkpoint-words-{name}" for name in BAD_WORDS],
+        "commits-jsonl-short-id",
+        "commits-jsonl-parents-string",
     ],
 )
 def test_bad_input_exits_data_without_traceback(pipeline, tmp_path, capsys, make_argv):
@@ -602,6 +649,38 @@ def test_bad_input_exits_data_without_traceback(pipeline, tmp_path, capsys, make
     assert run(argv) == EXIT_DATA
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_ingest_refuses_bad_jsonl_ids_and_parents(pipeline, tmp_path, capsys):
+    good = json.loads(open(pipeline["dataset"]).readline())
+    out = tmp_path / "data.jsonl"
+    for field, value in (("commit_id", "abc"), ("commit_id", 5), ("parents", "abc"), ("parents", [5])):
+        mainline = tmp_path / "mainline.jsonl"
+        mainline.write_text(json.dumps(good) + "\n" + json.dumps({**good, field: value}) + "\n")
+        assert run(["ingest", "--mainline", str(mainline), "--stable", pipeline["stable"],
+                    "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad JSONL record: ") and err.rstrip().endswith("at line 2")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "setting, flags",
+    [("learning_rate", ["--learning-rate", "nan"]), ("learning_rate", ["--learning-rate", "inf"]),
+     ("l2_reg_lambda", ["--l2", "nan"]), ("threshold", ["--threshold", "nan"])],
+    ids=["learning-rate-nan", "learning-rate-inf", "l2-nan", "threshold-nan"],
+)
+def test_settings_nothing_can_use_exit_data(pipeline, tmp_path, capsys, setting, flags):
+    out = tmp_path / "out"
+    if setting == "threshold":
+        argv = ["evaluate", "--scores", pipeline["scores"], "--report", str(out)]
+    else:
+        argv = ["train", "--tensors", pipeline["tensors"], "--vocab", pipeline["vocab"],
+                "--out", str(out), *TRAIN_FLAGS]
+    assert run(argv + flags) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {setting} must be finite") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_module_entry_point_runs_the_cli(pipeline, tmp_path):
@@ -928,7 +1007,8 @@ def _commits_then_raise(p, path):
 
 def _vocab_with_unserialisable_word(p, path):
     msg, code = load_vocab_pair(p["vocab"])
-    save_vocab_pair(msg, Vocabulary.from_words("code", [*code.words, object()]), path)
+    # The constructor, not from_words, which refuses the word before any write.
+    save_vocab_pair(msg, Vocabulary("code", (*code.index_to_word, object()), code.word_to_index), path)
 
 
 def _checkpoint_with_unconvertible_array(p, path):

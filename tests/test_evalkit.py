@@ -127,6 +127,12 @@ def test_metrics_input_validation():
         metrics([], [])
 
 
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -float("inf")])
+def test_metrics_refuses_a_non_finite_threshold(threshold):
+    with pytest.raises(ValueError, match="threshold must be finite"):
+        metrics([0.2, 0.8], [0, 1], threshold)
+
+
 def test_report_json_shape():
     obj = metrics([0.9, 0.2], [1, 0]).to_json_obj()
     assert obj["n"] == 2 and obj["tp"] == 1 and obj["tn"] == 1

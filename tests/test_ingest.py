@@ -1,6 +1,7 @@
 """Export parsing, diff structure, eligibility, labeling, balancing."""
 
 import importlib
+import json
 import time
 from pathlib import Path
 
@@ -746,6 +747,30 @@ class TestJsonlRoundTrip:
         export = tmp_path / "b.export"
         export.write_text(ERRNO_FIX_EXPORT, encoding="utf-8")
         assert load_commits(str(export))[0].commit_id.startswith("8bd98f0e")
+
+    def test_ids_are_normalised_and_checked_like_export_ids(self):
+        obj = commit_to_json_obj(make_commit(5))
+        assert commit_from_json_obj({**obj, "commit_id": f" {hex_id(5).upper()} "}).commit_id == hex_id(5)
+        for bad in ("abc", hex_id(5) + "0", "", 5):
+            with pytest.raises(ParseError, match="malformed commit id"):
+                commit_from_json_obj({**obj, "commit_id": bad})
+
+    def test_parents_must_be_a_list_of_strings(self):
+        obj = commit_to_json_obj(make_commit(5))
+        assert commit_from_json_obj({**obj, "parents": []}).parent_ids == ()
+        with pytest.raises(TypeError, match="parents must be a list"):
+            commit_from_json_obj({**obj, "parents": "abc"})
+        with pytest.raises(TypeError, match="must be strings"):
+            commit_from_json_obj({**obj, "parents": [5]})
+
+    @pytest.mark.parametrize("field, value", [("commit_id", "abc"), ("parents", "abc")])
+    def test_load_commits_names_the_bad_line(self, tmp_path, field, value):
+        good = commit_to_json_obj(make_commit(1))
+        path = tmp_path / "commits.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, field: value}) + "\n")
+        with pytest.raises(ParseError) as err:
+            load_commits(str(path))
+        assert err.value.lineno == 2
 
     def test_read_rc_ids(self, tmp_path):
         path = tmp_path / "rc.txt"

@@ -105,6 +105,12 @@ def test_hyperparams_validation():
             make()
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_hyperparams_refuse_a_non_finite_l2(value):
+    with pytest.raises(ValueError, match="l2_reg_lambda must be finite"):
+        HyperParams(l2_reg_lambda=value)
+
+
 def test_ablation_variants():
     assert set(VARIANTS) == {"full", "code", "message"}
 

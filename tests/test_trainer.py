@@ -74,6 +74,17 @@ def test_train_config_validation():
             TrainConfig(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "setting, value",
+    [("batch_size", 2.5), ("max_epochs", True), ("patience", True),
+     ("learning_rate", float("nan")), ("learning_rate", float("inf"))],
+    ids=["batch_size-float", "max_epochs-bool", "patience-bool", "learning_rate-nan", "learning_rate-inf"],
+)
+def test_train_config_refuses_what_cannot_train(setting, value):
+    with pytest.raises(ValueError, match=setting):
+        TrainConfig(**{setting: value})
+
+
 def test_minibatches_keeps_short_tail():
     batches = minibatches(list(range(7)), 3)
     assert batches == [[0, 1, 2], [3, 4, 5], [6]]

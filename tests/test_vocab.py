@@ -81,6 +81,29 @@ def test_pair_round_trip(tmp_path):
     assert c2.index_to_word == code.index_to_word
 
 
+@pytest.mark.parametrize(
+    "words, why",
+    [("abc", "list of strings"), (["a", 1], "list of strings"),
+     (["a", "b", "a"], "distinct"), (["a", PAD_WORD], "distinct"), ([UNK_WORD], "distinct")],
+    ids=["string", "non-string", "duplicate", "pad", "unk"],
+)
+def test_word_lists_are_checked_by_both_readers(tmp_path, words, why):
+    with pytest.raises(ValueError, match=f"code vocabulary: words must be .*{why}"):
+        Vocabulary.from_words("code", words)
+    path = tmp_path / "vocab.json"
+    path.write_text(json.dumps([{"channel": "message", "words": ["fix"]},
+                                {"channel": "code", "words": words}]))
+    with pytest.raises(ValueError, match=why):
+        load_vocab_pair(str(path))
+
+
+def test_from_words_takes_a_list():
+    assert Vocabulary.from_words("code", ["a", "b"]).words == ("a", "b")
+    for words in (("a", "b"), iter(["a", "b"])):
+        with pytest.raises(ValueError, match="list of strings"):
+            Vocabulary.from_words("code", words)
+
+
 def test_pair_missing_channel_rejected(tmp_path):
     path = str(tmp_path / "only-msg.json")
     with open(path, "w", encoding="utf-8") as fh:
