@@ -136,12 +136,13 @@ def _parse_bool(raw: str, key: str) -> bool:
 def _convert_config_value(action: argparse.Action, raw: str, key: str):
     if isinstance(action.const, bool) or isinstance(action.default, bool):
         return _parse_bool(raw, key)
-    if action.type is not None:
-        try:
-            return action.type(raw)
-        except (TypeError, ValueError):
-            raise UsageError(f"config key {key!r}: cannot parse {raw!r}")
-    return raw
+    try:
+        value = raw if action.type is None else action.type(raw)
+    except (TypeError, ValueError):
+        raise UsageError(f"config key {key!r}: cannot parse {raw!r}")
+    if action.choices is not None and value not in action.choices:
+        raise UsageError(f"config key {key!r}: {raw!r} is not one of {', '.join(map(str, action.choices))}")
+    return value
 
 
 def _apply_config(parser, subparsers_by_name, args, argv):

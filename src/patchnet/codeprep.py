@@ -7,7 +7,10 @@ its line, which the caller classifies and passes in with the text.
 Everything here is a heuristic text scanner, not a C parser: inputs are
 diff fragments and file snapshots that need not even compile.  The
 scanners are total (any text in, something reasonable out) and degrade
-toward LineKind.NORMAL when structure cannot be recovered.
+toward LineKind.NORMAL when structure cannot be recovered.  They scan
+with regular expressions: one substitution blanks comments and literals,
+and one bracket matcher, _close, delimits `if` headers, bodies and label
+blocks.
 """
 
 from __future__ import annotations
@@ -37,6 +40,19 @@ RE_CALL = re.compile(r"\b([A-Za-z_]\w*)\s*\(")
 RE_DEFINITION = re.compile(r"^([A-Za-z_]\w*)\s*\(")
 RE_GOTO_STMT = re.compile(r"^\s*goto\b")
 RE_RETURN_STMT = re.compile(r"^\s*return\b\s*(.*)$", re.S)
+RE_WS = re.compile(r"[ \t\n\r]*")
+
+# What strip_comments_strings blanks.  A literal ends at its own quote,
+# before a raw newline, or at the end of the input; an escape may be a
+# backslash-newline, and a lone backslash at the end is consumed too.
+RE_SKIPPED = re.compile(
+    r"""
+    /\*.*?(?:\*/|\Z)                                           # block comment
+  | //[^\n]*                                                   # line comment
+  | (?P<quote>["'])(?:\\.?|[^\\\n])*?(?:(?P=quote)|(?=\n)|\Z)  # string or char literal
+""",
+    re.S | re.X,
+)
 
 RE_TOKEN = re.compile(
     r"""
@@ -81,18 +97,24 @@ class FunctionNameTable:
 
     @classmethod
     def from_json_obj(cls, obj) -> "FunctionNameTable":
-        """Inverse of to_json_obj; any other shape is a ValueError."""
-        try:
-            table = cls(
-                retained=frozenset(obj.get("retained", ())),
-                defined_in={p: frozenset(n) for p, n in obj.get("defined_in", {}).items()},
-            )
-        except (AttributeError, TypeError) as exc:
-            raise ValueError(f"not a function table: {exc}") from exc
-        names = [*table.retained, *table.defined_in, *(n for ns in table.defined_in.values() for n in ns)]
-        if not all(isinstance(n, str) for n in names):
-            raise ValueError("not a function table: names and paths must be strings")
-        return table
+        """Inverse of to_json_obj: `retained` and each `defined_in` value a
+        list of strings, each path a string; any other shape is a ValueError."""
+        if not isinstance(obj, dict) or not isinstance(obj.get("defined_in", {}), dict):
+            raise ValueError("not a function table: expected an object with a defined_in object")
+        retained, defined_in = obj.get("retained", []), obj.get("defined_in", {})
+        lists = [retained, list(defined_in), *defined_in.values()]
+        if not all(isinstance(ns, list) and all(isinstance(n, str) for n in ns) for ns in lists):
+            raise ValueError("not a function table: names must be lists of strings, paths strings")
+        return cls(
+            retained=frozenset(retained),
+            defined_in={p: frozenset(ns) for p, ns in defined_in.items()},
+        )
+
+
+def _blank(m: re.Match) -> str:
+    newlines = "\n" * m.group().count("\n")
+    quote = m.group("quote")
+    return quote + newlines + quote if quote else " " + newlines
 
 
 def strip_comments_strings(source: str) -> str:
@@ -102,72 +124,21 @@ def strip_comments_strings(source: str) -> str:
     valid.  Diff lines and snapshots are fragments, so an unterminated
     comment or literal is expected: it strips to the end of the input.
     """
-    out: list[str] = []
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        nxt = source[i + 1] if i + 1 < n else ""
-        if ch == "/" and nxt == "*":
-            out.append(" ")
-            i += 2
-            while i < n:
-                if source[i] == "*" and i + 1 < n and source[i + 1] == "/":
-                    i += 2
-                    break
-                if source[i] == "\n":
-                    out.append("\n")
-                i += 1
-            continue
-        if ch == "/" and nxt == "/":
-            out.append(" ")
-            i += 2
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if ch in ('"', "'"):
-            quote = ch
-            out.append(quote)
-            i += 1
-            while i < n:
-                c = source[i]
-                if c == "\\" and i + 1 < n:
-                    if source[i + 1] == "\n":
-                        out.append("\n")
-                    i += 2
-                    continue
-                if c == quote:
-                    i += 1
-                    break
-                if c == "\n":
-                    # Malformed in C; close the literal, leave the newline
-                    # for the main loop so line structure is preserved.
-                    break
-                i += 1
-            out.append(quote)
-            continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
+    return RE_SKIPPED.sub(_blank, source)
 
 
-def _matching(text: str, open_pos: int, open_ch: str, close_ch: str) -> int:
-    """Index of the close matching text[open_pos], or -1."""
+def _close(text: str, start: int, stop: int, open_ch: str, close_ch: str) -> int:
+    """Index of the first close_ch in text[start:stop] that no open_ch
+    after start matches, or -1."""
     depth = 0
-    for i in range(open_pos, len(text)):
-        if text[i] == open_ch:
+    for m in re.compile(f"[{open_ch}{close_ch}]").finditer(text, start, stop):
+        if m.group() == open_ch:
             depth += 1
-        elif text[i] == close_ch:
+        elif depth:
             depth -= 1
-            if depth == 0:
-                return i
+        else:
+            return m.start()
     return -1
-
-
-def _skip_ws(text: str, i: int) -> int:
-    while i < len(text) and text[i] in " \t\n\r":
-        i += 1
-    return i
 
 
 def _last_statement(block: str) -> str:
@@ -192,19 +163,6 @@ def _is_error_exit(statement: str) -> bool:
     return expr.strip("() \t") != "0"
 
 
-class _LineIndex:
-    """Maps character offsets to 0-based line indices."""
-
-    def __init__(self, text: str):
-        self.starts = [0]
-        for i, ch in enumerate(text):
-            if ch == "\n":
-                self.starts.append(i + 1)
-
-    def line_of(self, offset: int) -> int:
-        return bisect.bisect_right(self.starts, offset) - 1
-
-
 def classify_line_kinds(file_text: str) -> dict[int, LineKind]:
     """Classify every line of stripped source as checking/handling/normal.
 
@@ -214,15 +172,15 @@ def classify_line_kinds(file_text: str) -> dict[int, LineKind]:
     included) when that block ends the same way.  Header lines win over
     body lines when they coincide.
     """
-    lines = file_text.split("\n")
-    kinds = [LineKind.NORMAL] * len(lines)
-    index = _LineIndex(file_text)
+    starts = [0, *(m.end() for m in re.finditer("\n", file_text))]
+    kinds = [LineKind.NORMAL] * len(starts)
 
-    def mark(start: int, end: int, kind: LineKind) -> list[int]:
-        covered = range(index.line_of(start), index.line_of(max(start, end)) + 1)
-        for li in covered:
+    def line_of(offset: int) -> int:
+        return bisect.bisect_right(starts, offset) - 1
+
+    def mark(start: int, end: int, kind: LineKind) -> None:
+        for li in range(line_of(start), line_of(max(start, end)) + 1):
             kinds[li] = kind
-        return list(covered)
 
     handling_spans: list[tuple[int, int]] = []
     checking_spans: list[tuple[int, int]] = []
@@ -231,15 +189,12 @@ def classify_line_kinds(file_text: str) -> dict[int, LineKind]:
         before = file_text[: m.start()].rstrip()
         if before.endswith("else"):
             continue  # part of an else-chain: not single-branch
-        paren_open = file_text.index("(", m.start())
-        paren_close = _matching(file_text, paren_open, "(", ")")
+        paren_close = _close(file_text, m.end(), len(file_text), "(", ")")
         if paren_close < 0:
             continue
-        body_start = _skip_ws(file_text, paren_close + 1)
-        if body_start >= len(file_text):
-            continue
-        if file_text[body_start] == "{":
-            body_end = _matching(file_text, body_start, "{", "}")
+        body_start = RE_WS.match(file_text, paren_close + 1).end()
+        if file_text.startswith("{", body_start):
+            body_end = _close(file_text, body_start + 1, len(file_text), "{", "}")
             if body_end < 0:
                 continue
             inner = file_text[body_start + 1 : body_end]
@@ -248,52 +203,30 @@ def classify_line_kinds(file_text: str) -> dict[int, LineKind]:
             if body_end < 0:
                 continue
             inner = file_text[body_start : body_end + 1]
-        after = _skip_ws(file_text, body_end + 1)
-        if RE_ELSE.match(file_text, after):
+        if RE_ELSE.match(file_text, RE_WS.match(file_text, body_end + 1).end()):
             continue  # two branches
         if not _is_error_exit(_last_statement(inner)):
             continue
         checking_spans.append((m.start(), paren_close))
-        header_last = index.line_of(paren_close)
-        body_first_line = index.line_of(body_start)
-        if body_first_line <= header_last:
-            # Body begins on a header line; only lines past the header count.
-            if index.line_of(body_end) > header_last:
-                handling_spans.append((index.starts[header_last + 1], body_end))
-        else:
-            handling_spans.append((body_start, body_end))
+        handling_spans.append((body_start, body_end))  # a shared header line stays checking
 
     for m in RE_LABEL.finditer(file_text):
         name = m.group(1)
         if name in ("default", "case") or name in C_KEYWORDS:
             continue
-        block_start = m.start()
-        pos = m.end()
-        depth = 0
-        block_end = len(file_text) - 1
-        next_label = RE_LABEL.search(file_text, pos)
+        next_label = RE_LABEL.search(file_text, m.end())
         limit = next_label.start() if next_label else len(file_text)
-        for i in range(pos, limit):
-            ch = file_text[i]
-            if ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-                if depth < 0:
-                    block_end = i - 1
-                    break
-        else:
-            block_end = limit - 1
-        block = file_text[pos : block_end + 1]
-        if _is_error_exit(_last_statement(block)):
-            handling_spans.append((block_start, block_end))
+        close = _close(file_text, m.end(), limit, "{", "}")
+        block_end = (close if close >= 0 else limit) - 1
+        if _is_error_exit(_last_statement(file_text[m.end() : block_end + 1])):
+            handling_spans.append((m.start(), block_end))
 
     for start, end in handling_spans:
         mark(start, end, LineKind.ERROR_HANDLING)
     for start, end in checking_spans:
         mark(start, end, LineKind.ERROR_CHECKING)
 
-    return {i + 1: kinds[i] for i in range(len(lines))}
+    return {i + 1: kind for i, kind in enumerate(kinds)}
 
 
 def build_function_table(files: Iterable[FileDiff]) -> FunctionNameTable:

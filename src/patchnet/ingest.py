@@ -153,7 +153,7 @@ def _parse_record(text: str, start: int, end: int) -> RawCommit:
         pos = eol + 1
 
     commit_id = _commit_id(header["id"], offset=start)
-    parent_ids = tuple(p.lower() for p in header["parents"].split())
+    parent_ids = tuple(_commit_id(p, offset=start) for p in header["parents"].split())
     try:
         date = int(header["date"].strip())
     except ValueError:
@@ -496,9 +496,10 @@ def commit_to_json_obj(c: RawCommit) -> dict:
 
 
 def commit_from_json_obj(obj: dict) -> RawCommit:
-    """Inverse of commit_to_json_obj.  A missing or malformed id, a missing
-    date, parents that are not a list, or a text field that is not a
-    string is a ValueError or TypeError."""
+    """Inverse of commit_to_json_obj.  A missing or malformed id or parent
+    id, a missing date or one that is not an int, parents that are not a
+    list, or a text field that is not a string is a ValueError or
+    TypeError."""
     snapshots = tuple(
         FileSnapshot(f["path"], f.get("before"), f.get("after"))
         for f in obj.get("files", [])
@@ -507,12 +508,16 @@ def commit_from_json_obj(obj: dict) -> RawCommit:
     parents = obj.get("parents", [])
     if not isinstance(parents, list):
         raise TypeError(f"parents must be a list of commit ids, got {parents!r}")
+    date = obj["date"]
+    if not isinstance(date, int) or isinstance(date, bool):
+        raise TypeError(f"date must be an integer, got {date!r}")
     c = RawCommit(
         commit_id=_commit_id(obj["commit_id"]),
-        parent_ids=tuple(parents),
+        # A parent that is not a string is refused with the other texts below.
+        parent_ids=tuple(_commit_id(p) if isinstance(p, str) else p for p in parents),
         author_name=obj.get("author_name", ""),
         author_email=obj.get("author_email", ""),
-        date=int(obj["date"]),
+        date=date,
         subject=obj.get("subject", ""),
         body=obj.get("body", ""),
         diff_text=obj.get("diff", ""),

@@ -1,8 +1,8 @@
 """The export reader as it was before the record finder: one line at a
 time through each message, kept as the oracle that
 tests/test_export_reader.py checks ingest.parse_commit_stream against.
-Only this docstring and the imports are new; the two functions are
-unchanged."""
+Only this docstring, the imports and the parent id check in
+_parse_record are new; the two functions are otherwise unchanged."""
 
 from __future__ import annotations
 
@@ -58,6 +58,9 @@ def _parse_record(text: str, start: int, end: int) -> RawCommit:
     if not COMMIT_ID_RE.match(commit_id):
         raise ParseError(f"malformed commit id {header['id']!r}", offset=start)
     parent_ids = tuple(p.lower() for p in header["parents"].split())
+    for parent in header["parents"].split():
+        if not COMMIT_ID_RE.match(parent.lower()):
+            raise ParseError(f"malformed commit id {parent!r}", offset=start)
     try:
         date = int(header["date"].strip())
     except ValueError:

@@ -664,6 +664,47 @@ def test_ingest_refuses_bad_jsonl_ids_and_parents(pipeline, tmp_path, capsys):
         assert not out.exists()
 
 
+# Function tables that are not lists of name strings; a string would read
+# as its characters.
+BAD_FUNCTION_TABLES = {
+    "retained-string": {"retained": "kfree", "defined_in": {}},
+    "defined-in-string": {"retained": [], "defined_in": {"a.c": "foo"}},
+}
+
+
+@pytest.mark.parametrize("reader", ["train-functions", "checkpoint-header"])
+@pytest.mark.parametrize("table", BAD_FUNCTION_TABLES)
+def test_function_tables_must_hold_lists_of_strings(pipeline, tmp_path, capsys, reader, table):
+    obj = BAD_FUNCTION_TABLES[table]
+    if reader == "train-functions":
+        path = tmp_path / "functions.json"
+        path.write_text(json.dumps(obj))
+        argv = ["train", "--tensors", pipeline["tensors"], "--vocab", pipeline["vocab"], "--functions",
+                str(path), "--out", str(tmp_path / "m.ckpt"), *TRAIN_FLAGS]
+    else:
+        argv = _checkpoint_with_header_change(lambda header: header.update(functions=obj))(pipeline, tmp_path)
+    capsys.readouterr()
+    assert run(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not a function table" in err and "Traceback" not in err
+
+
+def test_ingest_refuses_bad_jsonl_parent_ids_and_dates(pipeline, tmp_path, capsys):
+    good = json.loads(open(pipeline["dataset"]).readline())
+    out = tmp_path / "data.jsonl"
+    for field, value, message in (("parents", ["x"], "malformed commit id 'x'"),
+                                  ("date", 1.9, "date must be an integer"),
+                                  ("date", True, "date must be an integer"),
+                                  ("date", "12", "date must be an integer")):
+        mainline = tmp_path / "mainline.jsonl"
+        mainline.write_text(json.dumps(good) + "\n" + json.dumps({**good, field: value}) + "\n")
+        assert run(["ingest", "--mainline", str(mainline), "--stable", pipeline["stable"],
+                    "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad JSONL record: {message}") and err.rstrip().endswith("at line 2")
+        assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "setting, flags",
     [("learning_rate", ["--learning-rate", "nan"]), ("learning_rate", ["--learning-rate", "inf"]),
@@ -865,6 +906,10 @@ def test_config_file_errors(pipeline, tmp_path):
                 "--config", str(malformed)]) == EXIT_DATA
     assert run(["folds", "--dataset", pipeline["dataset"],
                 "--config", str(tmp_path / "ghost.cfg")]) == EXIT_DATA
+    bad_choice = tmp_path / "choice.cfg"
+    bad_choice.write_text("variant = bogus\n")
+    assert run(["train", "--tensors", pipeline["tensors"], "--vocab", pipeline["vocab"],
+                "--out", str(tmp_path / "m.ckpt"), "--config", str(bad_choice)]) == EXIT_USAGE
 
 
 def test_env_seed_fallback(pipeline, tmp_path, monkeypatch):

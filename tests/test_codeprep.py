@@ -543,3 +543,21 @@ def test_empty_table():
     table = FunctionNameTable.empty()
     assert not table.is_retained("anything")
     assert build_function_table([]).retained == frozenset()
+
+
+def test_function_table_reader_wants_lists_of_strings():
+    table = FunctionNameTable(retained=frozenset({"kfree"}), defined_in={"a.c": frozenset({"foo"})})
+    assert FunctionNameTable.from_json_obj(table.to_json_obj()) == table
+    assert FunctionNameTable.from_json_obj({}) == FunctionNameTable.empty()
+    for bad in (
+        {"retained": "kfree", "defined_in": {}},
+        {"retained": [], "defined_in": {"a.c": "foo"}},
+        {"retained": ["kfree", 1]},
+        {"defined_in": {"a.c": ["foo", None]}},
+        {"defined_in": {1: ["foo"]}},
+        {"defined_in": ["a.c"]},
+        ["kfree"],
+        "kfree",
+    ):
+        with pytest.raises(ValueError, match="not a function table"):
+            FunctionNameTable.from_json_obj(bad)

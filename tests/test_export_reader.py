@@ -51,7 +51,7 @@ def assert_matches_oracle(text):
 # Pieces a record is built from: well-formed values, spaced, cased and
 # CR-ended as the reader must accept them, and the faults it must refuse.
 IDS = [hex_id(1), hex_id(2).upper(), f"  {hex_id(3)} ", hex_id(4) + "\r"]
-PARENTS = ["", hex_id(5), f"{hex_id(6).upper()}  {hex_id(7)} ", " x "]
+PARENTS = ["", hex_id(5), f"{hex_id(6).upper()}  {hex_id(7)} "]
 NAMES = ["", " ", "Dev One", "  dev@example.org ", "a\r"]
 DATES = ["1234", " 99 ", "-5", "7\r"]
 MESSAGE_LINES = [
@@ -65,7 +65,7 @@ DIFF_LINES = [
     "diff --git a/x.c b/x.c", "--- a/x.c", "+++ b/x.c", "@@ -1 +1 @@",
     "-old", "+new", " same", "", DIFF_SEP, COMMIT_SEP, "\\ No newline at end of file",
 ]
-FAULTS = ("bad id", "bad date", "missing header", "no blank line", "no diff separator",
+FAULTS = ("bad id", "bad parent", "bad date", "missing header", "no blank line", "no diff separator",
           "crlf separator", "truncated")
 
 
@@ -80,6 +80,8 @@ def records(draw):
               "email": pick(NAMES), "date": pick(DATES)}
     if fault == "bad id":
         header["id"] = pick(["abc", "", hex_id(1) + "0"])
+    if fault == "bad parent":
+        header["parents"] = pick([" x ", f"{hex_id(5)} abc", hex_id(6) + "0"])
     if fault == "bad date":
         header["date"] = pick(["soon", "", "1.5"])
     if fault == "missing header":

@@ -163,6 +163,16 @@ class TestParseCommitStream:
         with pytest.raises(ParseError, match="byte offset"):
             parse_commit_stream(text)
 
+    def test_malformed_parent_ids_rejected(self):
+        good = export_record(hex_id(1), f"{hex_id(2).upper()} {hex_id(3)}", "a", "b@c", 1, "m", "")
+        assert parse_commit_stream(good)[0].parent_ids == (hex_id(2), hex_id(3))
+        for parents, bad in (("x y", "x"), (f"{hex_id(2)} abc", "abc"), (hex_id(2) + "0", hex_id(2) + "0")):
+            text = good + export_record(hex_id(4), parents, "a", "b@c", 1, "m", "")
+            with pytest.raises(ParseError) as err:
+                parse_commit_stream(text)
+            record_start = len(good) + len("\x01COMMIT\x01\n")
+            assert (err.value.message, err.value.offset) == (f"malformed commit id {bad!r}", record_start)
+
     def test_malformed_date_rejected(self):
         text = export_record(hex_id(1), "", "a", "b@c", 1, "m", "").replace(
             "date: 1", "date: soon"
@@ -762,6 +772,21 @@ class TestJsonlRoundTrip:
             commit_from_json_obj({**obj, "parents": "abc"})
         with pytest.raises(TypeError, match="must be strings"):
             commit_from_json_obj({**obj, "parents": [5]})
+
+    def test_parent_ids_are_normalised_and_checked_like_commit_ids(self):
+        obj = commit_to_json_obj(make_commit(5))
+        got = commit_from_json_obj({**obj, "parents": [f" {hex_id(6).upper()} ", hex_id(7)]})
+        assert got.parent_ids == (hex_id(6), hex_id(7))
+        for bad in ("x", "", hex_id(6) + "0"):
+            with pytest.raises(ParseError, match="malformed commit id"):
+                commit_from_json_obj({**obj, "parents": [hex_id(6), bad]})
+
+    def test_dates_must_be_ints(self):
+        obj = commit_to_json_obj(make_commit(5))
+        assert commit_from_json_obj({**obj, "date": -3}).date == -3
+        for bad in (1.9, 2.0, True, "12", None):
+            with pytest.raises(TypeError, match="date must be an integer"):
+                commit_from_json_obj({**obj, "date": bad})
 
     @pytest.mark.parametrize("field, value", [("commit_id", "abc"), ("parents", "abc")])
     def test_load_commits_names_the_bad_line(self, tmp_path, field, value):
