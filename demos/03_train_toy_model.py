@@ -17,12 +17,12 @@ from patchnet import (
     RawCommit,
     TrainConfig,
     load_checkpoint,
-    predict,
+    metrics,
     preprocess_commits,
     save_checkpoint,
+    score_items,
     train,
 )
-from patchnet.trainer import score_items
 
 DIFF = (
     "diff --git a/drivers/net/ring.c b/drivers/net/ring.c\n"
@@ -84,22 +84,24 @@ def main():
     for epoch in (1, 5, 10, 20, len(losses)):
         print(f"  epoch {epoch:2}: loss {losses[epoch - 1]:.4f}")
     scores = score_items(patches, result.params, HP)
-    accuracy = sum(s.label is p.label for p, s in zip(patches, scores)) / len(patches)
+    accuracy = metrics(scores, [p.label.to_int() for p in patches], HP.threshold).accuracy
     print(f"train accuracy after {result.history.epochs_run} epochs: {accuracy:.2f}")
     print()
 
     probe = patches[0]
-    before = predict(probe, result.params, HP)
+    before = scores[0]
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "toy.ckpt")
         save_checkpoint(path, result.params, HP, msg_vocab, code_vocab, table)
         size = Path(path).stat().st_size
         bundle = load_checkpoint(path)
-    after = predict(probe, bundle.params, bundle.hp)
+    after = score_items([probe], bundle.params, bundle.hp)[0]
     print(f"checkpoint: {size} bytes on disk")
-    print(f"score for {probe.commit_id[:12]} before save: {before.z:.6f}")
-    print(f"score for {probe.commit_id[:12]} after load:  {after.z:.6f}")
-    print(f"labels agree: {before.label is after.label} ({after.label.value})")
+    print(f"score for {probe.commit_id[:12]} before save: {before:.6f}")
+    print(f"score for {probe.commit_id[:12]} after load:  {after:.6f}")
+    # `patchnet predict` labels a patch stable when its score >= the threshold.
+    same = (before >= HP.threshold) == (after >= bundle.hp.threshold)
+    print(f"labels agree: {same} ({'stable' if after >= bundle.hp.threshold else 'non-stable'})")
 
 
 if __name__ == "__main__":

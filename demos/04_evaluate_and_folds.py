@@ -14,9 +14,9 @@ from patchnet import (
     keyword_baseline,
     metrics,
     preprocess_commits,
+    score_items,
     train,
 )
-from patchnet.trainer import score_items
 
 DIFF = (
     "diff --git a/drivers/net/ring.c b/drivers/net/ring.c\n"
@@ -93,12 +93,10 @@ def main():
         batch_size=8, max_epochs=40, patience=40, learning_rate=1e-2, seed=1
     )
     result = train(patches, HP, config, msg_vocab, code_vocab)
-    scores = [s.z for s in score_items(patches, result.params, HP)]
+    scores = score_items(patches, result.params, HP)
     show_report("trained model", metrics(scores, truth))
 
-    baseline_scores = [
-        1.0 if keyword_baseline(c.message) is Label.STABLE else 0.0 for c in commits
-    ]
+    baseline_scores = [keyword_baseline(c.message).to_int() for c in commits]
     show_report("keyword baseline", metrics(baseline_scores, truth))
     print()
 

@@ -50,9 +50,7 @@ from .nnkit import Tensor, backward, loss
 from .model import (
     HyperParams,
     ModelParams,
-    Score,
     init_params,
-    predict,
 )
 from .trainer import (
     CheckpointBundle,
@@ -61,6 +59,7 @@ from .trainer import (
     TrainResult,
     load_checkpoint,
     save_checkpoint,
+    score_items,
     train,
 )
 from .evalkit import (
@@ -90,7 +89,6 @@ __all__ = [
     "PatchDims",
     "PreprocessedPatch",
     "RawCommit",
-    "Score",
     "StableEvidence",
     "Tensor",
     "TrainConfig",
@@ -122,11 +120,11 @@ __all__ = [
     "parse_unified_diff",
     "porter_stem",
     "pr_curve",
-    "predict",
     "preprocess_commits",
     "read_tensor_file",
     "save_checkpoint",
     "save_vocab_pair",
+    "score_items",
     "strip_comments_strings",
     "strip_tags",
     "tokenize_code_line",

@@ -2,7 +2,8 @@
 
 Subcommands: ingest, label, preprocess, train, predict, evaluate,
 baseline, folds.  Exit codes: 0 success, 1 usage error, 2 data error
-(any ValueError, OSError or TrainingError).
+(any ValueError, OSError or TrainingError, JSON nested past the
+recursion limit, or an allocation that fails).
 Every run writes a manifest next to its primary output; an optional
 flat key=value config file overrides built-in defaults, and explicit
 flags override the file.  PATCHNET_SEED serves as a fallback seed.
@@ -183,34 +184,36 @@ def _write_jsonl(path: str, rows) -> None:
             fh.write("\n")
 
 
-def _read_score_rows(path: str) -> list[dict]:
-    rows = []
+def _read_scores(path: str) -> tuple[list[float], list[int]]:
+    """The score and 0/1 true label of each non-blank line of a scores JSONL."""
+    scores, labels = [], []
     with open(path, encoding="utf-8") as fh:
         lines = fh.readlines()
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
+        where = f"{path}:{lineno}"
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{lineno}: bad JSON: {exc}")
+            raise ValueError(f"{where}: bad JSON: {exc}")
         if not isinstance(obj, dict):
-            raise ValueError(f"{path}:{lineno}: expected a JSON object")
-        if "score" not in obj:
-            raise ValueError(f"{path}:{lineno}: missing 'score'")
-        if "true_label" not in obj:
-            raise ValueError(f"{path}:{lineno}: missing 'true_label'")
+            raise ValueError(f"{where}: expected a JSON object")
+        for key in ("score", "true_label"):
+            if key not in obj:
+                raise ValueError(f"{where}: missing {key!r}")
         try:
-            obj["score"] = float(obj["score"])
+            score = float(obj["score"])
         except (TypeError, ValueError):
-            raise ValueError(f"{path}:{lineno}: score {obj['score']!r} is not a number")
-        if not np.isfinite(obj["score"]):
-            raise ValueError(f"{path}:{lineno}: score {obj['score']} is not finite")
-        rows.append(obj)
-    if not rows:
+            raise ValueError(f"{where}: score {obj['score']!r} is not a number")
+        if not np.isfinite(score):
+            raise ValueError(f"{where}: score {score} is not finite")
+        scores.append(score)
+        labels.append(_truth_to_int(obj["true_label"], where))
+    if not scores:
         raise ValueError(f"{path}: no score rows")
-    return rows
+    return scores, labels
 
 
 def _truth_to_int(value, where: str) -> int:
@@ -304,10 +307,10 @@ def _cmd_label(args, seed):
 
 
 def _cmd_preprocess(args, seed):
+    dims = PatchDims(**{f.name: getattr(args, f.name) for f in fields(PatchDims)})
     commits = load_commits(args.dataset)
     if not commits:
         raise ValueError(f"{args.dataset}: no commits")
-    dims = PatchDims(**{f.name: getattr(args, f.name) for f in fields(PatchDims)})
     patches, table, (msg_vocab, code_vocab), unparsable = preprocess_commits(
         commits, dims, args.min_count
     )
@@ -394,10 +397,11 @@ def _cmd_predict(args, seed):
         raise ValueError(f"{args.in_path}: no patches")
     _check_indices(patches, bundle.message_vocab, bundle.code_vocab)
 
-    scores = score_items(patches, bundle.params, bundle.hp)
+    threshold = bundle.hp.threshold
     rows = []
-    for p, s in zip(patches, scores):
-        row = {"commit_id": p.commit_id, "score": s.z, "label": s.label.value}
+    for p, z in zip(patches, score_items(patches, bundle.params, bundle.hp).tolist()):
+        label = Label.STABLE if z >= threshold else Label.NON_STABLE
+        row = {"commit_id": p.commit_id, "score": z, "label": label.value}
         if p.label is not None:
             row["true_label"] = p.label.value
         rows.append(row)
@@ -407,69 +411,43 @@ def _cmd_predict(args, seed):
     n_stable = sum(1 for r in rows if r["label"] == Label.STABLE.value)
     print(
         f"predict: {len(rows)} patches scored "
-        f"({n_stable} stable at threshold {bundle.hp.threshold}) -> {args.out}"
+        f"({n_stable} stable at threshold {threshold}) -> {args.out}"
     )
     return [args.checkpoint, args.in_path], [args.out]
 
 
-def _report_to_row(path: str, report) -> dict:
-    obj = report.to_json_obj()
-    obj["scores_file"] = path
-    return obj
+def _summary(obj: dict) -> str:
+    """The scalar metrics of a report object, as one stdout line's tail."""
+    return " ".join(f"{k}={obj[k]:.4f}" for k in SCALAR_METRICS)
 
 
 def _cmd_evaluate(args, seed):
     if args.pr_csv and len(args.scores) != 1:
         raise UsageError("--pr-csv needs exactly one scores file")
-    reports = []
-    for path in args.scores:
-        rows = _read_score_rows(path)
-        scores = [r["score"] for r in rows]
-        labels = [
-            _truth_to_int(r["true_label"], f"{path} row {i + 1}")
-            for i, r in enumerate(rows)
-        ]
-        reports.append((path, metrics(scores, labels, args.threshold)))
+    objs = [metrics(*_read_scores(path), args.threshold).to_json_obj() for path in args.scores]
 
-    if len(reports) == 1:
-        path, report = reports[0]
-        report_obj = report.to_json_obj()
-        summary = report
+    if len(objs) == 1:
+        report_obj = objs[0]
+        degenerate = report_obj["degenerate"]
+        summary = _summary(report_obj) + (f" degenerate={','.join(degenerate)}" if degenerate else "")
     else:
-        per_fold = [_report_to_row(path, rep) for path, rep in reports]
-        values = {
-            key: np.array([rep.to_json_obj()[key] for _, rep in reports])
-            for key in SCALAR_METRICS
-        }
+        values = {k: np.array([obj[k] for obj in objs]) for k in SCALAR_METRICS}
         report_obj = {
-            "folds": per_fold,
+            "folds": [{**obj, "scores_file": path} for path, obj in zip(args.scores, objs)],
             "mean": {k: float(v.mean()) for k, v in values.items()},
             "std_population": {k: float(v.std(ddof=0)) for k, v in values.items()},
             "std_sample": {k: float(v.std(ddof=1)) for k, v in values.items()},
         }
-        summary = None
+        summary = f"{len(objs)} folds, mean " + _summary(report_obj["mean"])
 
     _write_json(args.report, report_obj)
 
     if args.pr_csv:
         with atomic_write(args.pr_csv) as fh:
-            for recall, precision in reports[0][1].pr_points:
+            for recall, precision in objs[0]["pr_points"]:
                 fh.write(f"{recall},{precision}\n")
 
-    if summary is not None:
-        print(
-            "evaluate: "
-            + " ".join(
-                f"{k}={summary.to_json_obj()[k]:.4f}" for k in SCALAR_METRICS
-            )
-            + (f" degenerate={','.join(summary.degenerate)}" if summary.degenerate else "")
-        )
-    else:
-        mean = report_obj["mean"]
-        print(
-            f"evaluate: {len(reports)} folds, mean "
-            + " ".join(f"{k}={mean[k]:.4f}" for k in SCALAR_METRICS)
-        )
+    print("evaluate: " + summary)
     outputs = [args.report] + ([args.pr_csv] if args.pr_csv else [])
     return list(args.scores), outputs
 
@@ -502,14 +480,11 @@ def _cmd_baseline(args, seed):
 
     outputs = [args.out]
     if args.report:
-        scores = [1.0 if p is Label.STABLE else 0.0 for p in predictions]
+        scores = [p.to_int() for p in predictions]
         truth = [c.label.to_int() for c in commits]
-        report = metrics(scores, truth, 0.5)
-        _write_json(args.report, report.to_json_obj())
-        print(
-            "baseline report: "
-            + " ".join(f"{k}={report.to_json_obj()[k]:.4f}" for k in SCALAR_METRICS)
-        )
+        report_obj = metrics(scores, truth, 0.5).to_json_obj()
+        _write_json(args.report, report_obj)
+        print("baseline report: " + _summary(report_obj))
         outputs.append(args.report)
     return [args.dataset], outputs
 
@@ -640,8 +615,9 @@ def run(argv=None) -> int:
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, OSError, TrainingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, TrainingError, RecursionError, MemoryError) as exc:
+        # A bare MemoryError has no message.
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_DATA
 
 

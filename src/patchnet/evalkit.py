@@ -10,7 +10,7 @@ single-class input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -37,20 +37,10 @@ class EvalReport:
     degenerate: tuple[str, ...] = ()
 
     def to_json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "tp": self.tp,
-            "fp": self.fp,
-            "tn": self.tn,
-            "fn": self.fn,
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "auc": self.auc,
-            "pr_points": [list(p) for p in self.pr_points],
-            "degenerate": list(self.degenerate),
-        }
+        obj = asdict(self)
+        obj["pr_points"] = [list(p) for p in self.pr_points]
+        obj["degenerate"] = list(self.degenerate)
+        return obj
 
 
 def _as_binary(values, name: str) -> np.ndarray:

@@ -34,7 +34,6 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .core import Label
 from .nnkit import (
     Tensor,
     concat,
@@ -127,18 +126,6 @@ class HyperParams:
         dims = PatchDims(**{f.name: obj.pop(f.name) for f in fields(PatchDims)})
         obj["filter_sizes"] = tuple(obj["filter_sizes"])
         return cls(dims=dims, **obj)
-
-
-@dataclass(frozen=True)
-class Score:
-    """A probability of being stable plus its thresholded label."""
-
-    z: float
-    label: Label
-
-    @classmethod
-    def from_z(cls, z: float, threshold: float = 0.5) -> "Score":
-        return cls(z=z, label=Label.STABLE if z >= threshold else Label.NON_STABLE)
 
 
 def _conv_names(layer: str, k: int, side: str = "") -> tuple[str, str]:
@@ -362,8 +349,3 @@ def forward(
     """Differentiable score tensor for one patch (0-d): a batch of one."""
     return reshape(forward_batch([p], params, hp, mode, rng), ())
 
-
-def predict(p: PreprocessedPatch, params: ModelParams, hp: HyperParams) -> Score:
-    """Score one patch in inference mode; the label applies threshold with >=."""
-    z = forward(p, params, hp)
-    return Score.from_z(float(z.data), hp.threshold)

@@ -35,6 +35,7 @@ INDEX_DTYPE = np.dtype("<u4")
 TENSOR_MAGIC = b"PNTD"
 TENSOR_VERSION = 2
 NO_LABEL_BYTE = 255
+U32_MAX = 2**32 - 1  # tensor-file header fields are u32
 
 
 def check_positive_ints(**values) -> None:
@@ -59,6 +60,9 @@ class PatchDims:
 
     def __post_init__(self) -> None:
         check_positive_ints(**vars(self))
+        for name, v in vars(self).items():
+            if v > U32_MAX:
+                raise ValueError(f"{name} must be at most {U32_MAX}, got {v}")
 
     @property
     def code_shape(self) -> tuple[int, int, int, int]:

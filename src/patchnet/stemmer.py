@@ -69,20 +69,20 @@ def _step1ab_cleanup(word: str) -> str:
     return word
 
 
-# (suffix, replacement) with longer suffixes listed before any suffix
-# they contain, so a linear scan finds the longest match first.
-_STEP2 = (
-    ("ational", "ate"), ("tional", "tion"), ("enci", "ence"), ("anci", "ance"),
-    ("izer", "ize"), ("abli", "able"), ("alli", "al"), ("entli", "ent"),
-    ("eli", "e"), ("ousli", "ous"), ("ization", "ize"), ("ation", "ate"),
-    ("ator", "ate"), ("alism", "al"), ("iveness", "ive"), ("fulness", "ful"),
-    ("ousness", "ous"), ("aliti", "al"), ("iviti", "ive"), ("biliti", "ble"),
-)
+# suffix -> replacement; _longest_match compares lengths, so the order
+# of the suffixes does not matter.
+_STEP2 = {
+    "ational": "ate", "tional": "tion", "enci": "ence", "anci": "ance",
+    "izer": "ize", "abli": "able", "alli": "al", "entli": "ent",
+    "eli": "e", "ousli": "ous", "ization": "ize", "ation": "ate",
+    "ator": "ate", "alism": "al", "iveness": "ive", "fulness": "ful",
+    "ousness": "ous", "aliti": "al", "iviti": "ive", "biliti": "ble",
+}
 
-_STEP3 = (
-    ("icate", "ic"), ("ative", ""), ("alize", "al"), ("iciti", "ic"),
-    ("ical", "ic"), ("ful", ""), ("ness", ""),
-)
+_STEP3 = {
+    "icate": "ic", "ative": "", "alize": "al", "iciti": "ic",
+    "ical": "ic", "ful": "", "ness": "",
+}
 
 _STEP4 = (
     "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
@@ -129,21 +129,13 @@ def porter_stem(word: str) -> str:
     if word.endswith("y") and _has_vowel(word[:-1]):
         word = word[:-1] + "i"
 
-    # Step 2: double suffixes, m(stem) > 0.
-    suffix = _longest_match(word, [s for s, _ in _STEP2])
-    if suffix is not None:
-        repl = dict(_STEP2)[suffix]
-        stem = word[: -len(suffix)]
-        if _measure(stem) > 0:
-            word = stem + repl
-
-    # Step 3: -ic-, -full, -ness etc., m(stem) > 0.
-    suffix = _longest_match(word, [s for s, _ in _STEP3])
-    if suffix is not None:
-        repl = dict(_STEP3)[suffix]
-        stem = word[: -len(suffix)]
-        if _measure(stem) > 0:
-            word = stem + repl
+    # Steps 2 and 3: double suffixes, then -ic-, -full, -ness etc., m(stem) > 0.
+    for step in (_STEP2, _STEP3):
+        suffix = _longest_match(word, step)
+        if suffix is not None:
+            stem = word[: -len(suffix)]
+            if _measure(stem) > 0:
+                word = stem + step[suffix]
 
     # Step 4: bare suffixes, m(stem) > 1.
     suffix = _longest_match(word, _STEP4)

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codeprep import FunctionNameTable
-from .core import Label, atomic_write
-from .model import HyperParams, ModelParams, Score, forward_batch, init_params, param_specs
+from .core import atomic_write
+from .model import HyperParams, ModelParams, forward_batch, init_params, param_specs
 from .nnkit import AdamState, Tensor, adam_step, backward, loss
 from .preprocess import PreprocessedPatch, check_positive_ints
 from .vocab import Vocabulary
@@ -106,9 +106,7 @@ def _vocab_size(v) -> int:
 
 
 def _labels_array(batch) -> np.ndarray:
-    return np.array(
-        [1.0 if p.label is Label.STABLE else 0.0 for p in batch], dtype=np.float64
-    )
+    return np.array([p.label.to_int() for p in batch], dtype=np.float64)
 
 
 def _snapshot(params: ModelParams) -> dict[str, np.ndarray]:
@@ -188,14 +186,15 @@ def train(
     return TrainResult(params=params, history=history)
 
 
-def score_items(items, params: ModelParams, hp: HyperParams) -> list[Score]:
-    """Inference-mode scores in input order, SCORE_CHUNK patches per forward."""
+def score_items(items, params: ModelParams, hp: HyperParams) -> np.ndarray:
+    """Inference-mode probabilities of being stable, float64 in input
+    order, SCORE_CHUNK patches per forward."""
     items = list(items)
-    return [
-        Score.from_z(float(z), hp.threshold)
-        for start in range(0, len(items), SCORE_CHUNK)
-        for z in forward_batch(items[start : start + SCORE_CHUNK], params, hp).data
-    ]
+    scores = np.empty(len(items), dtype=np.float64)
+    for start in range(0, len(items), SCORE_CHUNK):
+        chunk = items[start : start + SCORE_CHUNK]
+        scores[start : start + len(chunk)] = forward_batch(chunk, params, hp).data
+    return scores
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from patchnet.model import (
     HyperParams,
     forward,
     init_params,
-    predict,
 )
 from patchnet.nnkit import backward, stack
 from patchnet.nnkit import loss as nn_loss
@@ -278,8 +277,8 @@ def _train_until(patches, hp, vocabs, target, max_epochs, seed=0):
         )
         params = train(patches, hp, config, msg_vocab, code_vocab, params=params).params
         used += stage
-        scores = score_items(patches, params, hp)
-        accuracy = sum(s.label is p.label for p, s in zip(patches, scores)) / len(patches)
+        labels = [p.label.to_int() for p in patches]
+        accuracy = metrics(score_items(patches, params, hp), labels, hp.threshold).accuracy
         if accuracy >= target:
             break
     return accuracy, used, params
@@ -632,10 +631,9 @@ def test_10_determinism_and_checkpoint(tmp_path):
     path = str(tmp_path / "toy.ckpt")
     save_checkpoint(path, a.params, hp, msg_vocab, code_vocab, table)
     bundle = load_checkpoint(path)
-    drift = max(
-        abs(predict(p, a.params, hp).z - predict(p, bundle.params, bundle.hp).z)
-        for p in patches
-    )
+    drift = np.abs(
+        score_items(patches, a.params, hp) - score_items(patches, bundle.params, bundle.hp)
+    ).max()
     ok = identical and drift < 1e-6
     _verdict(
         "determinism & persistence",

@@ -16,7 +16,7 @@ import pytest
 import patchnet
 from conftest import KMEMDUP_EXPORT, SAMPLE_EXPORTS, export_record, hex_id, make_commit, simple_diff
 from patchnet import __version__
-from patchnet import cli
+from patchnet import cli, trainer
 from patchnet.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _train_settings, build_parser, run
 from patchnet.core import Label
 from patchnet.evalkit import keyword_baseline
@@ -985,6 +985,47 @@ def test_stdout_summaries(pipeline, tmp_path, capsys):
     assert run(["baseline", "--dataset", pipeline["dataset"], "--out", out]) == EXIT_OK
     captured = capsys.readouterr().out
     assert captured.startswith(f"baseline: {STABLE_BOUND} stable")
+
+
+@pytest.mark.parametrize("threshold, label", [(0.5, "stable"), (0.6, "non-stable")])
+def test_predict_labels_stable_at_or_above_the_threshold(pipeline, tmp_path, threshold, label):
+    # A checkpoint of zero parameters scores every patch exactly 0.5.
+    bundle = load_checkpoint(pipeline["checkpoint"])
+    for _, t in bundle.params.named():
+        t.data[...] = 0.0
+    checkpoint = str(tmp_path / "zero.ckpt")
+    save_checkpoint(checkpoint, bundle.params, replace(bundle.hp, threshold=threshold),
+                    bundle.message_vocab, bundle.code_vocab, bundle.functions)
+    out = str(tmp_path / "s.jsonl")
+    assert run(["predict", "--checkpoint", checkpoint, "--in", pipeline["tensors"], "--out", out]) == EXIT_OK
+    rows = _read_jsonl(out)
+    assert len(rows) == 2 * STABLE_BOUND
+    assert all(r["score"] == 0.5 and r["label"] == label for r in rows)
+
+
+def test_preprocess_refuses_dims_past_u32(pipeline, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run(["preprocess", "--dataset", pipeline["dataset"], "--out", str(out / "t.bin"),
+                "--vocab-out", str(out / "v.json"), *PREPROCESS_DIMS, "--msg-len", "5000000000"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: msg_len must be at most 4294967295") and "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 186. GiB for an array"), MemoryError()],
+                         ids=["message", "bare"])
+def test_failed_allocation_exits_data(pipeline, tmp_path, capsys, monkeypatch, exc):
+    def no_memory(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(trainer, "init_params", no_memory)
+    out = tmp_path / "m.ckpt"
+    assert run(["train", "--tensors", pipeline["tensors"], "--vocab", pipeline["vocab"],
+                "--out", str(out), *TRAIN_FLAGS]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err == f"error: {str(exc) or 'MemoryError'}\n"
+    assert not out.exists()
 
 
 def test_train_summary_line(pipeline, tmp_path, capsys):

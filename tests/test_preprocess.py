@@ -56,6 +56,13 @@ def test_dims_rejects_nonpositive():
             PatchDims(**{field: 0})
 
 
+def test_dims_must_fit_the_tensor_files_u32_fields():
+    for field in ("msg_len", "files", "hunks", "lines", "words"):
+        assert getattr(PatchDims(**{field: 2**32 - 1}), field) == 2**32 - 1
+        with pytest.raises(ValueError, match=f"{field} must be at most 4294967295"):
+            PatchDims(**{field: 2**32})
+
+
 # ---------------------------------------------------------------------------
 # Tensor assembly
 

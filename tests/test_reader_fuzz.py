@@ -221,3 +221,45 @@ def test_checkpoint_header_with_a_replaced_value(base, which, value):
 
     run_mutated(base, "model.ckpt", edit, lambda path, tmp: [
         "predict", "--checkpoint", path, "--in", base["data.jsonl"], "--out", f"{tmp}/s.jsonl"])
+
+
+def nested(depth: int = 100_000) -> str:
+    """A JSON array nested far past Python's recursion limit."""
+    return "[" * depth + "]" * depth
+
+
+def deep_commit_record(blob: bytes) -> bytes:
+    record = json.loads(blob.decode("utf-8").splitlines()[0])
+    return json.dumps({**record, "files": "DEEP"}).replace('"DEEP"', nested()).encode("utf-8") + b"\n"
+
+
+def deep_checkpoint_header(blob: bytes) -> bytes:
+    (size,) = struct.unpack_from("<I", blob, 8)
+    header = nested().encode("ascii")
+    return blob[:8] + struct.pack("<I", len(header)) + header + blob[12 + size :]
+
+
+# reader -> (file it reads, edit of that file's bytes, argv for the edited path)
+DEEP_READERS = {
+    "evaluate-scores": ("scores.jsonl", lambda blob: nested().encode("ascii") + b"\n", lambda base, path, tmp: [
+        "evaluate", "--scores", path, "--report", f"{tmp}/r.json"]),
+    "train-vocab": ("vocab.json", lambda blob: nested().encode("ascii"), JSON_READERS["vocab.json"]),
+    "train-functions": ("functions.json", lambda blob: nested().encode("ascii"), JSON_READERS["functions.json"]),
+    "ingest-commit-files": ("data.jsonl", deep_commit_record, lambda base, path, tmp: [
+        "ingest", "--mainline", path, "--stable", base["stable.export"], "--out", f"{tmp}/d.jsonl"]),
+    "predict-checkpoint-header": ("model.ckpt", deep_checkpoint_header, lambda base, path, tmp: [
+        "predict", "--checkpoint", path, "--in", base["tensors.bin"], "--out", f"{tmp}/s.jsonl"]),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(DEEP_READERS))
+def test_deeply_nested_json_exits_data(base, capsys, reader):
+    name, edit, argv_for = DEEP_READERS[reader]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / name)
+        Path(path).write_bytes(edit(Path(base[name]).read_bytes()))
+        capsys.readouterr()
+        assert run(argv_for(base, path, tmp)) == EXIT_DATA
+        assert sorted(p.name for p in Path(tmp).iterdir()) == [name]
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "recursion" in err and "Traceback" not in err

@@ -9,7 +9,8 @@ import pytest
 from conftest import dense_patch
 from patchnet.codeprep import FunctionNameTable
 from patchnet.core import Label
-from patchnet.model import HyperParams, ModelParams, init_params, param_specs, predict
+from patchnet.evalkit import metrics
+from patchnet.model import HyperParams, ModelParams, init_params, param_specs
 from patchnet.nnkit import Tensor
 from patchnet.preprocess import PatchDims
 from patchnet.trainer import (
@@ -250,11 +251,12 @@ def test_score_items_and_accuracy_at_zero_params():
     params = ModelParams({n: Tensor(np.zeros(s)) for n, s in specs}, TINY)
     items = tiny_dataset(6)
     scores = score_items(items, params, TINY)
-    assert [s.z for s in scores] == [0.5] * 6
-    assert all(s.label is Label.STABLE for s in scores)
+    assert scores.dtype == np.float64
+    assert scores.tolist() == [0.5] * 6
     # Half the labels are stable, and 0.5 thresholds to stable.
-    hits = sum(s.label is p.label for p, s in zip(items, scores))
-    assert hits / len(items) == 0.5
+    assert metrics(scores, [p.label.to_int() for p in items], TINY.threshold).accuracy == 0.5
+    nothing = score_items([], params, TINY)
+    assert isinstance(nothing, np.ndarray) and nothing.dtype == np.float64 and nothing.shape == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -294,18 +296,18 @@ def test_checkpoint_scores_drift_under_1e6(tmp_path):
     path, params, msg_vocab, code_vocab = trained_bundle(tmp_path)
     bundle = load_checkpoint(path)
     rng = np.random.default_rng(23)
-    worst = 0.0
-    for i in range(20):
-        p = dense_patch(
+    patches = [
+        dense_patch(
             commit_id=f"{i:040x}",
             message_tokens=rng.integers(0, len(msg_vocab), TINY.dims.msg_len),
             removed_code=rng.integers(0, len(code_vocab), TINY.dims.code_shape),
             added_code=rng.integers(0, len(code_vocab), TINY.dims.code_shape),
         )
-        before = predict(p, params, TINY).z
-        after = predict(p, bundle.params, bundle.hp).z
-        worst = max(worst, abs(before - after))
-    assert worst < 1e-6
+        for i in range(20)
+    ]
+    before = score_items(patches, params, TINY)
+    after = score_items(patches, bundle.params, bundle.hp)
+    assert np.abs(before - after).max() < 1e-6
 
 
 def test_checkpoint_default_functions_empty(tmp_path):
