@@ -204,6 +204,8 @@ def _read_scores(path: str) -> tuple[list[float], list[int]]:
             if key not in obj:
                 raise ValueError(f"{where}: missing {key!r}")
         try:
+            if isinstance(obj["score"], bool):
+                raise TypeError
             score = float(obj["score"])
         except (TypeError, ValueError):
             raise ValueError(f"{where}: score {obj['score']!r} is not a number")

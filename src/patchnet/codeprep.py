@@ -186,8 +186,10 @@ def classify_line_kinds(file_text: str) -> dict[int, LineKind]:
     checking_spans: list[tuple[int, int]] = []
 
     for m in RE_IF.finditer(file_text):
-        before = file_text[: m.start()].rstrip()
-        if before.endswith("else"):
+        j = m.start()
+        while j and file_text[j - 1].isspace():
+            j -= 1
+        if file_text.endswith("else", 0, j):
             continue  # part of an else-chain: not single-branch
         paren_close = _close(file_text, m.end(), len(file_text), "(", ")")
         if paren_close < 0:

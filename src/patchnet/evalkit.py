@@ -154,8 +154,8 @@ def chrono_folds(dataset, n_folds: int = 5) -> list[tuple[list, list]]:
     holds out set i and trains on the rest.
     """
     items = sorted(dataset, key=lambda c: (c.date, c.commit_id))
-    if n_folds < 1:
-        raise ValueError("n_folds must be positive")
+    if n_folds < 2:
+        raise ValueError(f"n_folds must be at least 2, not {n_folds}: every split needs a training set")
     if n_folds > len(items):
         raise ValueError(f"cannot make {n_folds} folds from {len(items)} items")
     base, rem = divmod(len(items), n_folds)

@@ -2,75 +2,32 @@
 
 Implemented in-repo because message normalization needs exactly this
 stemmer and nothing else from an NLP dependency.  The rules follow the
-published algorithm: measure-based conditions over the consonant/vowel
-decomposition, five suffix-stripping steps, longest-match-first within
-a step (a failed condition on the longest match ends the step).
+published algorithm: five suffix-stripping steps, longest-match-first
+within a step (a failed condition on the longest match ends the step).
+
+Every condition reads a word's form, one `c` or `v` per letter from
+`_form`: the measure m of the [C](VC)^m[V] decomposition is the number
+of "vc" in it, and a stem has a vowel when it holds a "v".
 """
 
 from __future__ import annotations
 
-_VOWELS = "aeiou"
+
+def _form(word: str) -> str:
+    """`v` for a e i o u and for a y after a consonant, else `c`."""
+    form = ""
+    for ch in word:
+        form += "v" if ch in "aeiou" or (ch == "y" and form[-1:] == "c") else "c"
+    return form
 
 
-def _is_consonant(word: str, i: int) -> bool:
-    ch = word[i]
-    if ch in _VOWELS:
-        return False
-    if ch == "y":
-        # y is a vowel when preceded by a consonant, else a consonant.
-        return i == 0 or not _is_consonant(word, i - 1)
-    return True
+def _ends_cvc(word: str, form: str) -> bool:
+    """Consonant-vowel-consonant ending where the last letter is not w, x, y."""
+    return form.endswith("cvc") and word[-1] not in "wxy"
 
 
-def _measure(stem: str) -> int:
-    """Number of vowel→consonant transitions ([C](VC)^m[V] decomposition)."""
-    m = 0
-    prev_vowel = False
-    for i in range(len(stem)):
-        consonant = _is_consonant(stem, i)
-        if consonant and prev_vowel:
-            m += 1
-        prev_vowel = not consonant
-    return m
-
-
-def _has_vowel(stem: str) -> bool:
-    return any(not _is_consonant(stem, i) for i in range(len(stem)))
-
-
-def _ends_double_consonant(word: str) -> bool:
-    return (
-        len(word) >= 2
-        and word[-1] == word[-2]
-        and _is_consonant(word, len(word) - 1)
-    )
-
-
-def _ends_cvc(word: str) -> bool:
-    """Consonant-vowel-consonant ending where the last char is not w, x, y."""
-    if len(word) < 3:
-        return False
-    return (
-        _is_consonant(word, len(word) - 3)
-        and not _is_consonant(word, len(word) - 2)
-        and _is_consonant(word, len(word) - 1)
-        and word[-1] not in "wxy"
-    )
-
-
-def _step1ab_cleanup(word: str) -> str:
-    """Post-processing after -ed/-ing removal."""
-    if word.endswith(("at", "bl", "iz")):
-        return word + "e"
-    if _ends_double_consonant(word) and word[-1] not in "lsz":
-        return word[:-1]
-    if _measure(word) == 1 and _ends_cvc(word):
-        return word + "e"
-    return word
-
-
-# suffix -> replacement; _longest_match compares lengths, so the order
-# of the suffixes does not matter.
+# suffix -> replacement.  The longest matching suffix is taken, so the
+# order within a table does not matter.
 _STEP2 = {
     "ational": "ate", "tional": "tion", "enci": "ence", "anci": "ance",
     "izer": "ize", "abli": "able", "alli": "al", "entli": "ent",
@@ -84,18 +41,13 @@ _STEP3 = {
     "ical": "ic", "ful": "", "ness": "",
 }
 
-_STEP4 = (
+_STEP4 = dict.fromkeys((
     "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
     "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
-)
+), "")
 
-
-def _longest_match(word: str, suffixes) -> str | None:
-    best = None
-    for s in suffixes:
-        if word.endswith(s) and (best is None or len(s) > len(best)):
-            best = s
-    return best
+# (table, its suffixes, minimum measure) for steps 2, 3 and 4.
+_STEPS_2_TO_4 = tuple((t, tuple(t), m) for t, m in ((_STEP2, 0), (_STEP3, 0), (_STEP4, 1)))
 
 
 def porter_stem(word: str) -> str:
@@ -105,59 +57,50 @@ def porter_stem(word: str) -> str:
         return word
 
     # Step 1a: plurals.
-    if word.endswith("sses"):
+    if word.endswith(("sses", "ies")):
         word = word[:-2]
-    elif word.endswith("ies"):
-        word = word[:-2]
-    elif word.endswith("ss"):
-        pass
-    elif word.endswith("s"):
+    elif word.endswith("s") and not word.endswith("ss"):
         word = word[:-1]
 
-    # Step 1b: -eed / -ed / -ing.
+    # Step 1b: -eed / -ed / -ing, then tidy the stem -ed/-ing left.
     if word.endswith("eed"):
-        if _measure(word[:-3]) > 0:
+        if "vc" in _form(word[:-3]):
             word = word[:-1]
-    elif word.endswith("ed"):
-        if _has_vowel(word[:-2]):
-            word = _step1ab_cleanup(word[:-2])
-    elif word.endswith("ing"):
-        if _has_vowel(word[:-3]):
-            word = _step1ab_cleanup(word[:-3])
+    elif word.endswith(("ed", "ing")):
+        stem = word[: -2 if word.endswith("ed") else -3]
+        form = _form(stem)
+        if "v" in form:
+            word = stem
+            if word.endswith(("at", "bl", "iz")):
+                word += "e"
+            elif word.endswith(word[-1] * 2) and form.endswith("c") and word[-1] not in "lsz":
+                word = word[:-1]
+            elif form.count("vc") == 1 and _ends_cvc(word, form):
+                word += "e"
 
     # Step 1c: terminal y.
-    if word.endswith("y") and _has_vowel(word[:-1]):
+    if word.endswith("y") and "v" in _form(word[:-1]):
         word = word[:-1] + "i"
 
-    # Steps 2 and 3: double suffixes, then -ic-, -full, -ness etc., m(stem) > 0.
-    for step in (_STEP2, _STEP3):
-        suffix = _longest_match(word, step)
-        if suffix is not None:
+    # Steps 2, 3 and 4: double suffixes, -ic-, -full, -ness etc., then
+    # bare suffixes; -ion goes only after s or t.
+    for table, suffixes, min_m in _STEPS_2_TO_4:
+        if word.endswith(suffixes):  # one call rules out most words
+            suffix = max((s for s in suffixes if word.endswith(s)), key=len)
             stem = word[: -len(suffix)]
-            if _measure(stem) > 0:
-                word = stem + step[suffix]
-
-    # Step 4: bare suffixes, m(stem) > 1.
-    suffix = _longest_match(word, _STEP4)
-    if suffix is not None:
-        stem = word[: -len(suffix)]
-        if _measure(stem) > 1:
-            if suffix != "ion" or (stem and stem[-1] in "st"):
-                word = stem
+            if (suffix != "ion" or stem.endswith(("s", "t"))) and _form(stem).count("vc") > min_m:
+                word = stem + table[suffix]
 
     # Step 5a: terminal e.
     if word.endswith("e"):
         stem = word[:-1]
-        m = _measure(stem)
-        if m > 1 or (m == 1 and not _ends_cvc(stem)):
+        form = _form(stem)
+        m = form.count("vc")
+        if m > 1 or (m == 1 and not _ends_cvc(stem, form)):
             word = stem
 
-    # Step 5b: -ll reduction.
-    if (
-        word.endswith("l")
-        and _ends_double_consonant(word)
-        and _measure(word) > 1
-    ):
+    # Step 5b: -ll reduction (l is always a consonant).
+    if word.endswith("ll") and _form(word).count("vc") > 1:
         word = word[:-1]
 
     return word

@@ -391,6 +391,10 @@ def test_data_errors(pipeline, tmp_path):
                 "--out", str(tmp_path / "d.jsonl")]) == EXIT_DATA
     # More folds than commits is a data problem, not a crash.
     assert run(["folds", "--dataset", pipeline["dataset"], "--n", "99"]) == EXIT_DATA
+    # So is one fold, whose split would train on nothing.
+    assert run(["folds", "--dataset", pipeline["dataset"], "--n", "1",
+                "--out-prefix", str(tmp_path / "one")]) == EXIT_DATA
+    assert not list(tmp_path.glob("one*"))
 
 
 def test_predict_dim_mismatch_exits_data(pipeline, tmp_path):
@@ -850,8 +854,9 @@ def test_evaluate_input_validation(tmp_path):
 @pytest.mark.parametrize(
     "row",
     ['{"score": NaN, "true_label": 1}', '{"score": null, "true_label": 1}',
-     '{"score": Infinity, "true_label": 1}', "5"],
-    ids=["nan", "null", "infinity", "non-object"],
+     '{"score": Infinity, "true_label": 1}', "5",
+     '{"score": true, "true_label": 1}', '{"score": false, "true_label": 0}'],
+    ids=["nan", "null", "infinity", "non-object", "true", "false"],
 )
 def test_evaluate_bad_score_row_exits_data_without_traceback(tmp_path, capsys, row):
     scores = tmp_path / "scores.jsonl"
@@ -1070,6 +1075,18 @@ def test_empty_message_and_code_channels_run_through(tmp_path):
         out = str(tmp_path / "s.jsonl")
         assert run(["predict", "--checkpoint", ckpt, "--in", source, "--out", out]) == EXIT_OK
         assert len(_read_jsonl(out)) == 2
+
+
+def test_a_message_word_of_3000_ys_runs_through(pipeline, tmp_path):
+    dataset = str(tmp_path / "d.jsonl")
+    long_y = make_commit(1, subject="fix a" + "y" * 3000 + "ing leak", label=Label.STABLE)
+    write_commits_jsonl(dataset, [long_y, make_commit(2, label=Label.NON_STABLE)])
+    assert run(["preprocess", "--dataset", dataset, "--out", str(tmp_path / "t.bin"),
+                "--vocab-out", str(tmp_path / "v.json"), *PREPROCESS_DIMS]) == EXIT_OK
+    assert run(["predict", "--checkpoint", pipeline["checkpoint"], "--in", dataset,
+                "--out", str(tmp_path / "s.jsonl")]) == EXIT_OK
+    assert run(["baseline", "--dataset", dataset, "--out", str(tmp_path / "b.jsonl")]) == EXIT_OK
+    assert [row["label"] for row in _read_jsonl(tmp_path / "b.jsonl")] == ["stable", "non-stable"]
 
 
 # ---------------------------------------------------------------------------

@@ -71,9 +71,11 @@ def test_the_scanners_match_the_oracle_on_c_ish_text(text, cut):
 
 
 # Edges that random text seldom reaches: a lone backslash ending an open
-# literal, a backslash-newline inside one, CR line ends, a `/*/`.
+# literal, a backslash-newline inside one, CR line ends, a `/*/`, and
+# mixed spacing (a form feed too) between `else` and `if`.
 EDGES = ['"ab\\', "c = '\\", '"a\\\nb" c', '"open\nx"', "/* open\n", "a /*/ b */ c",
-         "// c\r\nx", "if (x)\r\n\treturn -EIO;\r\nelse y;"]
+         "// c\r\nx", "if (x)\r\n\treturn -EIO;\r\nelse y;",
+         "if (a) x; else \t\n \f\n\tif (b)\n\t\tgoto out;\n"]
 
 
 @pytest.mark.parametrize("text", EDGES)

@@ -275,8 +275,9 @@ def test_chrono_folds_ties_break_on_commit_id():
 
 def test_chrono_folds_validation():
     commits = dated_commits([1, 2, 3])
-    with pytest.raises(ValueError, match="positive"):
-        chrono_folds(commits, n_folds=0)
+    for n_folds in (0, 1):
+        with pytest.raises(ValueError, match="at least 2"):
+            chrono_folds(commits, n_folds=n_folds)
     with pytest.raises(ValueError, match="cannot make 4 folds"):
         chrono_folds(commits, n_folds=4)
 

@@ -3,13 +3,24 @@
 Every expected value below was traced by hand through the published
 rule set (measure conditions included), end to end from the raw word.
 The groups mirror the algorithm's steps so a failure points at the
-step that regressed.
+step that regressed.  The last tests hold porter_stem equal to the
+recursive stemmer kept in stemmer_oracle; its recursion limits the y
+runs they try to under 500.
 """
 
 import random
 import string
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import stemmer_oracle
+from patchnet.ingest import parse_commit_stream
 from patchnet.stemmer import porter_stem
+from patchnet.textprep import RE_SPLIT
+from test_export_reader import _benchmark_run
 
 # Step 1a: plural stripping.
 PLURALS = (
@@ -182,3 +193,46 @@ def test_never_grows_and_is_deterministic():
         assert len(out) <= len(word)
         assert out == porter_stem(word)
         assert all(c in string.ascii_lowercase for c in out) or out == word
+
+
+def test_long_y_runs_stem_without_recursion():
+    # y's class depends on the letter before it; a run of 3,000 must not
+    # cost a stack frame per letter.
+    assert porter_stem("a" + "y" * 3000 + "ing") == "a" + "y" * 2999 + "i"
+
+
+# ---------------------------------------------------------------------------
+# Against the recursive stemmer kept in stemmer_oracle.
+
+SUFFIXES = sorted(
+    {*stemmer_oracle._STEP2, *stemmer_oracle._STEP3, *stemmer_oracle._STEP4,
+     "sses", "ies", "ss", "s", "eed", "ed", "ing", "at", "bl", "iz", "e", "ll", "y",
+     "sion", "tion"}
+)
+
+
+@st.composite
+def porter_words(draw):
+    """A short stem of letters, digits and y runs, then stacked suffixes."""
+    stem = draw(st.text("abcdefghijklmnopqrstuvwxyz0123456789", max_size=6))
+    stem += "y" * draw(st.integers(0, 6) | st.integers(7, 499)) + draw(st.text("bcaeiouwxl", max_size=2))
+    return stem + "".join(draw(st.lists(st.sampled_from(SUFFIXES), max_size=3)))
+
+
+@given(porter_words())
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+def test_porter_stem_matches_the_oracle(word):
+    assert porter_stem(word) == stemmer_oracle.porter_stem(word)
+
+
+@pytest.mark.parametrize("workload", ["kernel-default", "corpus-compact"])
+def test_porter_stem_matches_the_oracle_on_the_benchmark_exports(workload, tmp_path, monkeypatch):
+    run = _benchmark_run(monkeypatch)
+    info = run.corpus.generate(run.WORKLOADS[workload].shape, 5, tmp_path)
+    words = set()
+    for name in ("mainline", "stable"):
+        for commit in parse_commit_stream(Path(info["paths"][name]).read_text(encoding="utf-8")):
+            words.update(RE_SPLIT.split(commit.message.lower()))
+    assert len(words) > 100
+    for word in words:
+        assert porter_stem(word) == stemmer_oracle.porter_stem(word), word
