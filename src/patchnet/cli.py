@@ -357,11 +357,7 @@ def _cmd_train(args, seed):
         )
     msg_vocab, code_vocab = load_vocab_pair(args.vocab)
     _check_indices(patches, msg_vocab, code_vocab)
-    functions = (
-        _read_functions_file(args.functions)
-        if args.functions
-        else FunctionNameTable.empty()
-    )
+    functions = _read_functions_file(args.functions)
 
     hp, config = _train_settings(args, dims, seed)
     result = train(patches, hp, config, msg_vocab, code_vocab)
@@ -374,8 +370,7 @@ def _cmd_train(args, seed):
     )
     save_checkpoint(args.out, result.params, hp, msg_vocab, code_vocab, functions)
     print(f"checkpoint written to {args.out}")
-    inputs = [args.tensors, args.vocab] + ([args.functions] if args.functions else [])
-    return inputs, [args.out]
+    return [args.tensors, args.vocab, args.functions], [args.out]
 
 
 def _is_tensor_file(path: str) -> bool:
@@ -556,7 +551,7 @@ def build_parser():
     sub = command("train", _cmd_train, "fit the model on preprocessed tensors")
     sub.add_argument("--tensors", required=True, help="tensors.bin from preprocess")
     sub.add_argument("--vocab", required=True, help="vocab.json from preprocess")
-    sub.add_argument("--functions", help="functions JSON from preprocess")
+    sub.add_argument("--functions", required=True, help="functions JSON from preprocess")
     sub.add_argument("--out", required=True, help="output checkpoint path")
     hp, config = HyperParams(), TrainConfig()
     for owner, flags in ((hp, _HP_FLAGS), (config, _CONFIG_FLAGS)):

@@ -9,8 +9,8 @@ diff fragments and file snapshots that need not even compile.  The
 scanners are total (any text in, something reasonable out) and degrade
 toward LineKind.NORMAL when structure cannot be recovered.  They scan
 with regular expressions: one substitution blanks comments and literals,
-and one bracket matcher, _close, delimits `if` headers, bodies and label
-blocks.
+one pass pairs every bracket to delimit `if` headers and bodies, and one
+bracket matcher, _close, ends each label block.
 """
 
 from __future__ import annotations
@@ -41,6 +41,8 @@ RE_DEFINITION = re.compile(r"^([A-Za-z_]\w*)\s*\(")
 RE_GOTO_STMT = re.compile(r"^\s*goto\b")
 RE_RETURN_STMT = re.compile(r"^\s*return\b\s*(.*)$", re.S)
 RE_WS = re.compile(r"[ \t\n\r]*")
+RE_BRACKET = re.compile(r"[(){}]")
+RE_BRACE = re.compile(r"[{}]")
 
 # What strip_comments_strings blanks.  A literal ends at its own quote,
 # before a raw newline, or at the end of the input; an escape may be a
@@ -127,18 +129,34 @@ def strip_comments_strings(source: str) -> str:
     return RE_SKIPPED.sub(_blank, source)
 
 
-def _close(text: str, start: int, stop: int, open_ch: str, close_ch: str) -> int:
-    """Index of the first close_ch in text[start:stop] that no open_ch
-    after start matches, or -1."""
+def _close(text: str, start: int, stop: int) -> int:
+    """Index of the first `}` in text[start:stop] that no `{` after
+    start matches, or -1."""
     depth = 0
-    for m in re.compile(f"[{open_ch}{close_ch}]").finditer(text, start, stop):
-        if m.group() == open_ch:
+    for m in RE_BRACE.finditer(text, start, stop):
+        if m.group() == "{":
             depth += 1
         elif depth:
             depth -= 1
         else:
             return m.start()
     return -1
+
+
+def _pairs(text: str) -> dict[int, int]:
+    """The offset of each `(` and `{` of text that closes, mapped to the
+    offset of its close; parentheses and braces nest independently."""
+    closes: dict[int, int] = {}
+    stacks: dict[str, list[int]] = {"(": [], "{": []}
+    for m in RE_BRACKET.finditer(text):
+        ch = m.group()
+        if ch in stacks:
+            stacks[ch].append(m.start())
+        else:
+            stack = stacks["(" if ch == ")" else "{"]
+            if stack:
+                closes[stack.pop()] = m.start()
+    return closes
 
 
 def _last_statement(block: str) -> str:
@@ -185,18 +203,19 @@ def classify_line_kinds(file_text: str) -> dict[int, LineKind]:
     handling_spans: list[tuple[int, int]] = []
     checking_spans: list[tuple[int, int]] = []
 
+    closes = _pairs(file_text)
     for m in RE_IF.finditer(file_text):
         j = m.start()
         while j and file_text[j - 1].isspace():
             j -= 1
         if file_text.endswith("else", 0, j):
             continue  # part of an else-chain: not single-branch
-        paren_close = _close(file_text, m.end(), len(file_text), "(", ")")
+        paren_close = closes.get(m.end() - 1, -1)
         if paren_close < 0:
             continue
         body_start = RE_WS.match(file_text, paren_close + 1).end()
         if file_text.startswith("{", body_start):
-            body_end = _close(file_text, body_start + 1, len(file_text), "{", "}")
+            body_end = closes.get(body_start, -1)
             if body_end < 0:
                 continue
             inner = file_text[body_start + 1 : body_end]
@@ -218,7 +237,7 @@ def classify_line_kinds(file_text: str) -> dict[int, LineKind]:
             continue
         next_label = RE_LABEL.search(file_text, m.end())
         limit = next_label.start() if next_label else len(file_text)
-        close = _close(file_text, m.end(), limit, "{", "}")
+        close = _close(file_text, m.end(), limit)
         block_end = (close if close >= 0 else limit) - 1
         if _is_error_exit(_last_statement(file_text[m.end() : block_end + 1])):
             handling_spans.append((m.start(), block_end))

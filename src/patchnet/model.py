@@ -30,6 +30,7 @@ alone and in any batch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -45,7 +46,6 @@ from .nnkit import (
     max_pool,
     reshape,
     sigmoid_score,
-    uniform_init,
 )
 from .preprocess import INDEX_DTYPE, PatchDims, PreprocessedPatch, check_patch, check_positive_ints
 from .vocab import PAD_INDEX
@@ -139,8 +139,8 @@ def param_specs(
 ) -> list[tuple[str, tuple[int, ...]]]:
     """Names and shapes of every learnable array, in a fixed order.
 
-    This list is the single ordering authority: initialization walks it
-    and checkpoints store arrays in exactly this sequence.
+    This list is the single ordering authority: ModelParams lays its
+    flat vector out in this order, and checkpoints store that vector.
     """
     if msg_vocab_size < 2 or code_vocab_size < 2:
         raise ValueError("vocabulary sizes must be at least 2 (PAD and UNK)")
@@ -163,10 +163,21 @@ def param_specs(
 
 
 class ModelParams:
-    """Every learnable tensor, addressable by name in manifest order."""
+    """Every learnable tensor, addressable by name in manifest order.
 
-    def __init__(self, tensors: "dict[str, Tensor]", hp: HyperParams):
-        self._tensors = dict(tensors)
+    `flat` is one float64 vector holding the tensors back to back in
+    `specs` order, the order of `param_specs` and of a checkpoint's
+    bytes; each tensor is a reshaped view of it.  Parameters change
+    only in place, so a tensor and its slice of `flat` never part.
+    """
+
+    def __init__(self, flat: np.ndarray, specs: "list[tuple[str, tuple[int, ...]]]", hp: HyperParams):
+        sizes = [math.prod(shape) for _, shape in specs]
+        if flat.dtype != np.float64 or flat.shape != (sum(sizes),):
+            raise ValueError(f"flat must be a float64 vector of {sum(sizes)} values")
+        self.flat = flat
+        views = np.split(flat, np.cumsum(sizes)[:-1])
+        self._tensors = {name: Tensor(v.reshape(shape)) for (name, shape), v in zip(specs, views)}
         self.filter_sizes = tuple(hp.filter_sizes)
 
     def named(self) -> list[tuple[str, Tensor]]:
@@ -186,12 +197,11 @@ def init_params(
     rng: np.random.Generator,
     scale: float = 0.1,
 ) -> ModelParams:
-    """Uniform [-scale, scale] initialization in manifest order."""
-    tensors = {
-        name: uniform_init(shape, rng, scale)
-        for name, shape in param_specs(hp, msg_vocab_size, code_vocab_size)
-    }
-    return ModelParams(tensors, hp)
+    """Uniform [-scale, scale] initialization: one draw for the whole
+    vector, the same stream as one draw per tensor in manifest order."""
+    specs = param_specs(hp, msg_vocab_size, code_vocab_size)
+    total = sum(math.prod(shape) for _, shape in specs)
+    return ModelParams(rng.uniform(-scale, scale, size=total), specs, hp)
 
 
 # ---------------------------------------------------------------------------

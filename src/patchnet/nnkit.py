@@ -66,11 +66,6 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     t.grad = g if t.grad is None else t.grad + g
 
 
-def uniform_init(shape, rng: np.random.Generator, scale: float = 0.1) -> Tensor:
-    """Parameter tensor initialized uniformly in [-scale, scale]."""
-    return Tensor(rng.uniform(-scale, scale, size=shape))
-
-
 # ---------------------------------------------------------------------------
 # Ops
 

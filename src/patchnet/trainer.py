@@ -3,12 +3,16 @@
 A batch's loss is the sum of its items' cross-entropies plus one L2
 term; the recorded epoch loss is the sum of batch losses divided by
 the number of items seen.  Early stopping keeps the parameters from
-the best epoch, not the last one.
+the best epoch, not the last one: one copy of `ModelParams.flat`,
+refilled in place at each improving epoch.  Adam steps each tensor in
+place, so every tensor stays a view of `flat`, and a checkpoint writes
+`flat` as one float32 vector.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -17,7 +21,7 @@ import numpy as np
 from .codeprep import FunctionNameTable
 from .core import atomic_write
 from .model import HyperParams, ModelParams, forward_batch, init_params, param_specs
-from .nnkit import AdamState, Tensor, adam_step, backward, loss
+from .nnkit import AdamState, adam_step, backward, loss
 from .preprocess import PreprocessedPatch, check_positive_ints
 from .vocab import Vocabulary
 
@@ -51,9 +55,15 @@ class TrainConfig:
 class TrainHistory:
     epoch_losses: tuple[float, ...]
     best_epoch: int
-    best_loss: float
-    epochs_run: int
     stopped_early: bool
+
+    @property
+    def epochs_run(self) -> int:
+        return len(self.epoch_losses)
+
+    @property
+    def best_loss(self) -> float:
+        return self.epoch_losses[self.best_epoch - 1]
 
 
 @dataclass
@@ -109,15 +119,6 @@ def _labels_array(batch) -> np.ndarray:
     return np.array([p.label.to_int() for p in batch], dtype=np.float64)
 
 
-def _snapshot(params: ModelParams) -> dict[str, np.ndarray]:
-    return {name: t.data.copy() for name, t in params.named()}
-
-
-def _restore(params: ModelParams, snapshot: dict[str, np.ndarray]) -> None:
-    for name, t in params.named():
-        t.data[...] = snapshot[name]
-
-
 def train(
     items,
     hp: HyperParams,
@@ -141,12 +142,11 @@ def train(
     rng = np.random.default_rng(config.seed)
     if params is None:
         params = init_params(hp, _vocab_size(message_vocab), _vocab_size(code_vocab), rng)
-    named = params.named()
-    tensors = [t for _, t in named]
+    tensors = params.all()
     states = [AdamState.for_param(t, learning_rate=config.learning_rate) for t in tensors]
 
     stopper = EarlyStopping(patience=config.patience)
-    best = _snapshot(params)
+    best = params.flat.copy()
     epoch_losses: list[float] = []
     stopped_early = False
 
@@ -170,19 +170,13 @@ def train(
         epoch_losses.append(epoch_loss)
         should_stop = stopper.update(epoch, epoch_loss)
         if stopper.best_epoch == epoch:
-            best = _snapshot(params)
+            best[...] = params.flat
         if should_stop:
             stopped_early = True
             break
 
-    _restore(params, best)
-    history = TrainHistory(
-        epoch_losses=tuple(epoch_losses),
-        best_epoch=stopper.best_epoch,
-        best_loss=stopper.best_loss,
-        epochs_run=len(epoch_losses),
-        stopped_early=stopped_early,
-    )
+    params.flat[...] = best
+    history = TrainHistory(tuple(epoch_losses), stopper.best_epoch, stopped_early)
     return TrainResult(params=params, history=history)
 
 
@@ -218,24 +212,22 @@ def save_checkpoint(
     hp: HyperParams,
     message_vocab: Vocabulary,
     code_vocab: Vocabulary,
-    functions: "FunctionNameTable | None" = None,
+    functions: FunctionNameTable,
 ) -> None:
-    """Binary checkpoint: magic, version, JSON header, float32 arrays.
+    """Binary checkpoint: magic, version, JSON header, float32 vector.
 
     The header embeds both vocabulary word lists and the whole function
     table, so a checkpoint alone preprocesses raw commits exactly as
-    `preprocess` did and scores them.  Arrays follow in header-manifest
-    order, little endian.
+    `preprocess` did and scores them.  `params.flat` follows as little
+    endian float32, its tensors in header-manifest order.
     """
-    functions = functions if functions is not None else FunctionNameTable.empty()
-    named = params.named()
     header = {
         "hyperparams": hp.to_json_obj(),
         "message_vocab": list(message_vocab.words),
         "code_vocab": list(code_vocab.words),
         "functions": functions.to_json_obj(),
         "manifest": [
-            {"name": name, "shape": list(t.data.shape)} for name, t in named
+            {"name": name, "shape": list(t.data.shape)} for name, t in params.named()
         ],
         "dtype": "float32",
     }
@@ -244,8 +236,7 @@ def save_checkpoint(
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(header_bytes)))
         fh.write(header_bytes)
-        for _, t in named:
-            fh.write(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
+        fh.write(params.flat.astype("<f4"))
 
 
 def load_checkpoint(path: str) -> CheckpointBundle:
@@ -279,25 +270,14 @@ def load_checkpoint(path: str) -> CheckpointBundle:
         )
 
     offset = 12 + header_len
-    tensors: dict[str, Tensor] = {}
-    for name, shape in expected:
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        nbytes = count * 4
-        if offset + nbytes > len(blob):
-            raise ValueError("truncated checkpoint file")
-        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
-        if not np.isfinite(arr).all():
-            raise ValueError(f"non-finite values in checkpoint parameter {name}")
-        tensors[name] = Tensor(arr.astype(np.float64).reshape(shape))
-        offset += nbytes
-    if offset != len(blob):
+    count = sum(math.prod(shape) for _, shape in expected)
+    if len(blob) < offset + 4 * count:
+        raise ValueError("truncated checkpoint file")
+    if len(blob) > offset + 4 * count:
         raise ValueError("trailing data in checkpoint file")
-
-    params = ModelParams(tensors, hp)
-    return CheckpointBundle(
-        params=params,
-        hp=hp,
-        message_vocab=message_vocab,
-        code_vocab=code_vocab,
-        functions=functions,
-    )
+    flat = np.frombuffer(blob, dtype="<f4", count=count, offset=offset).astype(np.float64)
+    params = ModelParams(flat, expected, hp)
+    for name, t in params.named():
+        if not np.isfinite(t.data).all():
+            raise ValueError(f"non-finite values in checkpoint parameter {name}")
+    return CheckpointBundle(params, hp, message_vocab, code_vocab, functions)

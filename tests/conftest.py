@@ -1,14 +1,17 @@
 """Shared builders: synthetic commits, export records, compact patches
-from dense arrays, and three reconstructed kernel patches used across
-parser and baseline tests.
+from dense arrays, all-zero parameters, and three reconstructed kernel
+patches used across parser and baseline tests.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from patchnet.core import Label, RawCommit
 from patchnet.ingest import COMMIT_SEP, DIFF_SEP
+from patchnet.model import ModelParams, param_specs
 from patchnet.preprocess import INDEX_DTYPE, PatchDims, PreprocessedPatch
 
 
@@ -78,6 +81,12 @@ def dense_patch(commit_id, message_tokens, removed_code, added_code, label=None)
         rows = rows[1:]
     grid = where.reshape(dims.grid_shape).astype(dims.grid_dtype)
     return PreprocessedPatch(commit_id, message, rows, grid, dims.msg_len, label)
+
+
+def zero_params(hp, msg_vocab_size: int = 7, code_vocab_size: int = 9) -> ModelParams:
+    """Every parameter 0.0, so every patch scores exactly 0.5."""
+    specs = param_specs(hp, msg_vocab_size, code_vocab_size)
+    return ModelParams(np.zeros(sum(math.prod(shape) for _, shape in specs)), specs, hp)
 
 
 def export_record(

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import shlex
 import struct
 import subprocess
 import sys
@@ -376,8 +377,36 @@ def test_usage_errors():
 
 def test_train_usage_errors(pipeline, tmp_path):
     out = str(tmp_path / "m.ckpt")
-    assert run(["train", "--tensors", pipeline["tensors"], "--vocab",
-                pipeline["vocab"], "--out", out, "--filter-sizes", "a,b"]) == EXIT_USAGE
+    assert run(["train", "--tensors", pipeline["tensors"], "--vocab", pipeline["vocab"],
+                "--functions", pipeline["tensors"] + ".functions.json",
+                "--out", out, "--filter-sizes", "a,b"]) == EXIT_USAGE
+
+
+def test_train_without_functions_exits_usage_and_writes_nothing(pipeline, tmp_path):
+    # A checkpoint always carries the function table preprocess built,
+    # so predict on raw commits builds the tensors training saw.
+    assert run(["train", "--tensors", pipeline["tensors"], "--vocab", pipeline["vocab"],
+                "--out", str(tmp_path / "m.ckpt"), *TRAIN_FLAGS]) == EXIT_USAGE
+    assert os.listdir(tmp_path) == []
+
+
+def _readme_commands():
+    """Every `patchnet ...` command of the README's sh blocks, as argv."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("patchnet ")]
+
+
+def test_readme_commands_parse():
+    parser, _ = build_parser()
+    commands = _readme_commands()
+    assert {"ingest", "preprocess", "train", "predict"} <= {argv[0] for argv in commands}
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: patchnet {shlex.join(argv)}")
 
 
 def test_data_errors(pipeline, tmp_path):
@@ -429,6 +458,7 @@ def _version_1_tensor_file(command):
         if command == "predict":
             return _predict_argv(p, tmp_path, in_path=path)
         return ["train", "--tensors", path, "--vocab", p["vocab"],
+                "--functions", p["tensors"] + ".functions.json",
                 "--out", str(tmp_path / "m.ckpt"), *TRAIN_FLAGS]
 
     return case
@@ -503,6 +533,7 @@ def _vocab_file_with_message_words(make):
         path = tmp_path / "vocab.json"
         path.write_text(json.dumps(objs))
         return ["train", "--tensors", p["tensors"], "--vocab", str(path),
+                "--functions", p["tensors"] + ".functions.json",
                 "--out", str(tmp_path / "m.ckpt"), *TRAIN_FLAGS]
 
     return case
@@ -536,6 +567,7 @@ def _index_past_vocabulary(command):
         if command == "predict":
             return _predict_argv(p, tmp_path, in_path=path)
         return ["train", "--tensors", path, "--vocab", p["vocab"],
+                "--functions", p["tensors"] + ".functions.json",
                 "--out", str(tmp_path / "m.ckpt"), *TRAIN_FLAGS]
 
     return case
@@ -577,6 +609,7 @@ def _vocab_file(text):
         path = tmp_path / "vocab.json"
         path.write_text(text)
         return ["train", "--tensors", p["tensors"], "--vocab", str(path),
+                "--functions", p["tensors"] + ".functions.json",
                 "--out", str(tmp_path / "m.ckpt"), *TRAIN_FLAGS]
 
     return case
@@ -721,7 +754,7 @@ def test_settings_nothing_can_use_exit_data(pipeline, tmp_path, capsys, setting,
         argv = ["evaluate", "--scores", pipeline["scores"], "--report", str(out)]
     else:
         argv = ["train", "--tensors", pipeline["tensors"], "--vocab", pipeline["vocab"],
-                "--out", str(out), *TRAIN_FLAGS]
+                "--functions", pipeline["tensors"] + ".functions.json", "--out", str(out), *TRAIN_FLAGS]
     assert run(argv + flags) == EXIT_DATA
     err = capsys.readouterr().err
     assert err.startswith(f"error: {setting} must be finite") and "Traceback" not in err
@@ -764,8 +797,8 @@ def test_train_rejects_unlabeled_tensors(tmp_path):
     rc = run(["preprocess", "--dataset", str(data), "--out", tensors,
               "--vocab-out", str(tmp_path / "v.json"), *PREPROCESS_DIMS])
     assert rc == EXIT_OK
-    assert run(["train", "--tensors", tensors, "--vocab",
-                str(tmp_path / "v.json"), "--out", str(tmp_path / "m.ckpt"),
+    assert run(["train", "--tensors", tensors, "--vocab", str(tmp_path / "v.json"),
+                "--functions", tensors + ".functions.json", "--out", str(tmp_path / "m.ckpt"),
                 *TRAIN_FLAGS]) == EXIT_DATA
 
 
@@ -870,7 +903,7 @@ def test_evaluate_bad_score_row_exits_data_without_traceback(tmp_path, capsys, r
 def test_train_defaults_come_from_hyperparams_and_train_config():
     parser, _ = build_parser()
     args = parser.parse_args(["train", "--tensors", "t.bin", "--vocab", "v.json",
-                              "--out", "m.ckpt"])
+                              "--functions", "f.json", "--out", "m.ckpt"])
     dims = PatchDims(msg_len=8, files=1, hunks=2, lines=2, words=6)
     hp, config = _train_settings(args, dims, seed=11)
     assert hp == HyperParams(dims=dims)
@@ -914,6 +947,7 @@ def test_config_file_errors(pipeline, tmp_path):
     bad_choice = tmp_path / "choice.cfg"
     bad_choice.write_text("variant = bogus\n")
     assert run(["train", "--tensors", pipeline["tensors"], "--vocab", pipeline["vocab"],
+                "--functions", pipeline["tensors"] + ".functions.json",
                 "--out", str(tmp_path / "m.ckpt"), "--config", str(bad_choice)]) == EXIT_USAGE
 
 
@@ -1027,7 +1061,8 @@ def test_failed_allocation_exits_data(pipeline, tmp_path, capsys, monkeypatch, e
     monkeypatch.setattr(trainer, "init_params", no_memory)
     out = tmp_path / "m.ckpt"
     assert run(["train", "--tensors", pipeline["tensors"], "--vocab", pipeline["vocab"],
-                "--out", str(out), *TRAIN_FLAGS]) == EXIT_DATA
+                "--functions", pipeline["tensors"] + ".functions.json", "--out", str(out),
+                *TRAIN_FLAGS]) == EXIT_DATA
     err = capsys.readouterr().err
     assert err == f"error: {str(exc) or 'MemoryError'}\n"
     assert not out.exists()
@@ -1037,7 +1072,8 @@ def test_train_summary_line(pipeline, tmp_path, capsys):
     out = str(tmp_path / "m.ckpt")
     capsys.readouterr()
     assert run(["train", "--tensors", pipeline["tensors"], "--vocab", pipeline["vocab"],
-                "--out", out, *TRAIN_FLAGS]) == EXIT_OK
+                "--functions", pipeline["tensors"] + ".functions.json", "--out", out,
+                *TRAIN_FLAGS]) == EXIT_OK
     (summary,) = [line for line in capsys.readouterr().out.splitlines() if line.startswith("train:")]
     # No second inference pass: the line ends with the history, not an accuracy.
     assert re.fullmatch(r"train: 2 epochs \(best [12], loss \d+\.\d{6}, stopped_early=False\)",
@@ -1070,7 +1106,8 @@ def test_empty_message_and_code_channels_run_through(tmp_path):
                 *PREPROCESS_DIMS]) == EXIT_OK
     (p_empty, _), _ = read_tensor_file(tensors)
     assert len(p_empty.message) == 0 and len(p_empty.rows) == 0
-    assert run(["train", "--tensors", tensors, "--vocab", vocab, "--out", ckpt, *TRAIN_FLAGS]) == EXIT_OK
+    assert run(["train", "--tensors", tensors, "--vocab", vocab, "--functions", tensors + ".functions.json",
+                "--out", ckpt, *TRAIN_FLAGS]) == EXIT_OK
     for source in (tensors, dataset):
         out = str(tmp_path / "s.jsonl")
         assert run(["predict", "--checkpoint", ckpt, "--in", source, "--out", out]) == EXIT_OK
@@ -1116,8 +1153,9 @@ def _vocab_with_unserialisable_word(p, path):
 
 def _checkpoint_with_unconvertible_array(p, path):
     bundle = load_checkpoint(p["checkpoint"])
-    bundle.params.all()[-1].data = np.array(["x"], dtype=object)
-    save_checkpoint(path, bundle.params, bundle.hp, bundle.message_vocab, bundle.code_vocab)
+    # save_checkpoint writes the one vector every tensor is a view of.
+    bundle.params.flat = np.array(["x"], dtype=object)
+    save_checkpoint(path, bundle.params, bundle.hp, bundle.message_vocab, bundle.code_vocab, bundle.functions)
 
 
 def _json_with_unserialisable_value(p, path):

@@ -10,6 +10,7 @@ on them.
 """
 
 import random
+import time
 import warnings
 
 import pytest
@@ -355,6 +356,16 @@ def test_classify_after_stripping_comments():
 def test_classify_empty_and_blank():
     assert classify_line_kinds("") == {1: N}
     assert classify_line_kinds("\n\n") == {1: N, 2: N, 3: N}
+
+
+@pytest.mark.parametrize("line", ["if (a\n", "if (a) {\n"], ids=["paren", "brace"])
+def test_classify_is_linear_in_unclosed_ifs(line):
+    # Each bracket is paired once per call, so an `if` whose `(` or `{`
+    # never closes costs no scan to the end of the text.
+    started = time.perf_counter()
+    kinds = classify_line_kinds(line * 8000)
+    assert time.perf_counter() - started < 2.0
+    assert set(kinds.values()) == {N}
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Tests for the patch-scoring network."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import dense_patch
+from conftest import dense_patch, zero_params
 from patchnet import model
 from patchnet.core import Label
 from patchnet.model import (
@@ -19,7 +20,7 @@ from patchnet.model import (
     message_embedding,
     param_specs,
 )
-from patchnet.nnkit import Tensor, backward, concat, dense, loss, sigmoid_score
+from patchnet.nnkit import backward, concat, dense, loss, sigmoid_score
 from patchnet.preprocess import PatchDims, check_patch
 from patchnet.trainer import score_items
 
@@ -43,14 +44,6 @@ def rand_patch(rng, hp, msg_vocab_size=7, code_vocab_size=9, label=None):
         added_code=rng.integers(0, code_vocab_size, dims.code_shape),
         label=label,
     )
-
-
-def zero_params(hp, msg_vocab_size=7, code_vocab_size=9):
-    tensors = {
-        name: Tensor(np.zeros(shape))
-        for name, shape in param_specs(hp, msg_vocab_size, code_vocab_size)
-    }
-    return ModelParams(tensors, hp)
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +166,32 @@ def test_init_params_walks_manifest_deterministically():
         assert np.array_equal(ta.data, tb.data)
         assert np.abs(ta.data).max() <= 0.05
     assert [n for n, _ in a.named()] == [n for n, _ in param_specs(TINY, 7, 9)]
+
+
+def test_init_params_matches_per_spec_draws():
+    # One draw for the whole vector takes the same stream as one draw
+    # per tensor in manifest order.
+    params = init_params(TINY, 7, 9, np.random.default_rng(5), scale=0.1)
+    rng = np.random.default_rng(5)
+    for name, shape in param_specs(TINY, 7, 9):
+        assert np.array_equal(params[name].data, rng.uniform(-0.1, 0.1, size=shape)), name
+    assert params.flat.max() <= 0.1 and params.flat.min() >= -0.1
+    assert params.flat.std() > 0.01
+
+
+def test_model_params_are_views_of_one_vector():
+    specs = param_specs(TINY, 7, 9)
+    flat = np.arange(sum(math.prod(shape) for _, shape in specs), dtype=np.float64)
+    params = ModelParams(flat, specs, TINY)
+    assert params.flat is flat
+    assert [(n, t.data.shape) for n, t in params.named()] == specs
+    assert np.array_equal(np.concatenate([t.data.ravel() for t in params.all()]), flat)
+    assert all(np.shares_memory(t.data, flat) for t in params.all())
+    flat[-1] = -1.0
+    assert params["w_out"].data[-1] == -1.0
+    for bad in (flat[:-1], flat.astype(np.float32), flat.reshape(1, -1)):
+        with pytest.raises(ValueError, match="float64 vector"):
+            ModelParams(bad, specs, TINY)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from patchnet.nnkit import (
     sigmoid_score,
     stack,
     tensor,
-    uniform_init,
 )
 
 REL_TOL = 1e-4
@@ -783,15 +782,7 @@ def test_adam_descends_on_quadratic():
 
 
 # ---------------------------------------------------------------------------
-# Init
-
-
-def test_uniform_init_bounds_and_determinism():
-    a = uniform_init((50, 20), np.random.default_rng(5), scale=0.1)
-    b = uniform_init((50, 20), np.random.default_rng(5), scale=0.1)
-    assert np.array_equal(a.data, b.data)
-    assert a.data.max() <= 0.1 and a.data.min() >= -0.1
-    assert a.data.std() > 0.01
+# Tensor
 
 
 def test_tensor_dtype_is_float64():

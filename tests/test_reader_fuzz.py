@@ -103,7 +103,7 @@ def base(tmp_path_factory):
         ["preprocess", "--dataset", f["data.jsonl"], "--out", f["tensors.bin"],
          "--vocab-out", f["vocab.json"], *PREPROCESS_DIMS],
         ["train", "--tensors", f["tensors.bin"], "--vocab", f["vocab.json"],
-         "--out", f["model.ckpt"], *TRAIN_FLAGS],
+         "--functions", f["tensors.bin"] + ".functions.json", "--out", f["model.ckpt"], *TRAIN_FLAGS],
         ["predict", "--checkpoint", f["model.ckpt"], "--in", f["tensors.bin"],
          "--out", f["scores.jsonl"]],
     ]
@@ -167,7 +167,7 @@ def test_checkpoint_reader(base, edits):
 def test_vocab_reader(base, edits):
     run_mutated(base, "vocab.json", lambda blob: mutate(blob, edits), lambda path, tmp: [
         "train", "--tensors", base["tensors.bin"], "--vocab", path,
-        "--out", f"{tmp}/m.ckpt", *TRAIN_FLAGS])
+        "--functions", base["functions.json"], "--out", f"{tmp}/m.ckpt", *TRAIN_FLAGS])
 
 
 @FUZZ
@@ -194,7 +194,7 @@ JSON_READERS = {
         "--functions", path, "--out", f"{tmp}/m.ckpt", *TRAIN_FLAGS],
     "vocab.json": lambda base, path, tmp: [
         "train", "--tensors", base["tensors.bin"], "--vocab", path,
-        "--out", f"{tmp}/m.ckpt", *TRAIN_FLAGS],
+        "--functions", base["functions.json"], "--out", f"{tmp}/m.ckpt", *TRAIN_FLAGS],
     "scores.jsonl": lambda base, path, tmp: [
         "evaluate", "--scores", path, "--report", f"{tmp}/r.json"],
 }

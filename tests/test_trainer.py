@@ -1,17 +1,17 @@
 """Tests for minibatch training, early stopping, and checkpoints."""
 
+import json
 import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import dense_patch
+from conftest import dense_patch, zero_params
 from patchnet.codeprep import FunctionNameTable
 from patchnet.core import Label
 from patchnet.evalkit import metrics
-from patchnet.model import HyperParams, ModelParams, init_params, param_specs
-from patchnet.nnkit import Tensor
+from patchnet.model import HyperParams, init_params
 from patchnet.preprocess import PatchDims
 from patchnet.trainer import (
     CHECKPOINT_MAGIC,
@@ -50,6 +50,11 @@ def labeled_patch(rng, n, label):
         added_code=rng.integers(0, CODE_VOCAB, dims.code_shape),
         label=label,
     )
+
+
+def assert_views_of_flat(params):
+    assert all(np.shares_memory(t.data, params.flat) for t in params.all())
+    assert np.array_equal(np.concatenate([t.data.ravel() for t in params.all()]), params.flat)
 
 
 def tiny_dataset(n=8, seed=0):
@@ -206,10 +211,8 @@ def test_train_stops_early_on_plateau():
 
 def test_train_raises_on_non_finite_loss():
     items = tiny_dataset(4)
-    specs = param_specs(TINY, MSG_VOCAB, CODE_VOCAB)
-    tensors = {name: Tensor(np.zeros(shape)) for name, shape in specs}
-    tensors["w_out"].data[0] = float("nan")
-    params = ModelParams(tensors, TINY)
+    params = zero_params(TINY, MSG_VOCAB, CODE_VOCAB)
+    params["w_out"].data[0] = float("nan")
     with pytest.raises(TrainingError, match="non-finite loss"):
         train(
             items,
@@ -233,6 +236,18 @@ def test_train_accepts_vocabulary_objects_and_warm_start():
     assert warm.history.epochs_run == 2
 
 
+def test_parameters_stay_views_of_flat_through_training():
+    # Adam steps and the best-epoch restore both write in place, so the
+    # trained tensors are still the vector the run started from.
+    params = init_params(TINY, MSG_VOCAB, CODE_VOCAB, np.random.default_rng(4))
+    flat = params.flat
+    assert_views_of_flat(params)
+    config = TrainConfig(batch_size=4, max_epochs=3, seed=4, learning_rate=0.05)
+    result = train(tiny_dataset(), TINY, config, MSG_VOCAB, CODE_VOCAB, params=params)
+    assert result.params.flat is flat
+    assert_views_of_flat(result.params)
+
+
 def test_train_loss_decreases_with_steady_rate():
     items = tiny_dataset()
     config = TrainConfig(
@@ -247,8 +262,7 @@ def test_train_loss_decreases_with_steady_rate():
 
 
 def test_score_items_and_accuracy_at_zero_params():
-    specs = param_specs(TINY, MSG_VOCAB, CODE_VOCAB)
-    params = ModelParams({n: Tensor(np.zeros(s)) for n, s in specs}, TINY)
+    params = zero_params(TINY, MSG_VOCAB, CODE_VOCAB)
     items = tiny_dataset(6)
     scores = score_items(items, params, TINY)
     assert scores.dtype == np.float64
@@ -263,7 +277,7 @@ def test_score_items_and_accuracy_at_zero_params():
 # Checkpoints
 
 
-def trained_bundle(tmp_path, functions=None):
+def trained_bundle(tmp_path, functions=FunctionNameTable.empty()):
     items = tiny_dataset(4)
     msg_vocab = build_vocab(["fix", "leak", "race", "guard", "mm"], "message")
     code_vocab = build_vocab(
@@ -310,9 +324,27 @@ def test_checkpoint_scores_drift_under_1e6(tmp_path):
     assert np.abs(before - after).max() < 1e-6
 
 
-def test_checkpoint_default_functions_empty(tmp_path):
-    path, *_ = trained_bundle(tmp_path)
-    assert load_checkpoint(path).functions.retained == frozenset()
+def test_save_checkpoint_requires_functions(tmp_path):
+    # A checkpoint always carries the function table its tensors were
+    # built with, so raw commits are preprocessed the same way.
+    path, params, msg_vocab, code_vocab = trained_bundle(tmp_path)
+    with pytest.raises(TypeError, match="functions"):
+        save_checkpoint(str(tmp_path / "other.ckpt"), params, TINY, msg_vocab, code_vocab)
+    assert load_checkpoint(path).functions == FunctionNameTable.empty()
+
+
+def test_checkpoint_arrays_are_the_float32_vector(tmp_path):
+    path, params, *_ = trained_bundle(tmp_path)
+    blob = open(path, "rb").read()
+    (header_len,) = struct.unpack_from("<I", blob, 8)
+    header = json.loads(blob[12 : 12 + header_len])
+    assert [e["name"] for e in header["manifest"]] == [n for n, _ in params.named()]
+    per_tensor = b"".join(t.data.astype("<f4").tobytes() for t in params.all())
+    assert blob[12 + header_len :] == per_tensor
+    bundle = load_checkpoint(path)
+    assert bundle.params.flat.dtype == np.float64
+    assert np.array_equal(bundle.params.flat, params.flat.astype("<f4"))
+    assert_views_of_flat(bundle.params)
 
 
 def test_checkpoint_bad_magic(tmp_path):
@@ -371,6 +403,19 @@ def test_checkpoint_trailing_data(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("name", ["msg_embed", "b_hidden", "w_out"])
+def test_checkpoint_names_the_non_finite_parameter(tmp_path, name):
+    path, params, *_ = trained_bundle(tmp_path)
+    blob = bytearray(open(path, "rb").read())
+    (header_len,) = struct.unpack_from("<I", blob, 8)
+    names = [n for n, _ in params.named()]
+    at = 12 + header_len + 4 * sum(t.data.size for t in params.all()[: names.index(name)])
+    blob[at : at + 4] = struct.pack("<f", float("inf"))
+    open(path, "wb").write(bytes(blob))
+    with pytest.raises(ValueError, match=f"non-finite values in checkpoint parameter {name}$"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_manifest_mismatch(tmp_path):
     # Header hyperparameters that disagree with the stored manifest must
     # be refused before any array is interpreted.
@@ -382,6 +427,6 @@ def test_checkpoint_manifest_mismatch(tmp_path):
         items_hp, len(msg_vocab), len(code_vocab), np.random.default_rng(0)
     )
     path = str(tmp_path / "mismatch.ckpt")
-    save_checkpoint(path, params, other_hp, msg_vocab, code_vocab)
+    save_checkpoint(path, params, other_hp, msg_vocab, code_vocab, FunctionNameTable.empty())
     with pytest.raises(ValueError, match="manifest mismatch"):
         load_checkpoint(path)
