@@ -7,10 +7,8 @@ Run from the repository root after `pip install -e .`:
     python3 demos/01_parse_and_label.py
 """
 
-from dataclasses import replace
-
-from patchnet import (
-    Label,
+from patchnet.core import Label
+from patchnet.ingest import (
     build_balanced_dataset,
     check_eligibility,
     extract_stable_evidence,
@@ -103,11 +101,12 @@ def main():
 
     evidence = extract_stable_evidence(parse_commit_stream(STABLE))
     print(f"stable evidence: {len(evidence.back_links)} back link(s)")
-    # The label goes on the commit.  Balancing matches on the changed-line
-    # count the eligibility check already took from its one parse of the diff.
-    labeled = [(replace(c, label=label_commit(c, evidence)), size) for c, size in eligible]
-    for c, size in labeled:
-        print(f"  {c.commit_id[:12]} -> {c.label.value} ({size} changed lines)")
+    # Balancing takes each label beside its commit and matches on the
+    # changed-line count the eligibility check already took from its one
+    # parse of the diff; the commits it keeps carry their label.
+    labeled = [(c, size, label_commit(c, evidence)) for c, size in eligible]
+    for c, size, label in labeled:
+        print(f"  {c.commit_id[:12]} -> {label.value} ({size} changed lines)")
     print()
 
     commits, provenance = build_balanced_dataset(labeled, seed=0)

@@ -11,22 +11,11 @@ from pathlib import Path
 
 import numpy as np
 
-from patchnet import (
-    FunctionNameTable,
-    PatchDims,
-    RawCommit,
-    assemble_tensors,
-    classify_line_kinds,
-    message_tokens,
-    porter_stem,
-    preprocess_commits,
-    read_tensor_file,
-    strip_comments_strings,
-    strip_tags,
-    tokenize_code_line,
-    write_tensor_file,
-)
-from patchnet.core import Label, LineKind
+from patchnet.codeprep import FunctionNameTable, classify_line_kinds, strip_comments_strings, tokenize_code_line
+from patchnet.core import Label, LineKind, PatchDims, RawCommit
+from patchnet.preprocess import assemble_tensors, preprocess_commits, read_tensor_file, write_tensor_file
+from patchnet.stemmer import porter_stem
+from patchnet.textprep import message_tokens, strip_tags
 
 MESSAGE = """net: fix a use-after-free in the ring teardown
 

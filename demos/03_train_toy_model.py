@@ -10,19 +10,10 @@ Takes a few seconds on a laptop CPU.
 import tempfile
 from pathlib import Path
 
-from patchnet import (
-    HyperParams,
-    Label,
-    PatchDims,
-    RawCommit,
-    TrainConfig,
-    load_checkpoint,
-    metrics,
-    preprocess_commits,
-    save_checkpoint,
-    score_items,
-    train,
-)
+from patchnet.core import HyperParams, Label, PatchDims, RawCommit, TrainConfig
+from patchnet.evalkit import metrics
+from patchnet.preprocess import preprocess_commits
+from patchnet.trainer import load_checkpoint, save_checkpoint, score_items, train
 
 DIFF = (
     "diff --git a/drivers/net/ring.c b/drivers/net/ring.c\n"

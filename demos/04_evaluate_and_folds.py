@@ -4,19 +4,10 @@ build chronological cross-validation folds.
     python3 demos/04_evaluate_and_folds.py
 """
 
-from patchnet import (
-    HyperParams,
-    Label,
-    PatchDims,
-    RawCommit,
-    TrainConfig,
-    chrono_folds,
-    keyword_baseline,
-    metrics,
-    preprocess_commits,
-    score_items,
-    train,
-)
+from patchnet.core import HyperParams, Label, PatchDims, RawCommit, TrainConfig
+from patchnet.evalkit import chrono_folds, keyword_baseline, metrics
+from patchnet.preprocess import preprocess_commits
+from patchnet.trainer import score_items, train
 
 DIFF = (
     "diff --git a/drivers/net/ring.c b/drivers/net/ring.c\n"

@@ -7,23 +7,27 @@ recursion limit, or an allocation that fails).
 Every run writes a manifest next to its primary output; an optional
 flat key=value config file overrides built-in defaults, and explicit
 flags override the file.  PATCHNET_SEED serves as a fallback seed.
+
+At top level this module imports only the standard library and the
+numpy-free core, ingest and evalkit modules; the handlers of preprocess,
+train and predict import the tensor and model code they run, so
+--version, ingest, label, folds and baseline without --report never
+load numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from collections import Counter
 from dataclasses import fields, replace
 from datetime import datetime, timezone
 
-import numpy as np
-
 from . import __version__
-from .codeprep import FunctionNameTable
-from .core import Label, atomic_write
+from .core import VARIANTS, HyperParams, Label, PatchDims, TrainConfig, TrainingError, atomic_write
 from .evalkit import chrono_folds, keyword_baseline, metrics
 from .ingest import (
     build_balanced_dataset,
@@ -34,10 +38,6 @@ from .ingest import (
     read_rc_ids,
     write_commits_jsonl,
 )
-from .model import VARIANTS, HyperParams
-from .preprocess import TENSOR_MAGIC, PatchDims, assemble_tensors, preprocess_commits, read_tensor_file, write_tensor_file
-from .trainer import TrainConfig, TrainingError, load_checkpoint, save_checkpoint, score_items, train
-from .vocab import PAD_INDEX, load_vocab_pair, save_vocab_pair
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -209,7 +209,7 @@ def _read_scores(path: str) -> tuple[list[float], list[int]]:
             score = float(obj["score"])
         except (TypeError, ValueError):
             raise ValueError(f"{where}: score {obj['score']!r} is not a number")
-        if not np.isfinite(score):
+        if not math.isfinite(score):
             raise ValueError(f"{where}: score {score} is not finite")
         scores.append(score)
         labels.append(_truth_to_int(obj["true_label"], where))
@@ -231,7 +231,9 @@ def _truth_to_int(value, where: str) -> int:
     raise ValueError(f"{where}: true_label must be 0/1 or stable/non-stable")
 
 
-def _read_functions_file(path: str) -> FunctionNameTable:
+def _read_functions_file(path: str):
+    from .codeprep import FunctionNameTable
+
     with open(path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
@@ -242,6 +244,8 @@ def _read_functions_file(path: str) -> FunctionNameTable:
 
 def _check_indices(patches, message_vocab, code_vocab) -> None:
     """Every token index must address a row of its channel's embedding."""
+    from .vocab import PAD_INDEX
+
     top_msg = max(int(p.message.max(initial=PAD_INDEX)) for p in patches)
     top_code = max(int(p.rows.max(initial=PAD_INDEX)) for p in patches)
     if top_msg >= len(message_vocab) or top_code >= len(code_vocab):
@@ -270,9 +274,7 @@ def _cmd_ingest(args, seed):
     for c in mainline:
         report = check_eligibility(c)
         if report.eligible:
-            if c.label is None:
-                c = replace(c, label=label_commit(c, evidence))
-            entries.append((c, report.changed_lines))
+            entries.append((c, report.changed_lines, c.label or label_commit(c, evidence)))
         # A commit counts once under each of its reasons; "Other: <why>" under OTHER.
         ineligible.update(r.split(":", 1)[0] for r in report.reasons)
     commits, provenance = build_balanced_dataset(entries, seed=seed)
@@ -309,6 +311,9 @@ def _cmd_label(args, seed):
 
 
 def _cmd_preprocess(args, seed):
+    from .preprocess import preprocess_commits, write_tensor_file
+    from .vocab import save_vocab_pair
+
     dims = PatchDims(**{f.name: getattr(args, f.name) for f in fields(PatchDims)})
     commits = load_commits(args.dataset)
     if not commits:
@@ -346,6 +351,10 @@ def _train_settings(args, dims: PatchDims, seed: int) -> tuple[HyperParams, Trai
 
 
 def _cmd_train(args, seed):
+    from .preprocess import read_tensor_file
+    from .trainer import save_checkpoint, train
+    from .vocab import load_vocab_pair
+
     patches, dims = read_tensor_file(args.tensors)
     if not patches:
         raise ValueError(f"{args.tensors}: no patches")
@@ -373,14 +382,14 @@ def _cmd_train(args, seed):
     return [args.tensors, args.vocab, args.functions], [args.out]
 
 
-def _is_tensor_file(path: str) -> bool:
-    with open(path, "rb") as fh:
-        return fh.read(len(TENSOR_MAGIC)) == TENSOR_MAGIC
-
-
 def _cmd_predict(args, seed):
+    from .preprocess import TENSOR_MAGIC, assemble_tensors, read_tensor_file
+    from .trainer import load_checkpoint, score_items
+
     bundle = load_checkpoint(args.checkpoint)
-    if _is_tensor_file(args.in_path):
+    with open(args.in_path, "rb") as fh:
+        is_tensor_file = fh.read(len(TENSOR_MAGIC)) == TENSOR_MAGIC
+    if is_tensor_file:
         patches, dims = read_tensor_file(args.in_path)
         if dims != bundle.hp.dims:
             raise ValueError(
@@ -419,6 +428,8 @@ def _summary(obj: dict) -> str:
 
 
 def _cmd_evaluate(args, seed):
+    import numpy as np
+
     if args.pr_csv and len(args.scores) != 1:
         raise UsageError("--pr-csv needs exactly one scores file")
     objs = [metrics(*_read_scores(path), args.threshold).to_json_obj() for path in args.scores]

@@ -6,13 +6,15 @@ class in the labels) never raise inside metrics(); the report carries
 0.0 plus a flag naming what was undefined, so callers can tell a true
 zero from a vacuous one.  The standalone auc_roc returns NaN for
 single-class input.
+
+numpy is imported by the metric functions that use it, not with the
+module: the CLI imports this module for every command, and the
+baseline and folds need no numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-
-import numpy as np
 
 from .core import Label
 from .textprep import message_tokens
@@ -44,6 +46,8 @@ class EvalReport:
 
 
 def _as_binary(values, name: str) -> np.ndarray:
+    import numpy as np
+
     arr = np.asarray(values)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name} must be a non-empty 1-d sequence")
@@ -54,6 +58,8 @@ def _as_binary(values, name: str) -> np.ndarray:
 
 
 def _pair(scores, labels) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     s = np.asarray(scores, dtype=np.float64)
     y = _as_binary(labels, "labels")
     if s.shape != y.shape:
@@ -67,6 +73,8 @@ def auc_roc(scores, labels) -> float:
     Midranks handle ties, so this equals the pairwise statistic with
     ties worth half.  Single-class labels or a NaN score give NaN.
     """
+    import numpy as np
+
     s, y = _pair(scores, labels)
     n_pos = int(y.sum())
     n_neg = y.size - n_pos
@@ -84,6 +92,8 @@ def pr_curve(scores, labels) -> list[tuple[float, float]]:
     Predictions use score >= threshold, so every point has at least one
     predicted positive and recall never decreases along the sequence.
     """
+    import numpy as np
+
     s, y = _pair(scores, labels)
     n_pos = int(y.sum())
     if n_pos == 0 or n_pos == y.size:
@@ -99,6 +109,8 @@ def pr_curve(scores, labels) -> list[tuple[float, float]]:
 
 def metrics(scores, labels, threshold: float = 0.5) -> EvalReport:
     """Confusion metrics at `score >= threshold`, plus AUC and PR curve."""
+    import numpy as np
+
     if not np.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold}")
     s, y = _pair(scores, labels)

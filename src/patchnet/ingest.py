@@ -1,8 +1,8 @@
 """Commit-stream parsing, eligibility filtering, labeling, and balancing.
 
-A label lives on the commit: label_commit computes one, the caller sets
-it as RawCommit.label with dataclasses.replace, and balancing and the
-JSONL writer read it from there.
+A label lives on the commit: label_commit computes one, balancing takes
+it beside its commit and sets it as RawCommit.label on the commits it
+keeps, and the JSONL writer reads it from there.
 
 Input arrives as exported text, never via a git binary: either the
 record format documented below or JSONL.  Export records look like::
@@ -25,12 +25,11 @@ the exported text.
 
 from __future__ import annotations
 
+import bisect
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
-
-import numpy as np
 
 from .core import (
     COMMIT_ID_RE,
@@ -411,14 +410,15 @@ def label_commit(c: RawCommit, ev: StableEvidence) -> Label:
 
 
 def build_balanced_dataset(
-    entries: "list[tuple[RawCommit, int]]", seed: int = 0
+    entries: "list[tuple[RawCommit, int, Label]]", seed: int = 0
 ) -> tuple[list[RawCommit], str]:
     """Keep every stable commit and match each with the unused non-stable
     commit of closest changed-line count.
 
-    Entries are (labeled commit, changed-line count), the count as
+    Entries are (commit, changed-line count, label), the count as
     check_eligibility reports it.  Returns the selected commits, stable
-    ones first, and a human-readable provenance note.
+    ones first, each carrying its label as RawCommit.label (only they
+    are copied), and a human-readable provenance note.
 
     Stable commits are processed in (date, commit_id) order; candidate
     ties break to the earlier date, then the lexicographically smaller
@@ -428,21 +428,12 @@ def build_balanced_dataset(
     if not entries:
         raise ValueError("labeled sequence is empty")
 
-    size_of: dict[str, int] = {}
-    unique: list[RawCommit] = []
-    for c, size in entries:
-        if c.commit_id not in size_of:
-            size_of[c.commit_id] = size
-            unique.append(c)
-
-    stable = sorted(
-        (c for c in unique if c.label is Label.STABLE),
-        key=lambda c: (c.date, c.commit_id),
-    )
-    pool = sorted(
-        (c for c in unique if c.label is Label.NON_STABLE),
-        key=lambda c: (c.date, c.commit_id),
-    )
+    first: dict[str, tuple[RawCommit, int, Label]] = {}
+    for entry in entries:
+        first.setdefault(entry[0].commit_id, entry)
+    by_date = sorted(first.values(), key=lambda e: (e[0].date, e[0].commit_id))
+    stable = [e for e in by_date if e[2] is Label.STABLE]
+    pool = [e for e in by_date if e[2] is Label.NON_STABLE]
 
     notes = [f"{len(stable)} stable, {len(pool)} non-stable candidates, seed={seed}"]
     if not stable:
@@ -454,20 +445,30 @@ def build_balanced_dataset(
             notes.append(
                 f"WARNING: only {len(pool)} non-stable for {len(stable)} stable"
             )
-        chosen = list(range(len(pool)))
+        chosen = pool
     else:
-        # The pool is in (date, id) order, so the first minimum of the
-        # distance is the tie-break the docstring gives.
-        sizes = np.array([size_of[c.commit_id] for c in pool], dtype=np.int64)
-        used = np.zeros(len(pool), dtype=bool)
-        for s in stable:
-            dist = np.abs(sizes - size_of[s.commit_id])
-            dist[used] = np.iinfo(np.int64).max
-            used[np.argmin(dist)] = True
-        chosen = np.flatnonzero(used)
+        # The pool is in (date, id) order, so among the unused entries of
+        # one size the first in `unused` is the tie-break the docstring
+        # gives; the nearest sizes are the first at or above the target
+        # and the first of the size just below it.
+        unused = sorted((size, i) for i, (_, size, _) in enumerate(pool))
+        picked = []
+        for _, target, _ in stable:
+            at = bisect.bisect_left(unused, (target, -1))
+            options = []
+            if at < len(unused):
+                options.append((unused[at][0] - target, unused[at][1], at))
+            if at > 0:
+                below = bisect.bisect_left(unused, (unused[at - 1][0], -1))
+                options.append((target - unused[below][0], unused[below][1], below))
+            _, i, where = min(options)
+            del unused[where]
+            picked.append(i)
+        chosen = [pool[i] for i in sorted(picked)]
 
     notes.append(f"selected {len(chosen)} non-stable matches")
-    return stable + [pool[i] for i in chosen], "; ".join(notes)
+    commits = [c if c.label is label else replace(c, label=label) for c, _, label in stable + chosen]
+    return commits, "; ".join(notes)
 
 
 # ---------------------------------------------------------------------------

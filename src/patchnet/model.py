@@ -31,10 +31,10 @@ alone and in any batch.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from .core import HyperParams, PatchDims
 from .nnkit import (
     Tensor,
     concat,
@@ -47,85 +47,8 @@ from .nnkit import (
     reshape,
     sigmoid_score,
 )
-from .preprocess import INDEX_DTYPE, PatchDims, PreprocessedPatch, check_patch, check_positive_ints
+from .preprocess import INDEX_DTYPE, PreprocessedPatch, check_patch
 from .vocab import PAD_INDEX
-
-VARIANTS = ("full", "code", "message")
-
-
-@dataclass(frozen=True)
-class HyperParams:
-    """Architecture and regularization settings (shipped defaults)."""
-
-    d_msg: int = 50
-    d_code: int = 50
-    filter_sizes: tuple[int, ...] = (1, 2)
-    n_filters: int = 64
-    fc_size: int = 100
-    dims: PatchDims = PatchDims()
-    dropout: float = 0.5
-    l2_reg_lambda: float = 1e-5
-    threshold: float = 0.5
-    variant: str = "full"
-
-    def __post_init__(self) -> None:
-        check_positive_ints(d_msg=self.d_msg, d_code=self.d_code, n_filters=self.n_filters, fc_size=self.fc_size)
-        if not self.filter_sizes:
-            raise ValueError("filter_sizes must not be empty")
-        check_positive_ints(**{f"filter_sizes[{i}]": k for i, k in enumerate(self.filter_sizes)})
-        if len(set(self.filter_sizes)) != len(self.filter_sizes):
-            raise ValueError("filter_sizes must be distinct")
-        if not 0.0 < self.threshold < 1.0:
-            raise ValueError("threshold must lie in (0, 1)")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must lie in [0, 1)")
-        if not 0.0 <= self.l2_reg_lambda < np.inf:
-            raise ValueError(f"l2_reg_lambda must be finite and non-negative, got {self.l2_reg_lambda}")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}")
-        kmax = max(self.filter_sizes)
-        if min(self.dims.msg_len, self.dims.words, self.dims.hunks) < kmax:
-            raise ValueError("sequence dims must be >= the largest filter size")
-
-    @property
-    def line_embed_dim(self) -> int:
-        """E: one max-pooled value per filter per filter size."""
-        return self.n_filters * len(self.filter_sizes)
-
-    @property
-    def file_dim(self) -> int:
-        return 2 * self.line_embed_dim
-
-    @property
-    def code_dim(self) -> int:
-        return self.dims.files * self.file_dim
-
-    @property
-    def e_dim(self) -> int:
-        """Width of the classifier input under the active variant."""
-        if self.variant == "message":
-            return self.line_embed_dim
-        if self.variant == "code":
-            return self.code_dim
-        return self.line_embed_dim + self.code_dim
-
-    def to_json_obj(self) -> dict:
-        """Flat JSON object: the dims fields sit beside the others."""
-        obj = asdict(self)
-        obj.update(obj.pop("dims"))
-        obj["filter_sizes"] = list(self.filter_sizes)
-        return obj
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "HyperParams":
-        """Inverse of to_json_obj; a missing or unknown key is a ValueError."""
-        expected = cls().to_json_obj().keys()
-        if not isinstance(obj, dict) or obj.keys() != expected:
-            raise ValueError(f"hyperparameters must have exactly the keys {sorted(expected)}")
-        obj = dict(obj)
-        dims = PatchDims(**{f.name: obj.pop(f.name) for f in fields(PatchDims)})
-        obj["filter_sizes"] = tuple(obj["filter_sizes"])
-        return cls(dims=dims, **obj)
 
 
 def _conv_names(layer: str, k: int, side: str = "") -> tuple[str, str]:

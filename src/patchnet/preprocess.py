@@ -26,7 +26,7 @@ from .codeprep import (
     strip_comments_strings,
     tokenize_code_line,
 )
-from .core import CodeLine, FileDiff, Label, LineKind, RawCommit, atomic_write
+from .core import CodeLine, FileDiff, Label, LineKind, PatchDims, RawCommit, atomic_write
 from .ingest import ParseError, parse_unified_diff
 from .textprep import message_tokens, strip_tags
 from .vocab import PAD_INDEX, Vocabulary, build_vocab, index_of
@@ -35,48 +35,12 @@ INDEX_DTYPE = np.dtype("<u4")
 TENSOR_MAGIC = b"PNTD"
 TENSOR_VERSION = 2
 NO_LABEL_BYTE = 255
-U32_MAX = 2**32 - 1  # tensor-file header fields are u32
 
 
-def check_positive_ints(**values) -> None:
-    """Raise ValueError unless every value is an integer >= 1; a float or
-    a bool is not an integer here, even when it is whole."""
-    for name, v in values.items():
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {v!r}")
-        if v < 1:
-            raise ValueError(f"{name} must be positive")
-
-
-@dataclass(frozen=True)
-class PatchDims:
-    """Tensor extents: message length and files/hunks/lines/words."""
-
-    msg_len: int = 512
-    files: int = 5
-    hunks: int = 8
-    lines: int = 10
-    words: int = 120
-
-    def __post_init__(self) -> None:
-        check_positive_ints(**vars(self))
-        for name, v in vars(self).items():
-            if v > U32_MAX:
-                raise ValueError(f"{name} must be at most {U32_MAX}, got {v}")
-
-    @property
-    def code_shape(self) -> tuple[int, int, int, int]:
-        return (self.files, self.hunks, self.lines, self.words)
-
-    @property
-    def grid_shape(self) -> tuple[int, int, int, int]:
-        """(removed/added, files, hunks, lines): one row id per line slot."""
-        return (2, self.files, self.hunks, self.lines)
-
-    @property
-    def grid_dtype(self) -> np.dtype:
-        """The smallest unsigned dtype that holds every row id (little-endian)."""
-        return np.dtype(np.min_scalar_type(math.prod(self.grid_shape))).newbyteorder("<")
+def grid_dtype(dims: PatchDims) -> np.dtype:
+    """The smallest unsigned dtype that holds every row id of a grid of
+    `dims` (little-endian)."""
+    return np.dtype(np.min_scalar_type(math.prod(dims.grid_shape))).newbyteorder("<")
 
 
 @dataclass
@@ -92,7 +56,7 @@ class PreprocessedPatch:
     commit_id: str
     message: np.ndarray  # (count,) INDEX_DTYPE, count <= msg_len
     rows: np.ndarray  # (R, words) INDEX_DTYPE
-    grid: np.ndarray  # dims.grid_shape, dims.grid_dtype
+    grid: np.ndarray  # dims.grid_shape, grid_dtype(dims)
     msg_len: int  # the dense message's length, for message_tokens
     label: "Label | None" = None
 
@@ -208,7 +172,7 @@ def _index(c: RawCommit, tokens, vocabularies: tuple[Vocabulary, Vocabulary],
     message, code = tokens
     message = np.array([index_of(msg_vocab, t) for t in message[: dims.msg_len]], dtype=INDEX_DTYPE)
     row_ids: dict[tuple[int, ...], int] = {}
-    grid = np.zeros(dims.grid_shape, dtype=dims.grid_dtype)
+    grid = np.zeros(dims.grid_shape, dtype=grid_dtype(dims))
     for v, hunks in enumerate(code[: dims.files]):
         for h, sides in enumerate(hunks[: dims.hunks]):
             for s, lines in enumerate(sides):
@@ -273,7 +237,7 @@ def write_tensor_file(path: str, patches, dims: PatchDims = PatchDims()) -> None
 
     Record: 40-byte ascii commit id, one label byte (1/0/255=none), u32
     message count, u32 row count, then the message and the rows as
-    INDEX_DTYPE and the grid as dims.grid_dtype.
+    INDEX_DTYPE and the grid as grid_dtype(dims).
     """
     patches = list(patches)
     with atomic_write(path, "wb") as fh:
@@ -288,7 +252,7 @@ def write_tensor_file(path: str, patches, dims: PatchDims = PatchDims()) -> None
             fh.write(cid + struct.pack("<BII", label_byte, len(p.message), len(p.rows)))
             fh.write(np.ascontiguousarray(p.message, dtype=INDEX_DTYPE).tobytes())
             fh.write(np.ascontiguousarray(p.rows, dtype=INDEX_DTYPE).tobytes())
-            fh.write(np.ascontiguousarray(p.grid, dtype=dims.grid_dtype).tobytes())
+            fh.write(np.ascontiguousarray(p.grid, dtype=grid_dtype(dims)).tobytes())
 
 
 def read_tensor_file(path: str) -> tuple[list[PreprocessedPatch], PatchDims]:
@@ -312,8 +276,8 @@ def read_tensor_file(path: str) -> tuple[list[PreprocessedPatch], PatchDims]:
         raise ValueError(f"{path}: tensor file version {version} is not {TENSOR_VERSION}; "
                          "re-run preprocess")
     dims = PatchDims(*struct.unpack_from("<5I", blob, 12))
-    grid_dtype, grid_elems = dims.grid_dtype, math.prod(dims.grid_shape)
-    grid_bytes = grid_dtype.itemsize * grid_elems
+    dtype, grid_elems = grid_dtype(dims), math.prod(dims.grid_shape)
+    grid_bytes = dtype.itemsize * grid_elems
     patches = []
     offset = 32
     for i in range(count):
@@ -327,7 +291,7 @@ def read_tensor_file(path: str) -> tuple[list[PreprocessedPatch], PatchDims]:
         grid_at = rows_at + 4 * n_rows * dims.words
         if grid_at + grid_bytes > len(blob):
             raise ValueError(f"{path}: truncated tensor file")
-        grid = np.ndarray(dims.grid_shape, grid_dtype, blob, grid_at)
+        grid = np.ndarray(dims.grid_shape, dtype, blob, grid_at)
         if grid.max() > n_rows:
             raise ValueError(f"{path}: record {i} has row id {int(grid.max())} past its {n_rows} rows")
         label_byte = blob[offset + 40]

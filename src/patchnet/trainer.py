@@ -19,10 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codeprep import FunctionNameTable
-from .core import atomic_write
-from .model import HyperParams, ModelParams, forward_batch, init_params, param_specs
+from .core import HyperParams, TrainConfig, TrainingError, atomic_write
+from .model import ModelParams, forward_batch, init_params, param_specs
 from .nnkit import AdamState, adam_step, backward, loss
-from .preprocess import PreprocessedPatch, check_positive_ints
 from .vocab import Vocabulary
 
 CHECKPOINT_MAGIC = b"PNET"
@@ -30,25 +29,6 @@ CHECKPOINT_VERSION = 1
 MIN_DELTA = 1e-9
 # Patches per inference forward: bounds the memory of scoring a large set.
 SCORE_CHUNK = 32
-
-
-class TrainingError(Exception):
-    """Raised when optimization cannot continue (for example NaN loss)."""
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    batch_size: int = 32
-    max_epochs: int = 50
-    patience: int = 5
-    learning_rate: float = 1e-3
-    seed: int = 0
-    shuffle: bool = True
-
-    def __post_init__(self) -> None:
-        check_positive_ints(batch_size=self.batch_size, max_epochs=self.max_epochs, patience=self.patience)
-        if not 0.0 < self.learning_rate < np.inf:
-            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
 
 
 @dataclass(frozen=True)

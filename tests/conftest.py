@@ -9,10 +9,10 @@ import math
 
 import numpy as np
 
-from patchnet.core import Label, RawCommit
+from patchnet.core import Label, PatchDims, RawCommit
 from patchnet.ingest import COMMIT_SEP, DIFF_SEP
 from patchnet.model import ModelParams, param_specs
-from patchnet.preprocess import INDEX_DTYPE, PatchDims, PreprocessedPatch
+from patchnet.preprocess import INDEX_DTYPE, PreprocessedPatch, grid_dtype
 
 
 def hex_id(n: int) -> str:
@@ -79,7 +79,7 @@ def dense_patch(commit_id, message_tokens, removed_code, added_code, label=None)
         where = where + 1
     else:
         rows = rows[1:]
-    grid = where.reshape(dims.grid_shape).astype(dims.grid_dtype)
+    grid = where.reshape(dims.grid_shape).astype(grid_dtype(dims))
     return PreprocessedPatch(commit_id, message, rows, grid, dims.msg_len, label)
 
 

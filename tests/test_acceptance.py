@@ -14,23 +14,14 @@ import numpy as np
 
 from conftest import SAMPLE_EXPORTS, dense_patch, hex_id, make_commit, simple_diff
 from patchnet.codeprep import classify_line_kinds
-from patchnet.core import Label, LineKind
+from patchnet.core import HyperParams, Label, LineKind, PatchDims, TrainConfig
 from patchnet.evalkit import auc_roc, chrono_folds, keyword_baseline, metrics
 from patchnet.ingest import check_eligibility, parse_commit_stream, parse_unified_diff
-from patchnet.model import (
-    HyperParams,
-    forward,
-    init_params,
-)
+from patchnet.model import forward, init_params
 from patchnet.nnkit import backward, stack
 from patchnet.nnkit import loss as nn_loss
-from patchnet.preprocess import (
-    PatchDims,
-    assemble_tensors,
-    preprocess_commits,
-)
+from patchnet.preprocess import assemble_tensors, preprocess_commits
 from patchnet.trainer import (
-    TrainConfig,
     load_checkpoint,
     save_checkpoint,
     score_items,

@@ -10,6 +10,7 @@ there would otherwise show up only when a traced benchmark run fails
 import ast
 import importlib
 import inspect
+import os
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +19,9 @@ import pytest
 from conftest import make_commit, simple_diff
 from patchnet import model, nnkit
 from patchnet.cli import EXIT_OK, run
-from patchnet.core import Label
+from patchnet.core import HyperParams, Label
 from patchnet.ingest import write_commits_jsonl
-from patchnet.model import HyperParams, ModelParams
+from patchnet.model import ModelParams
 from patchnet.preprocess import PreprocessedPatch
 from test_cli import PREPROCESS_DIMS, TRAIN_FLAGS
 
@@ -99,6 +100,16 @@ def test_traced_names_are_wrapped_functions(tracing):
                 or inspect.isgeneratorfunction(getattr(module, attr))):
             missing.append(full)
     assert not missing
+
+
+def test_import_times_read_the_cli_import_log(tracing):
+    # import_times finds patchnet.evalkit in what `import patchnet.cli`
+    # imports, so the CLI keeps importing evalkit at top level.
+    root = BENCHMARKS.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    times = tracing.import_times(env, root)
+    assert len(times) == 2
+    assert all(isinstance(t, float) and t > 0 for t in times)
 
 
 def _work_dir(w: Path) -> Path:

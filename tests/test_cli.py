@@ -19,12 +19,11 @@ from conftest import KMEMDUP_EXPORT, SAMPLE_EXPORTS, export_record, hex_id, make
 from patchnet import __version__
 from patchnet import cli, trainer
 from patchnet.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _train_settings, build_parser, run
-from patchnet.core import Label
+from patchnet.core import HyperParams, Label, PatchDims, TrainConfig
 from patchnet.evalkit import keyword_baseline
 from patchnet.ingest import load_commits, write_commits_jsonl
-from patchnet.model import HyperParams
-from patchnet.preprocess import PatchDims, read_tensor_file, write_tensor_file
-from patchnet.trainer import TrainConfig, load_checkpoint, save_checkpoint
+from patchnet.preprocess import read_tensor_file, write_tensor_file
+from patchnet.trainer import load_checkpoint, save_checkpoint
 from patchnet.vocab import Vocabulary, load_vocab_pair, save_vocab_pair
 
 STABLE_BOUND = 4
@@ -779,15 +778,34 @@ def test_module_entry_point_runs_the_cli(pipeline, tmp_path):
     assert not (tmp_path / "s.jsonl").exists()
 
 
-def test_cli_import_leaves_scipy_out():
-    # Every CLI process pays for what patchnet.cli imports; SciPy alone
-    # cost over a second per process and nothing needs it.
+# Modules that only preprocess, train, predict and the metrics need.
+HEAVY_MODULES = ("numpy", "scipy", "patchnet.preprocess", "patchnet.model", "patchnet.nnkit",
+                 "patchnet.trainer")
+
+
+def test_cli_processes_load_only_what_their_command_runs(pipeline, tmp_path):
+    # Every CLI process pays for what it imports: numpy costs about 0.1 s
+    # and SciPy over a second, and none of these commands needs either.
     src = str(Path(patchnet.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import patchnet.cli, sys; print('scipy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
-    assert proc.stdout.strip() == "False"
+    commands = {
+        "import": [],
+        "--version": ["--version"],
+        "ingest": ["ingest", "--mainline", pipeline["mainline"], "--stable", pipeline["stable"],
+                   "--out", str(tmp_path / "data.jsonl")],
+        "label": ["label", "--dataset", pipeline["dataset"], "--stable", pipeline["stable"],
+                  "--out", str(tmp_path / "labeled.jsonl")],
+        "folds": ["folds", "--dataset", pipeline["dataset"], "--n", "2",
+                  "--out-prefix", str(tmp_path / "fold")],
+        "baseline": ["baseline", "--dataset", pipeline["dataset"], "--out", str(tmp_path / "b.jsonl")],
+    }
+    for name, argv in commands.items():
+        code = ("import json, sys\nfrom patchnet.cli import run\n"
+                f"rc = run({argv!r}) if {argv!r} else 0\n"
+                f"print(json.dumps([rc, sorted(set({HEAVY_MODULES!r}) & set(sys.modules))]))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert json.loads(proc.stdout.splitlines()[-1]) == [EXIT_OK, []], name
 
 
 def test_train_rejects_unlabeled_tensors(tmp_path):

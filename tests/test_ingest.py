@@ -3,6 +3,7 @@
 import importlib
 import json
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import balance_oracle
 from conftest import (
     ERRNO_FIX_DIFF,
     ERRNO_FIX_EXPORT,
@@ -56,8 +58,8 @@ def size_of(c) -> int:
 
 def sized(labeled):
     """Labeled commits as build_balanced_dataset takes them, each with the
-    changed-line count that check_eligibility reports."""
-    return [(c, check_eligibility(c).changed_lines) for c in labeled]
+    changed-line count that check_eligibility reports and its label."""
+    return [(c, check_eligibility(c).changed_lines, c.label) for c in labeled]
 
 
 def counts(commits) -> tuple[int, int]:
@@ -599,6 +601,23 @@ def oracle_balance(labeled):
     return stable + chosen
 
 
+@st.composite
+def balancing_pairs(draw):
+    """(labeled commit, size) pairs as the oracle takes them: sizes from a
+    narrow or a wide range, so many or few ties; dates with ties; now and
+    then an id seen before; and a pool with fewer, as many or more
+    entries than there are stable commits."""
+    n_stable = draw(st.integers(0, 12))
+    n_pool = max(0 if n_stable else 1, n_stable + draw(st.sampled_from((-3, -1, 0, 0, 1, 4, 15))))
+    top = draw(st.sampled_from((1, 4, 300)))
+    labels = draw(st.permutations([Label.STABLE] * n_stable + [Label.NON_STABLE] * n_pool))
+    pairs = []
+    for i, label in enumerate(labels):
+        n = i if draw(st.integers(0, 9)) else draw(st.integers(0, i))
+        pairs.append((make_commit(n, date=draw(st.integers(0, 3)), label=label), draw(st.integers(0, top))))
+    return pairs
+
+
 class TestBalancedDataset:
     def test_nearest_size_matching(self):
         # Stable sizes 4 and 90; candidates 5, 50, 91: expect 5 and 91.
@@ -694,19 +713,20 @@ class TestBalancedDataset:
                     min_size=1, max_size=40))
     def test_follows_the_documented_rule(self, rows):
         # Duplicate ids, date and size ties, and pools both smaller and
-        # larger than the stable set.
-        entries = [(make_commit(n, date=date, label=Label.STABLE if stable else Label.NON_STABLE), size)
+        # larger than the stable set.  The commits come unlabeled: each
+        # label travels beside its commit.
+        entries = [(make_commit(n, date=date), size, Label.STABLE if stable else Label.NON_STABLE)
                    for n, date, size, stable in rows]
         first = {}
-        for c, size in entries:
-            first.setdefault(c.commit_id, (c, size))
+        for c, size, label in entries:
+            first.setdefault(c.commit_id, (c, size, label))
         key = lambda e: (e[0].date, e[0].commit_id)
-        stable = sorted((e for e in first.values() if e[0].label is Label.STABLE), key=key)
-        pool = sorted((e for e in first.values() if e[0].label is Label.NON_STABLE), key=key)
+        stable = sorted((e for e in first.values() if e[2] is Label.STABLE), key=key)
+        pool = sorted((e for e in first.values() if e[2] is Label.NON_STABLE), key=key)
         chosen = pool
         if stable and len(pool) > len(stable):
             unused, chosen = list(pool), []
-            for _, target in stable:
+            for _, target, _ in stable:
                 best = min(unused, key=lambda e: (abs(e[1] - target), e[0].date, e[0].commit_id))
                 unused.remove(best)
                 chosen.append(best)
@@ -716,11 +736,19 @@ class TestBalancedDataset:
         got, _ = build_balanced_dataset(entries)
         assert [(c.commit_id, c.label) for c in got] == want
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(balancing_pairs())
+    def test_matches_the_numpy_oracle(self, pairs):
+        # The same commits in the same order, and the same provenance; the
+        # commits go in unlabeled, their labels beside them.
+        want = balance_oracle.build_balanced_dataset(pairs)
+        got = build_balanced_dataset([(replace(c, label=None), size, c.label) for c, size in pairs])
+        assert got == want
+
     def test_scales_to_a_large_pool(self):
         rng = np.random.default_rng(11)
-        entries = [(make_commit(i, date=int(rng.integers(0, 1000)),
-                                label=Label.STABLE if i % 10 == 0 else Label.NON_STABLE),
-                    int(rng.integers(1, 500)))
+        entries = [(make_commit(i, date=int(rng.integers(0, 1000))), int(rng.integers(1, 500)),
+                    Label.STABLE if i % 10 == 0 else Label.NON_STABLE)
                    for i in range(20_000)]
         start = time.perf_counter()
         commits, _ = build_balanced_dataset(entries)

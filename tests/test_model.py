@@ -8,10 +8,8 @@ import pytest
 
 from conftest import dense_patch, zero_params
 from patchnet import model
-from patchnet.core import Label
+from patchnet.core import VARIANTS, HyperParams, Label, PatchDims
 from patchnet.model import (
-    VARIANTS,
-    HyperParams,
     ModelParams,
     code_side_embedding,
     forward,
@@ -21,7 +19,7 @@ from patchnet.model import (
     param_specs,
 )
 from patchnet.nnkit import backward, concat, dense, loss, sigmoid_score
-from patchnet.preprocess import PatchDims, check_patch
+from patchnet.preprocess import check_patch
 from patchnet.trainer import score_items
 
 TINY = HyperParams(

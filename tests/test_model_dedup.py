@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 from conftest import dense_patch
 from test_nnkit import cut_windows, naive_max_pool
 from patchnet import model
-from patchnet.core import Label
-from patchnet.model import VARIANTS, HyperParams, features, forward, forward_batch, init_params
+from patchnet.core import VARIANTS, HyperParams, Label, PatchDims
+from patchnet.model import features, forward, forward_batch, init_params
 from patchnet.nnkit import (
     _topo_order,
     backward,
@@ -33,7 +33,6 @@ from patchnet.nnkit import (
     sigmoid_score,
     stack,
 )
-from patchnet.preprocess import PatchDims
 
 VOCAB = 4  # table height; ids are drawn from fewer so windows repeat
 

@@ -11,17 +11,17 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from patchnet.core import FileSnapshot, Label, LineKind
+from patchnet.core import FileSnapshot, Label, LineKind, PatchDims
 from patchnet.ingest import load_commits, parse_unified_diff
 from patchnet.preprocess import (
     INDEX_DTYPE,
     NO_LABEL_BYTE,
     TENSOR_MAGIC,
-    PatchDims,
     _parse,
     _tokenize,
     annotate_file_lines,
     assemble_tensors,
+    grid_dtype,
     preprocess_commits,
     read_tensor_file,
     write_tensor_file,
@@ -46,8 +46,8 @@ def test_dims_defaults_and_shape():
     assert (d.msg_len, d.files, d.hunks, d.lines, d.words) == (512, 5, 8, 10, 120)
     assert d.code_shape == (5, 8, 10, 120)
     assert d.grid_shape == (2, 5, 8, 10)
-    assert d.grid_dtype == np.dtype("<u2")
-    assert PatchDims(files=1, hunks=2, lines=1).grid_dtype == np.dtype("u1")
+    assert grid_dtype(d) == np.dtype("<u2")
+    assert grid_dtype(PatchDims(files=1, hunks=2, lines=1)) == np.dtype("u1")
 
 
 def test_dims_rejects_nonpositive():
@@ -336,7 +336,7 @@ def test_tensor_file_label_bytes(tmp_path):
     path = str(tmp_path / "t.bin")
     write_tensor_file(path, patches, dims)
     blob = open(path, "rb").read()
-    grid_bytes = dims.grid_dtype.itemsize * int(np.prod(dims.grid_shape))
+    grid_bytes = grid_dtype(dims).itemsize * int(np.prod(dims.grid_shape))
     label_bytes, offset = [], 32
     for _ in range(3):
         label_bytes.append(blob[offset + 40])
@@ -380,7 +380,7 @@ def _corrupt(tmp_path, change):
     path = str(tmp_path / "c.bin")
     write_tensor_file(path, patches, dims)
     blob = bytearray(open(path, "rb").read())
-    change(blob, len(blob) - dims.grid_dtype.itemsize * int(np.prod(dims.grid_shape)))
+    change(blob, len(blob) - grid_dtype(dims).itemsize * int(np.prod(dims.grid_shape)))
     with open(path, "wb") as fh:
         fh.write(bytes(blob))
     return path
@@ -437,7 +437,7 @@ def test_index_arrays_are_index_dtype(tmp_path):
     loaded, _ = read_tensor_file(path)
     built = [assemble_tensors(c, table, vocabs, dims) for c in commits]
     for p in [*patches, *built, *loaded]:
-        assert [a.dtype for a in _arrays(p)] == [INDEX_DTYPE, INDEX_DTYPE, dims.grid_dtype]
+        assert [a.dtype for a in _arrays(p)] == [INDEX_DTYPE, INDEX_DTYPE, grid_dtype(dims)]
 
 
 def _root(a):

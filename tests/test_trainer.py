@@ -9,15 +9,12 @@ import pytest
 
 from conftest import dense_patch, zero_params
 from patchnet.codeprep import FunctionNameTable
-from patchnet.core import Label
+from patchnet.core import HyperParams, Label, PatchDims, TrainConfig, TrainingError
 from patchnet.evalkit import metrics
-from patchnet.model import HyperParams, init_params
-from patchnet.preprocess import PatchDims
+from patchnet.model import init_params
 from patchnet.trainer import (
     CHECKPOINT_MAGIC,
     EarlyStopping,
-    TrainConfig,
-    TrainingError,
     load_checkpoint,
     minibatches,
     save_checkpoint,
