@@ -10,7 +10,10 @@ scanners are total (any text in, something reasonable out) and degrade
 toward LineKind.NORMAL when structure cannot be recovered.  They scan
 with regular expressions: one substitution blanks comments and literals,
 one pass pairs every bracket to delimit `if` headers and bodies, and one
-bracket matcher, _close, ends each label block.
+bracket matcher, _close, ends each label block.  Line kinds are counted,
+not painted: each error span is marked at its first and past its last
+line, and one running sum over the lines gives each its kind, so a text
+classifies in one pass however deep its `if`s nest.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import re
 import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .core import FileDiff, LineKind
 
@@ -41,6 +45,7 @@ RE_DEFINITION = re.compile(r"^([A-Za-z_]\w*)\s*\(")
 RE_GOTO_STMT = re.compile(r"^\s*goto\b")
 RE_RETURN_STMT = re.compile(r"^\s*return\b\s*(.*)$", re.S)
 RE_WS = re.compile(r"[ \t\n\r]*")
+RE_NEWLINE = re.compile("\n")
 RE_BRACKET = re.compile(r"[(){}]")
 RE_BRACE = re.compile(r"[{}]")
 
@@ -159,13 +164,13 @@ def _pairs(text: str) -> dict[int, int]:
     return closes
 
 
-def _last_statement(block: str) -> str:
-    """Text of the final ;-terminated statement in a block."""
-    end = block.rfind(";")
+def _last_statement(text: str, start: int, stop: int) -> str:
+    """Text of the final ;-terminated statement in text[start:stop]."""
+    end = text.rfind(";", start, stop)
     if end < 0:
-        return block.strip()
-    start = max(block.rfind(";", 0, end), block.rfind("{", 0, end), block.rfind("}", 0, end))
-    return block[start + 1 : end].strip()
+        return text[start:stop].strip()
+    begin = max(text.rfind(";", start, end), text.rfind("{", start, end), text.rfind("}", start, end))
+    return text[max(begin + 1, start) : end].strip()
 
 
 def _is_error_exit(statement: str) -> bool:
@@ -189,19 +194,19 @@ def classify_line_kinds(file_text: str) -> dict[int, LineKind]:
     the body lines of such an `if`, and a label's block (label line
     included) when that block ends the same way.  Header lines win over
     body lines when they coincide.
+
+    Each `if` body's last statement is read in place, and each span adds
+    1 to its kind's count at its first line and takes 1 off past its
+    last, so running sums over the lines tell which kinds cover each
+    line: one pass, however deep the spans nest.
     """
-    starts = [0, *(m.end() for m in re.finditer("\n", file_text))]
-    kinds = [LineKind.NORMAL] * len(starts)
+    starts = [0, *[m.end() for m in RE_NEWLINE.finditer(file_text)]]
+    checking = [0] * (len(starts) + 1)
+    handling = [0] * (len(starts) + 1)
 
-    def line_of(offset: int) -> int:
-        return bisect.bisect_right(starts, offset) - 1
-
-    def mark(start: int, end: int, kind: LineKind) -> None:
-        for li in range(line_of(start), line_of(max(start, end)) + 1):
-            kinds[li] = kind
-
-    handling_spans: list[tuple[int, int]] = []
-    checking_spans: list[tuple[int, int]] = []
+    def mark(counts: list[int], start: int, end: int) -> None:
+        counts[bisect.bisect_right(starts, start) - 1] += 1
+        counts[bisect.bisect_right(starts, max(start, end))] -= 1
 
     closes = _pairs(file_text)
     for m in RE_IF.finditer(file_text):
@@ -216,20 +221,16 @@ def classify_line_kinds(file_text: str) -> dict[int, LineKind]:
         body_start = RE_WS.match(file_text, paren_close + 1).end()
         if file_text.startswith("{", body_start):
             body_end = closes.get(body_start, -1)
-            if body_end < 0:
-                continue
-            inner = file_text[body_start + 1 : body_end]
+            inner = (body_start + 1, body_end)
         else:
             body_end = file_text.find(";", body_start)
-            if body_end < 0:
-                continue
-            inner = file_text[body_start : body_end + 1]
-        if RE_ELSE.match(file_text, RE_WS.match(file_text, body_end + 1).end()):
-            continue  # two branches
-        if not _is_error_exit(_last_statement(inner)):
+            inner = (body_start, body_end + 1)
+        if body_end < 0 or RE_ELSE.match(file_text, RE_WS.match(file_text, body_end + 1).end()):
+            continue  # unclosed, or two branches
+        if not _is_error_exit(_last_statement(file_text, *inner)):
             continue
-        checking_spans.append((m.start(), paren_close))
-        handling_spans.append((body_start, body_end))  # a shared header line stays checking
+        mark(checking, m.start(), paren_close)
+        mark(handling, body_start, body_end)
 
     for m in RE_LABEL.finditer(file_text):
         name = m.group(1)
@@ -239,15 +240,16 @@ def classify_line_kinds(file_text: str) -> dict[int, LineKind]:
         limit = next_label.start() if next_label else len(file_text)
         close = _close(file_text, m.end(), limit)
         block_end = (close if close >= 0 else limit) - 1
-        if _is_error_exit(_last_statement(file_text[m.end() : block_end + 1])):
-            handling_spans.append((m.start(), block_end))
+        if _is_error_exit(_last_statement(file_text, m.end(), block_end + 1)):
+            mark(handling, m.start(), block_end)
 
-    for start, end in handling_spans:
-        mark(start, end, LineKind.ERROR_HANDLING)
-    for start, end in checking_spans:
-        mark(start, end, LineKind.ERROR_CHECKING)
-
-    return {i + 1: kind for i, kind in enumerate(kinds)}
+    kinds = dict.fromkeys(range(1, len(starts) + 1), LineKind.NORMAL)
+    for line, c, h in zip(kinds, accumulate(checking), accumulate(handling)):
+        if c:
+            kinds[line] = LineKind.ERROR_CHECKING
+        elif h:
+            kinds[line] = LineKind.ERROR_HANDLING
+    return kinds
 
 
 def build_function_table(files: Iterable[FileDiff]) -> FunctionNameTable:

@@ -1,13 +1,15 @@
 """Patch-to-tensor assembly: compact token-index arrays per commit.
 
 The code channel uses file snapshots for line-kind classification when
-the commit carries them; otherwise kinds come from a hunk-local scan of
-the changed lines alone and degrade toward Normal.  Each line's kind is
-a value handed to the lexer with its text.  A patch is stored as its
-message prefix, a table of its distinct non-PAD code lines and a grid
-of row ids, one per line slot, in memory and in the tensor file.  Token
-indices are INDEX_DTYPE (little-endian uint32) from indexing through the
-tensor file, whose records read back as views of one buffer.
+the commit carries them (the first snapshot of a path; each snapshot
+text is classified at most once per commit); otherwise kinds come from
+a hunk-local scan of the changed lines alone and degrade toward Normal.
+Each line's kind is a value handed to the lexer with its text.  A patch
+is stored as its message prefix, a table of its distinct non-PAD code
+lines and a grid of row ids, one per line slot, in memory and in the
+tensor file.  Token indices are INDEX_DTYPE (little-endian uint32) from
+indexing through the tensor file, whose records read back as views of
+one buffer.
 """
 
 from __future__ import annotations
@@ -101,35 +103,20 @@ def check_patch(p: PreprocessedPatch, dims: PatchDims) -> None:
         raise ValueError(f"code grid row id {int(p.grid.max())} past the {len(p.rows)} rows")
 
 
-def _snapshot_kinds(c: RawCommit, path: str) -> tuple[dict | None, dict | None]:
-    """(old-side, new-side) line-kind maps from file snapshots, if any."""
-    for snap in c.file_snapshots:
-        if snap.path == path:
-            return tuple(
-                None if text is None else classify_line_kinds(strip_comments_strings(text))
-                for text in (snap.before, snap.after)
-            )
-    return None, None
-
-
-def _annotate_side(lines: tuple[CodeLine, ...], kinds: dict | None) -> list[tuple[str, LineKind]]:
-    """One side's (text, kind) pairs: kinds from its snapshot map, else
-    from a scan of the changed lines alone (no snapshot)."""
-    if kinds is not None:
-        return [(line.text, kinds.get(line.line_number, LineKind.NORMAL)) for line in lines]
+def _annotate_side(lines: tuple[CodeLine, ...], snapshot: str | None,
+                   classified: dict[str, dict[int, LineKind]]) -> list[tuple[str, LineKind]]:
+    """One hunk side's (text, kind) pairs.  With the side's file snapshot,
+    kinds come from it, classified once per text into `classified`;
+    without, from a scan of the changed lines alone."""
     if not lines:
         return []
-    scanned = classify_line_kinds(strip_comments_strings("\n".join(line.text for line in lines)))
-    return [(line.text, scanned.get(i + 1, LineKind.NORMAL)) for i, line in enumerate(lines)]
-
-
-def annotate_file_lines(c: RawCommit, fd: FileDiff) -> list[tuple[list[tuple[str, LineKind]], ...]]:
-    """(removed, added) lists of (text, kind) pairs per hunk of one file."""
-    old_kinds, new_kinds = _snapshot_kinds(c, fd.path)
-    return [
-        (_annotate_side(h.removed, old_kinds), _annotate_side(h.added, new_kinds))
-        for h in fd.hunks
-    ]
+    if snapshot is None:
+        kinds = classify_line_kinds(strip_comments_strings("\n".join(line.text for line in lines)))
+        return [(line.text, kinds.get(i + 1, LineKind.NORMAL)) for i, line in enumerate(lines)]
+    if snapshot not in classified:
+        classified[snapshot] = classify_line_kinds(strip_comments_strings(snapshot))
+    kinds = classified[snapshot]
+    return [(line.text, kinds.get(line.line_number, LineKind.NORMAL)) for line in lines]
 
 
 def _parse(c: RawCommit) -> list[FileDiff] | None:
@@ -150,11 +137,16 @@ def _tokenize(c: RawCommit, files: list[FileDiff], table: FunctionNameTable,
     vocabularies read them; without, nothing is truncated.
     """
     n_files, n_hunks, n_lines = (dims.files, dims.hunks, dims.lines) if dims else (None,) * 3
+    snapshots: dict[str, tuple[str | None, str | None]] = {}
+    for snap in c.file_snapshots:
+        snapshots.setdefault(snap.path, (snap.before, snap.after))  # the first of a path wins
+    classified: dict[str, dict[int, LineKind]] = {}
     code = [
         [
-            tuple([tokenize_code_line(text, kind, table, fd.path) for text, kind in side[:n_lines]]
-                  for side in sides)
-            for sides in annotate_file_lines(c, fd)[:n_hunks]
+            tuple([tokenize_code_line(text, kind, table, fd.path)
+                   for text, kind in _annotate_side(lines, snapshot, classified)[:n_lines]]
+                  for lines, snapshot in zip((h.removed, h.added), snapshots.get(fd.path, (None, None))))
+            for h in fd.hunks[:n_hunks]
         ]
         for fd in [f for f in files if f.language_relevant][:n_files]
     ]

@@ -1,13 +1,14 @@
 """The code scanners as they were before regular expressions: one
 character at a time, kept as the oracle that tests/test_codeprep_oracle.py
 checks patchnet.codeprep against.  Only this docstring and the imports
-are new; the functions and the class are unchanged."""
+are new; the functions and the class are unchanged.  _last_statement is
+codeprep's own as it was before it took offsets, copied verbatim."""
 
 from __future__ import annotations
 
 import bisect
 
-from patchnet.codeprep import C_KEYWORDS, RE_ELSE, RE_IF, RE_LABEL, _is_error_exit, _last_statement
+from patchnet.codeprep import C_KEYWORDS, RE_ELSE, RE_IF, RE_LABEL, _is_error_exit
 from patchnet.core import LineKind
 
 
@@ -65,6 +66,15 @@ def strip_comments_strings(source: str) -> str:
         out.append(ch)
         i += 1
     return "".join(out)
+
+
+def _last_statement(block: str) -> str:
+    """Text of the final ;-terminated statement in a block."""
+    end = block.rfind(";")
+    if end < 0:
+        return block.strip()
+    start = max(block.rfind(";", 0, end), block.rfind("{", 0, end), block.rfind("}", 0, end))
+    return block[start + 1 : end].strip()
 
 
 def _matching(text: str, open_pos: int, open_ch: str, close_ch: str) -> int:

@@ -19,7 +19,7 @@ from conftest import KMEMDUP_EXPORT, SAMPLE_EXPORTS, export_record, hex_id, make
 from patchnet import __version__
 from patchnet import cli, trainer
 from patchnet.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _train_settings, build_parser, run
-from patchnet.core import HyperParams, Label, PatchDims, TrainConfig
+from patchnet.core import FileSnapshot, HyperParams, Label, PatchDims, TrainConfig
 from patchnet.evalkit import keyword_baseline
 from patchnet.ingest import load_commits, write_commits_jsonl
 from patchnet.preprocess import read_tensor_file, write_tensor_file
@@ -322,6 +322,41 @@ def test_predict_on_commits_matches_tensors_for_same_file_definitions(tmp_path):
         out = str(tmp_path / "scores.jsonl")
         assert run(["predict", "--checkpoint", ckpt, "--in", source, "--out", out]) == EXIT_OK
         scores[source] = {r["commit_id"]: r["score"] for r in _read_jsonl(out)}
+    assert scores[dataset] == scores[tensors]
+
+
+def test_snapshot_bearing_commits_run_through_the_cli(tmp_path):
+    # One commit carries snapshots of a .c file whose changed line sits
+    # inside 20,000 nested error `if`s; the kinds come from the snapshot,
+    # so the line is handling, which the changed lines alone do not show.
+    deep = 20_000
+    before = "if (a) {\n" * deep + "\treturn -1;\n" + "}\n" * deep
+    diff = ("diff --git a/fs/deep.c b/fs/deep.c\nindex 1111111..2222222 100644\n"
+            f"--- a/fs/deep.c\n+++ b/fs/deep.c\n@@ -{deep},3 +{deep},3 @@\n"
+            " if (a) {\n-\treturn -1;\n+\treturn -EIO;\n }\n")
+    deep_commit = replace(
+        make_commit(5, date=1_500_000_005, diff=diff, label=Label.STABLE),
+        file_snapshots=(FileSnapshot("fs/deep.c", before, before.replace("return -1;", "return -EIO;")),),
+    )
+    commits = [
+        make_commit(n, date=1_500_000_000 + n, label=Label.STABLE if n % 2 else Label.NON_STABLE,
+                    diff=simple_diff(added=(f"\tp{n} = alloc();", f"\treturn p{n};")))
+        for n in range(1, 5)
+    ] + [deep_commit]
+    dataset = str(tmp_path / "data.jsonl")
+    write_commits_jsonl(dataset, commits)
+    tensors, vocab, ckpt = str(tmp_path / "t.bin"), str(tmp_path / "v.json"), str(tmp_path / "m.ckpt")
+    assert run(["preprocess", "--dataset", dataset, "--out", tensors, "--vocab-out", vocab,
+                *PREPROCESS_DIMS]) == EXIT_OK
+    assert "return@hnd" in load_vocab_pair(vocab)[1].words
+    assert run(["train", "--tensors", tensors, "--vocab", vocab, "--functions", tensors + ".functions.json",
+                "--out", ckpt, *TRAIN_FLAGS]) == EXIT_OK
+    scores = {}
+    for source in (tensors, dataset):
+        out = str(tmp_path / "scores.jsonl")
+        assert run(["predict", "--checkpoint", ckpt, "--in", source, "--out", out]) == EXIT_OK
+        scores[source] = {r["commit_id"]: r["score"] for r in _read_jsonl(out)}
+    assert sorted(scores[tensors]) == sorted(c.commit_id for c in commits)
     assert scores[dataset] == scores[tensors]
 
 

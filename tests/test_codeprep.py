@@ -368,6 +368,19 @@ def test_classify_is_linear_in_unclosed_ifs(line):
     assert set(kinds.values()) == {N}
 
 
+def test_classify_is_linear_in_nested_error_ifs():
+    # Each `if` body's last statement is read in place and each span
+    # marked at its two ends, so no nested body is copied or repainted.
+    # Every header checks; the return and every `}` line handle.
+    depth = 20_000
+    text = "if (a) {\n" * depth + "return -1;\n" + "}\n" * depth
+    started = time.perf_counter()
+    kinds = classify_line_kinds(text)
+    assert time.perf_counter() - started < 2.0
+    assert kinds == {**dict.fromkeys(range(1, depth + 1), C),
+                     **dict.fromkeys(range(depth + 1, 2 * depth + 2), H), 2 * depth + 2: N}
+
+
 # ---------------------------------------------------------------------------
 # Line-kind classification: functions with kinds known by construction
 

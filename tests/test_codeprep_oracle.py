@@ -77,8 +77,18 @@ EDGES = ['"ab\\', "c = '\\", '"a\\\nb" c', '"open\nx"', "/* open\n", "a /*/ b */
          "// c\r\nx", "if (x)\r\n\treturn -EIO;\r\nelse y;",
          "if (a) x; else \t\n \f\n\tif (b)\n\t\tgoto out;\n"]
 
+# Braced error-exit `if`s nested 2-30 deep, which the strategy above
+# reaches at most 2 deep: each innermost exit, with headers and bodies on
+# one line and on separate lines, and with a label block inside the braces.
+NESTED = [
+    sep.join([f"if (e{i}) {{" for i in range(depth)] + inner + ["}"] * depth)
+    for depth in (2, 3, 8, 30)
+    for inner in (["goto out;"], ["return -EIO;"], ["return 0;"], ["kfree(p);", "out:", "x = 1;", "return -EIO;"])
+    for sep in (" ", "\n")
+]
 
-@pytest.mark.parametrize("text", EDGES)
+
+@pytest.mark.parametrize("text", EDGES + NESTED)
 def test_the_scanners_match_the_oracle_on_edges(text):
     assert_matches_oracle(text)
 

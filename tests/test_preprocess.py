@@ -5,21 +5,23 @@ import os
 import random
 import struct
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from patchnet import preprocess
+from patchnet.codeprep import FunctionNameTable, classify_line_kinds, strip_comments_strings
 from patchnet.core import FileSnapshot, Label, LineKind, PatchDims
-from patchnet.ingest import load_commits, parse_unified_diff
+from patchnet.ingest import load_commits
 from patchnet.preprocess import (
     INDEX_DTYPE,
     NO_LABEL_BYTE,
     TENSOR_MAGIC,
     _parse,
     _tokenize,
-    annotate_file_lines,
     assemble_tensors,
     grid_dtype,
     preprocess_commits,
@@ -174,43 +176,70 @@ BEFORE_TEXT = "int f(void)\n{\n\tif (x)\n\t\tgoto out;\n\treturn 0;\nout:\n\tret
 AFTER_TEXT = "int f(void)\n{\n\tif (x)\n\t\tgoto fail;\n\treturn 0;\nfail:\n\treturn rc;\n}"
 
 
-def test_annotate_with_snapshots_uses_real_line_numbers():
-    from dataclasses import replace
+def annotated(c, monkeypatch):
+    """The (text, kind) pairs _tokenize hands the lexer: file -> hunk ->
+    (removed, added) -> one pair per line."""
+    monkeypatch.setattr(preprocess, "tokenize_code_line", lambda text, kind, table, path: (text, kind))
+    return _tokenize(c, _parse(c), FunctionNameTable.empty())[1]
 
-    c = make_commit(1, diff=ERROR_DIFF)
-    c = replace(
-        c,
-        file_snapshots=(
-            FileSnapshot(path="fs/x.c", before=BEFORE_TEXT, after=AFTER_TEXT),
-        ),
-    )
-    fd = parse_unified_diff(c.diff_text)[0]
-    (removed, added) = annotate_file_lines(c, fd)[0]
+
+def counted_classify(monkeypatch):
+    """The texts preprocess classifies from here on, one per call."""
+    calls = []
+
+    def classify(text):
+        calls.append(text)
+        return classify_line_kinds(text)
+
+    monkeypatch.setattr(preprocess, "classify_line_kinds", classify)
+    return calls
+
+
+def with_snapshots(c, *snapshots):
+    return replace(c, file_snapshots=tuple(FileSnapshot("fs/x.c", *texts) for texts in snapshots))
+
+
+def test_annotate_with_snapshots_uses_real_line_numbers(monkeypatch):
+    c = with_snapshots(make_commit(1, diff=ERROR_DIFF), (BEFORE_TEXT, AFTER_TEXT))
+    [[(removed, added)]] = annotated(c, monkeypatch)
     assert removed == [("\t\tgoto out;", LineKind.ERROR_HANDLING)]
     assert added == [("\t\tgoto fail;", LineKind.ERROR_HANDLING)]
 
 
-def test_annotate_snapshot_other_path_falls_back():
-    from dataclasses import replace
-
-    c = make_commit(1, diff=ERROR_DIFF)
-    c = replace(c, file_snapshots=(FileSnapshot(path="other.c", before=BEFORE_TEXT),))
-    fd = parse_unified_diff(c.diff_text)[0]
-    (removed, added) = annotate_file_lines(c, fd)[0]
+def test_annotate_snapshot_other_path_falls_back(monkeypatch):
+    c = replace(make_commit(1, diff=ERROR_DIFF),
+                file_snapshots=(FileSnapshot(path="other.c", before=BEFORE_TEXT),))
+    [[(removed, added)]] = annotated(c, monkeypatch)
     # Fallback scans the changed lines alone: a lone goto is normal.
     assert [kind for _, kind in removed] == [LineKind.NORMAL]
 
 
-def test_annotate_fallback_finds_structure_in_changed_lines():
+def test_annotate_fallback_finds_structure_in_changed_lines(monkeypatch):
     diff = simple_diff(added=("\tif (err)", "\t\tgoto out;"))
-    c = make_commit(1, diff=diff)
-    fd = parse_unified_diff(c.diff_text)[0]
-    (removed, added) = annotate_file_lines(c, fd)[0]
+    [[(removed, added)]] = annotated(make_commit(1, diff=diff), monkeypatch)
     assert [kind for _, kind in added] == [
         LineKind.ERROR_CHECKING,
         LineKind.ERROR_HANDLING,
     ]
     assert [kind for _, kind in removed] == [LineKind.NORMAL]
+
+
+def test_each_snapshot_side_is_classified_once_per_commit(monkeypatch):
+    calls = counted_classify(monkeypatch)
+    c = with_snapshots(make_commit(1, diff=ERROR_DIFF + ERROR_DIFF), (BEFORE_TEXT, AFTER_TEXT))
+    hunk = ([("\t\tgoto out;", LineKind.ERROR_HANDLING)], [("\t\tgoto fail;", LineKind.ERROR_HANDLING)])
+    assert annotated(c, monkeypatch) == [[hunk], [hunk]]  # fs/x.c named twice
+    assert sorted(calls) == sorted(strip_comments_strings(t) for t in (BEFORE_TEXT, AFTER_TEXT))
+
+
+def test_the_first_snapshot_of_a_path_gives_the_kinds(monkeypatch):
+    calls = counted_classify(monkeypatch)
+    plain = "\n".join(["x;"] * 8)
+    c = with_snapshots(make_commit(1, diff=ERROR_DIFF), (BEFORE_TEXT, AFTER_TEXT), (plain, plain))
+    [[(removed, added)]] = annotated(c, monkeypatch)
+    assert removed == [("\t\tgoto out;", LineKind.ERROR_HANDLING)]
+    assert added == [("\t\tgoto fail;", LineKind.ERROR_HANDLING)]
+    assert plain not in calls
 
 
 def test_code_vocab_carries_kinds():
