@@ -13,7 +13,13 @@ import numpy as np
 
 from patchnet.codeprep import FunctionNameTable, classify_line_kinds, strip_comments_strings, tokenize_code_line
 from patchnet.core import Label, LineKind, PatchDims, RawCommit
-from patchnet.preprocess import assemble_tensors, preprocess_commits, read_tensor_file, write_tensor_file
+from patchnet.preprocess import (
+    assemble_tensors,
+    decode_record,
+    preprocess_commits,
+    read_tensor_file,
+    write_tensor_file,
+)
 from patchnet.stemmer import porter_stem
 from patchnet.textprep import message_tokens, strip_tags
 
@@ -117,15 +123,17 @@ def demo_tensors():
     # One pass: parse each diff, build the function table, tokenize each
     # message and line, count both vocabularies, then index the tensors.
     dims = PatchDims(msg_len=8, files=2, hunks=2, lines=3, words=8)
-    patches, table, (msg_vocab, code_vocab), unparsable = preprocess_commits(commits, dims)
+    records, table, (msg_vocab, code_vocab), unparsable = preprocess_commits(commits, dims)
     print(f"retained function names (called enough to keep): {sorted(table.retained)}")
     print(f"message vocabulary: {len(msg_vocab)} entries")
     print(f"code vocabulary:    {len(code_vocab)} entries")
     print(f"diffs that did not parse: {unparsable}")
 
-    patch = patches[0]
-    # A patch is compact: its message prefix, a table of its distinct
+    # Each patch comes out as its tensor-file record, built without numpy.
+    # Decoded, it is compact: its message prefix, a table of its distinct
     # non-PAD code lines, and a grid with one row id per line slot.
+    print(f"record bytes:         {len(records[0])}")
+    patch = decode_record(records[0], dims)
     print(f"message count:        {len(patch.message)} of {dims.msg_len} slots")
     print(f"distinct code rows:   {len(patch.rows)} of {patch.grid.size} line slots")
     print(f"row-id grid:          {patch.grid.shape} {patch.grid.dtype} (0 is the all-PAD row)")
@@ -140,7 +148,7 @@ def demo_tensors():
 
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "tensors.bin")
-        write_tensor_file(path, patches, dims)
+        write_tensor_file(path, records, dims)
         loaded, loaded_dims = read_tensor_file(path)
         print(
             f"tensor file round trip: {len(loaded)} patches, dims {loaded_dims}, "

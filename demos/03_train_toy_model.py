@@ -12,7 +12,7 @@ from pathlib import Path
 
 from patchnet.core import HyperParams, Label, PatchDims, RawCommit, TrainConfig
 from patchnet.evalkit import metrics
-from patchnet.preprocess import preprocess_commits
+from patchnet.preprocess import decode_record, preprocess_commits
 from patchnet.trainer import load_checkpoint, save_checkpoint, score_items, train
 
 DIFF = (
@@ -64,7 +64,8 @@ def toy_corpus():
 
 def main():
     commits = toy_corpus()
-    patches, table, (msg_vocab, code_vocab), _ = preprocess_commits(commits, HP.dims)
+    records, table, (msg_vocab, code_vocab), _ = preprocess_commits(commits, HP.dims)
+    patches = [decode_record(r, HP.dims) for r in records]
     print(f"corpus: {len(patches)} patches, message vocab {len(msg_vocab)}")
 
     config = TrainConfig(

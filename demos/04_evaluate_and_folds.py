@@ -6,7 +6,7 @@ build chronological cross-validation folds.
 
 from patchnet.core import HyperParams, Label, PatchDims, RawCommit, TrainConfig
 from patchnet.evalkit import chrono_folds, keyword_baseline, metrics
-from patchnet.preprocess import preprocess_commits
+from patchnet.preprocess import decode_record, preprocess_commits
 from patchnet.trainer import score_items, train
 
 DIFF = (
@@ -77,7 +77,8 @@ def show_report(name, report):
 
 def main():
     commits = corpus()
-    patches, _, (msg_vocab, code_vocab), _ = preprocess_commits(commits, HP.dims)
+    records, _, (msg_vocab, code_vocab), _ = preprocess_commits(commits, HP.dims)
+    patches = [decode_record(r, HP.dims) for r in records]
     truth = [c.label.to_int() for c in commits]
 
     config = TrainConfig(

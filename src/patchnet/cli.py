@@ -10,9 +10,8 @@ flags override the file.  PATCHNET_SEED serves as a fallback seed.
 
 At top level this module imports only the standard library and the
 numpy-free core, ingest and evalkit modules; the handlers of preprocess,
-train and predict import the tensor and model code they run, so
---version, ingest, label, folds and baseline without --report never
-load numpy.
+train and predict import the tensor and model code they run.  Only
+train, predict and evaluate over several fold files load numpy.
 """
 
 from __future__ import annotations
@@ -318,16 +317,16 @@ def _cmd_preprocess(args, seed):
     commits = load_commits(args.dataset)
     if not commits:
         raise ValueError(f"{args.dataset}: no commits")
-    patches, table, (msg_vocab, code_vocab), unparsable = preprocess_commits(
+    records, table, (msg_vocab, code_vocab), unparsable = preprocess_commits(
         commits, dims, args.min_count
     )
-    write_tensor_file(args.out, patches, dims)
+    write_tensor_file(args.out, records, dims)
     save_vocab_pair(msg_vocab, code_vocab, args.vocab_out)
     functions_out = args.functions_out or args.out + ".functions.json"
     _write_json(functions_out, table.to_json_obj())
 
     print(
-        f"preprocess: {len(patches)} patches -> {args.out} "
+        f"preprocess: {len(records)} patches -> {args.out} "
         f"(message vocab {len(msg_vocab)}, code vocab {len(code_vocab)}, "
         f"{len(table.retained)} retained functions, {unparsable} unparsable diffs)"
     )
@@ -428,8 +427,6 @@ def _summary(obj: dict) -> str:
 
 
 def _cmd_evaluate(args, seed):
-    import numpy as np
-
     if args.pr_csv and len(args.scores) != 1:
         raise UsageError("--pr-csv needs exactly one scores file")
     objs = [metrics(*_read_scores(path), args.threshold).to_json_obj() for path in args.scores]
@@ -439,6 +436,8 @@ def _cmd_evaluate(args, seed):
         degenerate = report_obj["degenerate"]
         summary = _summary(report_obj) + (f" degenerate={','.join(degenerate)}" if degenerate else "")
     else:
+        import numpy as np  # numpy's mean and std, so fold reports keep their bytes
+
         values = {k: np.array([obj[k] for obj in objs]) for k in SCALAR_METRICS}
         report_obj = {
             "folds": [{**obj, "scores_file": path} for path, obj in zip(args.scores, objs)],

@@ -7,20 +7,26 @@ class in the labels) never raise inside metrics(); the report carries
 zero from a vacuous one.  The standalone auc_roc returns NaN for
 single-class input.
 
-numpy is imported by the metric functions that use it, not with the
-module: the CLI imports this module for every command, and the
-baseline and folds need no numpy.
+Everything here is pure Python, with no numpy: the CLI imports this
+module for every command, and evaluate and baseline --report run in
+processes that need no numpy.  Midranks are half-integers, so the AUC
+sums them exactly, as twice their sum in integers.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import asdict, dataclass
+from itertools import groupby
+from operator import itemgetter
 
 from .core import Label
 from .textprep import message_tokens
 
 BASELINE_STEMS = frozenset(("bug", "fix"))
 BASELINE_LITERAL = "bug-fix"
+_BINARY = {0: 0, 1: 1}  # 0.0, 1.0, False and True hash and compare equal to these keys
 
 
 @dataclass(frozen=True)
@@ -45,24 +51,27 @@ class EvalReport:
         return obj
 
 
-def _as_binary(values, name: str) -> np.ndarray:
-    import numpy as np
-
-    arr = np.asarray(values)
-    if arr.ndim != 1 or arr.size == 0:
+def _as_binary(values, name: str) -> list[int]:
+    """values as 0/1 ints; each must equal 0 or 1 (ints, bools, 0.0 and
+    1.0 do), and anything else is a ValueError naming `name`."""
+    try:
+        y = [_BINARY[v] for v in values]
+    except TypeError:  # not iterable, or an item is a sequence
+        raise ValueError(f"{name} must be a non-empty 1-d sequence") from None
+    except KeyError:  # hashes equal and compares equal to neither 0 nor 1
+        raise ValueError(f"{name} must contain only 0 and 1") from None
+    if not y:
         raise ValueError(f"{name} must be a non-empty 1-d sequence")
-    arr = arr.astype(np.int64)
-    if not np.isin(arr, (0, 1)).all():
-        raise ValueError(f"{name} must contain only 0 and 1")
-    return arr
+    return y
 
 
-def _pair(scores, labels) -> tuple[np.ndarray, np.ndarray]:
-    import numpy as np
-
-    s = np.asarray(scores, dtype=np.float64)
+def _pair(scores, labels) -> tuple[list[float], list[int]]:
     y = _as_binary(labels, "labels")
-    if s.shape != y.shape:
+    try:
+        s = [float(v) for v in scores]
+    except TypeError:
+        raise ValueError("scores must be a 1-d sequence of numbers") from None
+    if len(s) != len(y):
         raise ValueError("scores and labels must have the same length")
     return s, y
 
@@ -73,17 +82,21 @@ def auc_roc(scores, labels) -> float:
     Midranks handle ties, so this equals the pairwise statistic with
     ties worth half.  Single-class labels or a NaN score give NaN.
     """
-    import numpy as np
-
     s, y = _pair(scores, labels)
-    n_pos = int(y.sum())
-    n_neg = y.size - n_pos
-    if n_pos == 0 or n_neg == 0 or np.isnan(s).any():
+    n_pos = sum(y)
+    n_neg = len(y) - n_pos
+    if n_pos == 0 or n_neg == 0 or any(math.isnan(v) for v in s):
         return float("nan")
-    # 1-based midranks: a group of tied scores shares its mean rank.
-    _, group, counts = np.unique(s, return_inverse=True, return_counts=True)
-    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[group]
-    return float((ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    # 1-based midranks: a group of tied scores at ranks start+1..end
+    # shares (start + 1 + end) / 2, so twice the positives' rank sum is
+    # an exact integer.
+    rank_sum2 = start = 0
+    for _, group in groupby(sorted(zip(s, y)), key=itemgetter(0)):
+        labels = [label for _, label in group]
+        end = start + len(labels)
+        rank_sum2 += sum(labels) * (start + 1 + end)
+        start = end
+    return (rank_sum2 / 2 - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
 def pr_curve(scores, labels) -> list[tuple[float, float]]:
@@ -91,36 +104,35 @@ def pr_curve(scores, labels) -> list[tuple[float, float]]:
 
     Predictions use score >= threshold, so every point has at least one
     predicted positive and recall never decreases along the sequence.
+    A NaN score ranks last, as a threshold of its own.
     """
-    import numpy as np
-
     s, y = _pair(scores, labels)
-    n_pos = int(y.sum())
-    if n_pos == 0 or n_pos == y.size:
+    n_pos = sum(y)
+    if n_pos == 0 or n_pos == len(y):
         raise ValueError("pr_curve requires both classes in labels")
-    order = np.argsort(-s, kind="stable")
-    ranked = s[order]
-    tp = np.cumsum(y[order])
-    # The threshold at a group of tied scores predicts through the
-    # group's last member.
-    ends = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
-    return [(int(tp[i]) / n_pos, int(tp[i]) / int(i + 1)) for i in ends]
+    # Descending and stable; NaN compares false, so it ends each group.
+    order = sorted(range(len(s)), key=lambda i: (math.isnan(s[i]), -s[i]))
+    points = []
+    tp = 0
+    for i, k in enumerate(order):
+        tp += y[k]
+        # The threshold at a group of tied scores predicts through the
+        # group's last member.
+        if i + 1 == len(order) or not s[order[i + 1]] == s[k]:
+            points.append((tp / n_pos, tp / (i + 1)))
+    return points
 
 
 def metrics(scores, labels, threshold: float = 0.5) -> EvalReport:
     """Confusion metrics at `score >= threshold`, plus AUC and PR curve."""
-    import numpy as np
-
-    if not np.isfinite(threshold):
+    if not math.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold}")
     s, y = _pair(scores, labels)
-    pred = (s >= threshold).astype(np.int64)
+    confusion = Counter((v >= threshold, label) for v, label in zip(s, y))
 
-    tp = int(((pred == 1) & (y == 1)).sum())
-    fp = int(((pred == 1) & (y == 0)).sum())
-    tn = int(((pred == 0) & (y == 0)).sum())
-    fn = int(((pred == 0) & (y == 1)).sum())
-    n = y.size
+    tp, fp = confusion[True, 1], confusion[True, 0]
+    tn, fn = confusion[False, 0], confusion[False, 1]
+    n = len(y)
 
     degenerate: list[str] = []
     accuracy = (tp + tn) / n
@@ -141,11 +153,11 @@ def metrics(scores, labels, threshold: float = 0.5) -> EvalReport:
         degenerate.append("f1_undefined")
 
     auc = auc_roc(s, y)
-    if not np.isfinite(auc):
+    if math.isnan(auc):
         auc = 0.0
         degenerate.append("auc_undefined")
 
-    if 0 < int(y.sum()) < n:
+    if 0 < sum(y) < n:
         pr_points = tuple(pr_curve(s, y))
     else:
         pr_points = ()

@@ -1,4 +1,4 @@
-"""Patch-to-tensor assembly: compact token-index arrays per commit.
+"""Patch-to-tensor assembly: compact token-index records per commit.
 
 The code channel uses file snapshots for line-kind classification when
 the commit carries them (the first snapshot of a path; each snapshot
@@ -6,10 +6,17 @@ text is classified at most once per commit); otherwise kinds come from
 a hunk-local scan of the changed lines alone and degrade toward Normal.
 Each line's kind is a value handed to the lexer with its text.  A patch
 is stored as its message prefix, a table of its distinct non-PAD code
-lines and a grid of row ids, one per line slot, in memory and in the
-tensor file.  Token indices are INDEX_DTYPE (little-endian uint32) from
-indexing through the tensor file, whose records read back as views of
-one buffer.
+lines and a grid of row ids, one per line slot.
+
+preprocess_commits encodes each patch straight into its tensor-file
+record from Python ints with the stdlib `array` and `struct` modules,
+so preprocessing never loads numpy.  The numpy side (PreprocessedPatch
+and its views, decode_record, read_tensor_file, check_patch and
+grid_dtype) imports numpy inside its functions.  assemble_tensors, the
+path `predict` takes on raw commits, decodes the same record that
+write_tensor_file writes, so training and serving read one set of
+bytes.  Token indices are little-endian uint32 (INDEX_DTYPE) and decode
+as views of the record's buffer.
 """
 
 from __future__ import annotations
@@ -17,9 +24,9 @@ from __future__ import annotations
 import math
 import os
 import struct
+import sys
+from array import array
 from dataclasses import dataclass
-
-import numpy as np
 
 from .codeprep import (
     FunctionNameTable,
@@ -33,16 +40,34 @@ from .ingest import ParseError, parse_unified_diff
 from .textprep import message_tokens, strip_tags
 from .vocab import PAD_INDEX, Vocabulary, build_vocab, index_of
 
-INDEX_DTYPE = np.dtype("<u4")
+INDEX_DTYPE = "<u4"  # numpy's name for the token-index type
 TENSOR_MAGIC = b"PNTD"
 TENSOR_VERSION = 2
 NO_LABEL_BYTE = 255
+RECORD_HEAD = 49  # commit id, label byte, message count, row count
+
+
+def _typecode(itemsize: int) -> str:
+    """The unsigned `array` typecode of `itemsize` bytes on this host."""
+    return next(t for t in "BHILQ" if array(t).itemsize == itemsize)
+
+
+_INDEX_TYPECODE = _typecode(4)
+
+
+def _grid_itemsize(dims: PatchDims) -> int:
+    """Bytes per row id: the fewest of 1, 2, 4 and 8 that hold the grid's
+    slot count, its largest possible row id."""
+    slots = math.prod(dims.grid_shape)
+    return next((n for n in (1, 2, 4) if slots < 256**n), 8)
 
 
 def grid_dtype(dims: PatchDims) -> np.dtype:
     """The smallest unsigned dtype that holds every row id of a grid of
     `dims` (little-endian)."""
-    return np.dtype(np.min_scalar_type(math.prod(dims.grid_shape))).newbyteorder("<")
+    import numpy as np
+
+    return np.dtype(f"<u{_grid_itemsize(dims)}")
 
 
 @dataclass
@@ -68,11 +93,15 @@ class PreprocessedPatch:
     @property
     def message_tokens(self) -> np.ndarray:
         """(msg_len,) message indices, PAD-filled."""
+        import numpy as np
+
         dense = np.full(self.msg_len, PAD_INDEX, dtype=INDEX_DTYPE)
         dense[: len(self.message)] = self.message
         return dense
 
     def _dense_side(self, side: int) -> np.ndarray:
+        import numpy as np
+
         pad = np.full((1, self.rows.shape[1]), PAD_INDEX, dtype=INDEX_DTYPE)
         return np.concatenate([pad, self.rows])[self.grid[side]]
 
@@ -153,29 +182,43 @@ def _tokenize(c: RawCommit, files: list[FileDiff], table: FunctionNameTable,
     return message_tokens(strip_tags(c.message)), code
 
 
-def _index(c: RawCommit, tokens, vocabularies: tuple[Vocabulary, Vocabulary],
-           dims: PatchDims) -> PreprocessedPatch:
-    """The compact patch of _tokenize's output.
+def _record(commit_id: str, label: Label | None, n_msg: int, n_rows: int, *arrays: bytes) -> bytes:
+    """One tensor-file record (see write_tensor_file) from its header
+    fields and its little-endian message, rows and grid bytes."""
+    cid = commit_id.encode("ascii")
+    if len(cid) != 40:
+        raise ValueError(f"commit id must be 40 bytes, got {commit_id!r}")
+    label_byte = NO_LABEL_BYTE if label is None else label.to_int()
+    return b"".join((cid, struct.pack("<BII", label_byte, n_msg, n_rows), *arrays))
+
+
+def _encode(c: RawCommit, tokens, vocabularies: tuple[Vocabulary, Vocabulary], dims: PatchDims) -> bytes:
+    """The tensor-file record of _tokenize's output, built from Python ints.
 
     Extra files, hunks, lines, and tokens are truncated; empty slots get
     the PAD row.  Unknown words map to UNK, never a fault.
     """
     msg_vocab, code_vocab = vocabularies
     message, code = tokens
-    message = np.array([index_of(msg_vocab, t) for t in message[: dims.msg_len]], dtype=INDEX_DTYPE)
+    message = array(_INDEX_TYPECODE, [index_of(msg_vocab, t) for t in message[: dims.msg_len]])
     row_ids: dict[tuple[int, ...], int] = {}
-    grid = np.zeros(dims.grid_shape, dtype=grid_dtype(dims))
+    grid = array(_typecode(_grid_itemsize(dims)), [0]) * math.prod(dims.grid_shape)
     for v, hunks in enumerate(code[: dims.files]):
         for h, sides in enumerate(hunks[: dims.hunks]):
             for s, lines in enumerate(sides):
+                slot = ((s * dims.files + v) * dims.hunks + h) * dims.lines  # grid[s, v, h, 0]
                 for n, words in enumerate(lines[: dims.lines]):
                     row = tuple([index_of(code_vocab, w) for w in words[: dims.words]])
                     if any(row):
-                        grid[s, v, h, n] = row_ids.setdefault(row, len(row_ids) + 1)
-    rows = np.full((len(row_ids), dims.words), PAD_INDEX, dtype=INDEX_DTYPE)
-    for r, row in enumerate(row_ids):
-        rows[r, : len(row)] = row
-    return PreprocessedPatch(c.commit_id, message, rows, grid, dims.msg_len, c.label)
+                        grid[slot + n] = row_ids.setdefault(row, len(row_ids) + 1)
+    rows = array(_INDEX_TYPECODE)
+    for row in row_ids:
+        rows.extend(row + (PAD_INDEX,) * (dims.words - len(row)))
+    arrays = (message, rows, grid)
+    if sys.byteorder == "big":  # the file is little-endian
+        for a in arrays:
+            a.byteswap()
+    return _record(c.commit_id, c.label, len(message), len(row_ids), *(a.tobytes() for a in arrays))
 
 
 def assemble_tensors(
@@ -184,13 +227,14 @@ def assemble_tensors(
     vocabularies: tuple[Vocabulary, Vocabulary],
     dims: PatchDims = PatchDims(),
 ) -> PreprocessedPatch:
-    """Build the compact patch of one commit, exactly as
-    preprocess_commits builds it.
+    """The compact patch of one commit: the decoded record that
+    preprocess_commits builds for it.
 
     Language-relevant files in diff order fill the file slots.  A diff
     that does not parse gives an empty (all-PAD) code channel.
     """
-    return _index(c, _tokenize(c, _parse(c) or [], table, dims), vocabularies, dims)
+    record = _encode(c, _tokenize(c, _parse(c) or [], table, dims), vocabularies, dims)
+    return decode_record(bytearray(record), dims)
 
 
 def preprocess_commits(commits, dims: PatchDims = PatchDims(), min_count: int = 1):
@@ -198,9 +242,11 @@ def preprocess_commits(commits, dims: PatchDims = PatchDims(), min_count: int = 
 
     Each diff is parsed once and each message and line tokenized once.
     Vocabularies count every token; tensors hold the truncated slots.
-    Returns (patches, table, (message_vocab, code_vocab), unparsable),
-    where unparsable counts the commits whose diff raised ParseError;
-    their code channel is empty.
+    Returns (records, table, (message_vocab, code_vocab), unparsable):
+    records are the patches' tensor-file records (bytes, in commit
+    order; decode_record gives a PreprocessedPatch), and unparsable
+    counts the commits whose diff raised ParseError; their code channel
+    is empty.
     """
     commits = list(commits)
     parsed = [_parse(c) for c in commits]
@@ -216,12 +262,33 @@ def preprocess_commits(commits, dims: PatchDims = PatchDims(), min_count: int = 
         build_vocab(message_words, "message", min_count),
         build_vocab(code_words, "code", min_count),
     )
-    patches = [_index(c, t, vocabularies, dims) for c, t in zip(commits, tokens)]
-    return patches, table, vocabularies, unparsable
+    records = [_encode(c, t, vocabularies, dims) for c, t in zip(commits, tokens)]
+    return records, table, vocabularies, unparsable
 
 
 # ---------------------------------------------------------------------------
 # Tensor file format ("PNTD")
+
+
+def _record_size(n_msg: int, n_rows: int, dims: PatchDims) -> int:
+    return RECORD_HEAD + 4 * (n_msg + n_rows * dims.words) + _grid_itemsize(dims) * math.prod(dims.grid_shape)
+
+
+def _patch_record(p, dims: PatchDims) -> bytes:
+    """p's tensor-file record: p itself when it is a record (bytes) from
+    preprocess_commits, checked to be laid out for dims; else the record
+    of the PreprocessedPatch p, checked by check_patch."""
+    if isinstance(p, bytes):
+        n_msg, n_rows = struct.unpack_from("<II", p, 41)
+        if n_msg > dims.msg_len or len(p) != _record_size(n_msg, n_rows, dims):
+            raise ValueError(f"the record of {p[:40]!r} is not laid out for {dims}")
+        return p
+    import numpy as np
+
+    check_patch(p, dims)
+    return _record(p.commit_id, p.label, len(p.message), len(p.rows),
+                   *(np.ascontiguousarray(a, dtype=t).tobytes()
+                     for a, t in ((p.message, INDEX_DTYPE), (p.rows, INDEX_DTYPE), (p.grid, grid_dtype(dims)))))
 
 
 def write_tensor_file(path: str, patches, dims: PatchDims = PatchDims()) -> None:
@@ -229,30 +296,43 @@ def write_tensor_file(path: str, patches, dims: PatchDims = PatchDims()) -> None
 
     Record: 40-byte ascii commit id, one label byte (1/0/255=none), u32
     message count, u32 row count, then the message and the rows as
-    INDEX_DTYPE and the grid as grid_dtype(dims).
+    little-endian u32 and the grid as grid_dtype(dims).  Each patch is a
+    record from preprocess_commits or a PreprocessedPatch.
     """
     patches = list(patches)
     with atomic_write(path, "wb") as fh:
         fh.write(TENSOR_MAGIC + struct.pack("<7I", TENSOR_VERSION, len(patches), dims.msg_len,
                                             dims.files, dims.hunks, dims.lines, dims.words))
         for p in patches:
-            cid = p.commit_id.encode("ascii")
-            if len(cid) != 40:
-                raise ValueError(f"commit id must be 40 bytes, got {p.commit_id!r}")
-            check_patch(p, dims)
-            label_byte = NO_LABEL_BYTE if p.label is None else p.label.to_int()
-            fh.write(cid + struct.pack("<BII", label_byte, len(p.message), len(p.rows)))
-            fh.write(np.ascontiguousarray(p.message, dtype=INDEX_DTYPE).tobytes())
-            fh.write(np.ascontiguousarray(p.rows, dtype=INDEX_DTYPE).tobytes())
-            fh.write(np.ascontiguousarray(p.grid, dtype=grid_dtype(dims)).tobytes())
+            fh.write(_patch_record(p, dims))
+
+
+def decode_record(record, dims: PatchDims) -> PreprocessedPatch:
+    """The patch of one tensor-file record laid out for dims.  Its arrays
+    are views of `record`, a bytes-like object (writable unless it is
+    bytes), not copies; nothing is checked here."""
+    import numpy as np
+
+    n_msg, n_rows = struct.unpack_from("<II", record, 41)
+    rows_at = RECORD_HEAD + 4 * n_msg
+    grid_at = rows_at + 4 * n_rows * dims.words
+    label_byte = record[40]
+    return PreprocessedPatch(
+        str(record[:40], "ascii"),
+        np.ndarray((n_msg,), INDEX_DTYPE, record, RECORD_HEAD),
+        np.ndarray((n_rows, dims.words), INDEX_DTYPE, record, rows_at),
+        np.ndarray(dims.grid_shape, grid_dtype(dims), record, grid_at),
+        dims.msg_len,
+        None if label_byte == NO_LABEL_BYTE else Label.from_int(label_byte),
+    )
 
 
 def read_tensor_file(path: str) -> tuple[list[PreprocessedPatch], PatchDims]:
     """Patches and dims of a write_tensor_file output.
 
     The file is read once into one writable buffer; each patch's arrays
-    are views of it, not copies, built straight on the buffer (one array
-    object each).  Every count is checked against dims and the bytes
+    are views of it, not copies (decode_record on a slice of one
+    memoryview).  Every count is checked against dims and the bytes
     left, and every row id against its row count.
     """
     with open(path, "rb") as fh:
@@ -268,34 +348,25 @@ def read_tensor_file(path: str) -> tuple[list[PreprocessedPatch], PatchDims]:
         raise ValueError(f"{path}: tensor file version {version} is not {TENSOR_VERSION}; "
                          "re-run preprocess")
     dims = PatchDims(*struct.unpack_from("<5I", blob, 12))
-    dtype, grid_elems = grid_dtype(dims), math.prod(dims.grid_shape)
-    grid_bytes = dtype.itemsize * grid_elems
+    grid_elems = math.prod(dims.grid_shape)
+    view = memoryview(blob)
     patches = []
     offset = 32
     for i in range(count):
-        if len(blob) - offset < 49 + grid_bytes:
+        if len(blob) - offset < _record_size(0, 0, dims):
             raise ValueError(f"{path}: truncated tensor file")
         n_msg, n_rows = struct.unpack_from("<II", blob, offset + 41)
         if n_msg > dims.msg_len or n_rows > grid_elems:
             raise ValueError(f"{path}: record {i} has {n_msg} message indices and {n_rows} rows, "
                              f"past {dims.msg_len} and {grid_elems}")
-        rows_at = offset + 49 + 4 * n_msg
-        grid_at = rows_at + 4 * n_rows * dims.words
-        if grid_at + grid_bytes > len(blob):
+        end = offset + _record_size(n_msg, n_rows, dims)
+        if end > len(blob):
             raise ValueError(f"{path}: truncated tensor file")
-        grid = np.ndarray(dims.grid_shape, dtype, blob, grid_at)
-        if grid.max() > n_rows:
-            raise ValueError(f"{path}: record {i} has row id {int(grid.max())} past its {n_rows} rows")
-        label_byte = blob[offset + 40]
-        patches.append(PreprocessedPatch(
-            blob[offset : offset + 40].decode("ascii"),
-            np.ndarray((n_msg,), INDEX_DTYPE, blob, offset + 49),
-            np.ndarray((n_rows, dims.words), INDEX_DTYPE, blob, rows_at),
-            grid,
-            dims.msg_len,
-            None if label_byte == NO_LABEL_BYTE else Label.from_int(label_byte),
-        ))
-        offset = grid_at + grid_bytes
+        p = decode_record(view[offset:end], dims)
+        if p.grid.max() > n_rows:
+            raise ValueError(f"{path}: record {i} has row id {int(p.grid.max())} past its {n_rows} rows")
+        patches.append(p)
+        offset = end
     if offset != len(blob):
         raise ValueError(f"{path}: {len(blob) - offset} bytes after the last of {count} records")
     return patches, dims

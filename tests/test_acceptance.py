@@ -20,7 +20,7 @@ from patchnet.ingest import check_eligibility, parse_commit_stream, parse_unifie
 from patchnet.model import forward, init_params
 from patchnet.nnkit import backward, stack
 from patchnet.nnkit import loss as nn_loss
-from patchnet.preprocess import assemble_tensors, preprocess_commits
+from patchnet.preprocess import assemble_tensors, decode_record, preprocess_commits
 from patchnet.trainer import (
     load_checkpoint,
     save_checkpoint,
@@ -247,8 +247,8 @@ def _split_corpus():
 
 
 def _preprocess_corpus(commits, hp):
-    patches, table, (msg_vocab, code_vocab), _ = preprocess_commits(commits, hp.dims)
-    return patches, msg_vocab, code_vocab, table
+    records, table, (msg_vocab, code_vocab), _ = preprocess_commits(commits, hp.dims)
+    return [decode_record(r, hp.dims) for r in records], msg_vocab, code_vocab, table
 
 
 def _train_until(patches, hp, vocabs, target, max_epochs, seed=0):

@@ -127,6 +127,19 @@ def test_metrics_input_validation():
         metrics([], [])
 
 
+@pytest.mark.parametrize("labels", [[0.7, 1.5], [-0.2, 1], [0, 2], [1, float("nan")], ["0", "1"]])
+def test_metrics_refuses_labels_other_than_0_or_1(labels):
+    # Casting to int first would read 0.7 and -0.2 as 0 and 1.5 as 1.
+    with pytest.raises(ValueError, match="labels must contain only 0 and 1"):
+        metrics([0.2, 0.9], labels)
+
+
+def test_metrics_accepts_labels_equal_to_0_or_1():
+    want = metrics([0.2, 0.9], [0, 1]).to_json_obj()
+    for labels in ([False, True], [0.0, 1.0], [-0.0, 1], np.array([0, 1]), np.array([0.0, 1.0])):
+        assert metrics([0.2, 0.9], labels).to_json_obj() == want
+
+
 @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -float("inf")])
 def test_metrics_refuses_a_non_finite_threshold(threshold):
     with pytest.raises(ValueError, match="threshold must be finite"):

@@ -4,6 +4,7 @@ import importlib
 import os
 import random
 import struct
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -20,9 +21,11 @@ from patchnet.preprocess import (
     INDEX_DTYPE,
     NO_LABEL_BYTE,
     TENSOR_MAGIC,
+    _encode,
     _parse,
     _tokenize,
     assemble_tensors,
+    decode_record,
     grid_dtype,
     preprocess_commits,
     read_tensor_file,
@@ -37,6 +40,12 @@ from conftest import dense_patch, make_commit, simple_diff
 def build_vocabs(commits):
     _, table, vocabs, _ = preprocess_commits(commits)
     return table, vocabs
+
+
+def preprocessed(commits, dims):
+    """preprocess_commits with each record decoded to its patch."""
+    records, table, vocabs, unparsable = preprocess_commits(commits, dims)
+    return [decode_record(r, dims) for r in records], table, vocabs, unparsable
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +273,7 @@ def test_vocabularies_count_tokens_past_the_tensor_slots():
     long_lines = tuple(f"\tcall_{i}(x);" for i in range(3))
     c = make_commit(1, subject="leak race lock", diff=simple_diff(added=long_lines))
     dims = PatchDims(msg_len=1, files=1, hunks=1, lines=1, words=1)
-    (p,), _, (msg_vocab, code_vocab), _ = preprocess_commits([c], dims)
+    (p,), _, (msg_vocab, code_vocab), _ = preprocessed([c], dims)
     assert {"leak", "race", "lock"} <= set(msg_vocab.words)
     assert {"(@nrm", ";@nrm"} <= set(code_vocab.words)
     assert p.message_tokens.tolist() == [msg_vocab.word_to_index["leak"]]
@@ -273,7 +282,7 @@ def test_vocabularies_count_tokens_past_the_tensor_slots():
 def test_preprocess_commits_matches_assemble_tensors():
     commits = [random_commit(random.Random(5), i) for i in range(30)]
     dims = PatchDims(msg_len=12, files=2, hunks=2, lines=3, words=5)
-    patches, table, vocabs, _ = preprocess_commits(commits, dims)
+    patches, table, vocabs, _ = preprocessed(commits, dims)
     for c, p in zip(commits, patches):
         q = assemble_tensors(c, table, vocabs, dims)
         assert q.commit_id == p.commit_id and q.label == p.label
@@ -304,7 +313,7 @@ def test_compact_patches_decode_to_the_dense_tensors(tmp_path):
     commits = [random_commit(random.Random(7), i) for i in range(40)]
     commits.append(make_commit(99, subject="Signed-off-by: A <a@b.c>", body="", diff="garbage\n"))
     dims = PatchDims(msg_len=10, files=2, hunks=2, lines=3, words=4)
-    patches, table, vocabs, _ = preprocess_commits(commits, dims)
+    patches, table, vocabs, _ = preprocessed(commits, dims)
     path = str(tmp_path / "t.bin")
     write_tensor_file(path, patches, dims)
     loaded, _ = read_tensor_file(path)
@@ -324,7 +333,7 @@ def test_preprocess_commits_counts_unparsable_diffs():
     bad = make_commit(1, subject="fix the leak", diff="@@ not a hunk header\n")
     good = make_commit(2)
     dims = PatchDims(msg_len=4, files=1, hunks=1, lines=2, words=4)
-    (p_bad, p_good), _, (msg_vocab, _), unparsable = preprocess_commits([bad, good], dims)
+    (p_bad, p_good), _, (msg_vocab, _), unparsable = preprocessed([bad, good], dims)
     assert unparsable == 1
     assert not p_bad.removed_code.any() and not p_bad.added_code.any()
     assert p_bad.message_tokens[0] == msg_vocab.word_to_index["fix"]
@@ -438,6 +447,27 @@ def test_tensor_file_truncated(tmp_path):
         read_tensor_file(path)
 
 
+def test_records_are_little_endian_on_a_big_endian_host(monkeypatch):
+    # There each array item's bytes are reversed in memory, so the
+    # encoder swaps every array before writing it.
+    c = make_commit(1, subject="fix the leak")
+    table, vocabs = build_vocabs([c])
+    dims = PatchDims(msg_len=4, files=1, hunks=1, lines=2, words=3)
+    tokens = _tokenize(c, _parse(c), table, dims)
+    native = _encode(c, tokens, vocabs, dims)
+    p = decode_record(native, dims)
+    monkeypatch.setattr(sys, "byteorder", "big")
+    swapped = b"".join(a.byteswap().tobytes() for a in (p.message, p.rows, p.grid))
+    assert _encode(c, tokens, vocabs, dims) == native[:49] + swapped != native
+
+
+def test_tensor_file_rejects_a_record_laid_out_for_other_dims(tmp_path):
+    records, _, _, _ = preprocess_commits([make_commit(1)], PatchDims(msg_len=4, files=1, hunks=1, lines=2, words=3))
+    with pytest.raises(ValueError, match="not laid out for"):
+        write_tensor_file(str(tmp_path / "x.bin"), records, PatchDims(msg_len=4, files=1, hunks=1, lines=2, words=4))
+    assert not (tmp_path / "x.bin").exists()
+
+
 def test_tensor_file_rejects_bad_commit_id(tmp_path):
     patches, dims = small_patches(1)
     patches[0].commit_id = "short"
@@ -460,7 +490,7 @@ def test_index_arrays_are_index_dtype(tmp_path):
     assert INDEX_DTYPE == np.dtype("<u4")
     commits = [make_commit(i) for i in range(3)]
     dims = PatchDims(msg_len=6, files=2, hunks=1, lines=2, words=4)
-    patches, table, vocabs, _ = preprocess_commits(commits, dims)
+    patches, table, vocabs, _ = preprocessed(commits, dims)
     path = str(tmp_path / "t.bin")
     write_tensor_file(path, patches, dims)
     loaded, _ = read_tensor_file(path)
@@ -532,12 +562,12 @@ def test_preprocess_peak_per_patch_at_default_dims(monkeypatch, tmp_path):
     commits = _benchmark_corpus(monkeypatch, tmp_path, 100)
     tracemalloc.start()
     try:
-        patches, *_ = preprocess_commits(commits, PatchDims())
+        records, *_ = preprocess_commits(commits, PatchDims())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(patches) == 100 and all(len(p.rows) for p in patches)
-    assert peak / len(patches) <= 24 * 1024
+    assert len(records) == 100 and all(len(decode_record(r, PatchDims()).rows) for r in records)
+    assert peak / len(records) <= 24 * 1024
 
 
 def test_tensor_file_short_read_is_truncated(tmp_path, monkeypatch):
