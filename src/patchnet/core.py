@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import enum
+import functools
 import math
 import numbers
 import os
@@ -84,9 +85,11 @@ class Hunk:
     """A contiguous change region of one file.
 
     ``index`` is the 1-based position of the hunk within its file diff.
-    Starts and counts echo the @@ header.  ``removed`` and ``added``
-    hold only the changed lines; context lines are not retained beyond
-    their effect on line numbering.
+    Starts and counts echo the @@ header.  ``body`` is the text after
+    the header as sliced from the diff.  ``removed`` and ``added`` hold
+    only the changed lines, built from the body the first time either is
+    read and kept; context lines are not retained beyond their effect on
+    line numbering.
     """
 
     index: int
@@ -94,8 +97,38 @@ class Hunk:
     old_count: int
     new_start: int
     new_count: int
-    removed: tuple[CodeLine, ...]
-    added: tuple[CodeLine, ...]
+    body: str
+
+    @functools.cached_property
+    def _lines(self) -> tuple[tuple[CodeLine, ...], tuple[CodeLine, ...]]:
+        """(removed, added), numbered from the @@ starts; context
+        advances both sides."""
+        lines = self.body.split("\n")
+        if lines[-1] == "":  # the piece after the last line's newline
+            lines.pop()
+        old_line, new_line = max(self.old_start, 1), max(self.new_start, 1)
+        removed: list[CodeLine] = []
+        added: list[CodeLine] = []
+        for line in lines:
+            sign = line[:1]
+            if sign == "-":
+                removed.append(CodeLine(old_line, line[1:], "-"))
+                old_line += 1
+            elif sign == "+":
+                added.append(CodeLine(new_line, line[1:], "+"))
+                new_line += 1
+            elif sign != "\\":  # context; "\ No newline at end of file" is neither
+                old_line += 1
+                new_line += 1
+        return tuple(removed), tuple(added)
+
+    @property
+    def removed(self) -> tuple[CodeLine, ...]:
+        return self._lines[0]
+
+    @property
+    def added(self) -> tuple[CodeLine, ...]:
+        return self._lines[1]
 
 
 @dataclass(frozen=True)
@@ -309,3 +342,5 @@ class TrainConfig:
         check_positive_ints(batch_size=self.batch_size, max_epochs=self.max_epochs, patience=self.patience)
         if not 0.0 < self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")

@@ -1,8 +1,14 @@
-"""Commit-stream parsing, eligibility filtering, labeling, and balancing.
+"""Commit-stream parsing, diff parsing, eligibility filtering, labeling,
+and balancing.
 
 A label lives on the commit: label_commit computes one, balancing takes
 it beside its commit and sets it as RawCommit.label on the commits it
 keeps, and the JSONL writer reads it from there.
+
+parse_unified_diff is the one diff parser: check_eligibility and
+preprocessing both read its FileDiffs and Hunks.  A Hunk builds its
+CodeLines only when they are first read, so ingest, which counts a
+hunk's lines in its body, builds none.
 
 Input arrives as exported text, never via a git binary: either the
 record format documented below or JSONL.  Export records look like::
@@ -29,11 +35,9 @@ import bisect
 import json
 import re
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 from .core import (
     COMMIT_ID_RE,
-    CodeLine,
     FileDiff,
     FileSnapshot,
     Hunk,
@@ -191,50 +195,25 @@ def _commit_id(raw, **where) -> str:
     return commit_id
 
 
-class _HunkSpan(NamedTuple):
-    """One hunk as the scanner finds it: its @@ numbers, its body as
-    diff_text[start:end], and the counts of '-' and '+' lines in it."""
-
-    old_start: int
-    old_count: int
-    new_start: int
-    new_count: int
-    start: int
-    end: int
-    removed: int
-    added: int
-
-
-class _FileSpan(NamedTuple):
-    """One file as the scanner finds it: FileDiff's fields, with hunk
-    spans in place of Hunks."""
-
-    path: str
-    old_path: str
-    is_new_file: bool
-    is_deleted_file: bool
-    hunks: list[_HunkSpan]
-
-    language_relevant = FileDiff.language_relevant
-    is_modification = FileDiff.is_modification
-
-
-def _scan_diff(text: str) -> list[_FileSpan]:
-    """The unified-diff grammar, in one pass that builds no lines.
+def parse_unified_diff(text: str) -> list[FileDiff]:
+    """Parse unified-diff text into per-file hunk structures, in one pass
+    that builds no lines: each Hunk holds its body and builds its
+    CodeLines the first time they are read.
 
     A file starts at "diff --git", or at a "--- " line outside a hunk
     once the file so far has hunks.  A hunk is an @@ header and its body:
     the lines after it that start with '-', '+', ' ' or '\\' or are
     empty, so "--- " and "+++ " inside a body are changed lines.  Any
-    other line ends the body and is read as a header line.  A malformed
-    @@ header raises ParseError with its 1-based line number.
+    other line ends the body and is read as a header line.  Binary
+    changes yield a FileDiff with zero hunks.  A malformed @@ header
+    raises ParseError with its 1-based line number.
     """
-    files: list[_FileSpan] = []
+    files: list[FileDiff] = []
     # Per-file state; "new file mode" and "deleted file mode" seen
     # before a file's first header carry into that file.
     old_path: str | None = None
     new_path: str | None = None
-    hunks: list[_HunkSpan] = []
+    hunks: list[Hunk] = []
     is_new = is_deleted = seen_file = False
 
     def close_file() -> None:
@@ -242,12 +221,12 @@ def _scan_diff(text: str) -> list[_FileSpan]:
         if not seen_file:
             return
         path = new_path if new_path not in (None, "/dev/null") else old_path
-        files.append(_FileSpan(
+        files.append(FileDiff(
             path or "",
+            tuple(hunks),
             "" if old_path in (None, "/dev/null") else old_path,
             is_new or old_path == "/dev/null",
             is_deleted or new_path == "/dev/null",
-            hunks,
         ))
         seen_file = False
         old_path = new_path = None
@@ -270,12 +249,8 @@ def _scan_diff(text: str) -> list[_FileSpan]:
             a, b, c, d = m.group(1, 2, 3, 4)
             body_end = RE_BODY_END.search(text, pos)
             end = body_end.start() if body_end else n
-            # A body line starts after a newline; the first one after
-            # the header's, at eol.
-            hunks.append(_HunkSpan(
-                int(a), 1 if b is None else int(b), int(c), 1 if d is None else int(d),
-                min(pos, n), end, text.count("\n-", eol, end), text.count("\n+", eol, end),
-            ))
+            hunks.append(Hunk(len(hunks) + 1, int(a), 1 if b is None else int(b),
+                              int(c), 1 if d is None else int(d), text[pos:end]))
             pos = end
         elif line.startswith("diff --git"):
             close_file()
@@ -303,67 +278,19 @@ def _scan_diff(text: str) -> list[_FileSpan]:
     return files
 
 
-def _build_hunk(text: str, index: int, h: _HunkSpan) -> Hunk:
-    """The Hunk of one span, its changed lines numbered from the @@
-    starts; context advances both sides."""
-    lines = text[h.start : h.end].split("\n")
-    if lines[-1] == "":  # the piece after the last line's newline
-        lines.pop()
-    old_line, new_line = max(h.old_start, 1), max(h.new_start, 1)
-    removed: list[CodeLine] = []
-    added: list[CodeLine] = []
-    for line in lines:
-        sign = line[:1]
-        if sign == "-":
-            removed.append(CodeLine(old_line, line[1:], "-"))
-            old_line += 1
-        elif sign == "+":
-            added.append(CodeLine(new_line, line[1:], "+"))
-            new_line += 1
-        elif sign != "\\":  # context; "\ No newline at end of file" is neither
-            old_line += 1
-            new_line += 1
-    return Hunk(index, h.old_start, h.old_count, h.new_start, h.new_count,
-                tuple(removed), tuple(added))
-
-
-def parse_unified_diff(diff_text: str) -> list[FileDiff]:
-    """Parse unified-diff text into per-file hunk structures.
-
-    The grammar is _scan_diff's; this builds the CodeLines of each hunk
-    body.  Binary changes yield a FileDiff with zero hunks.  A malformed
-    @@ header raises ParseError with its 1-based line number.
-    """
-    return [
-        FileDiff(f.path, tuple(_build_hunk(diff_text, i, h) for i, h in enumerate(f.hunks, start=1)),
-                 f.old_path, f.is_new_file, f.is_deleted_file)
-        for f in _scan_diff(diff_text)
-    ]
-
-
-def diff_reported_length(files: list[FileDiff]) -> int:
-    """Diff length as a diff tool reports it: changed plus context lines.
-
-    Per hunk this equals old_count + len(added): old_count covers the
-    context and removed lines, added lines are the rest.
-    """
-    return sum(h.old_count + len(h.added) for fd in files for h in fd.hunks)
-
-
-def changed_line_count(files: list[FileDiff]) -> int:
-    """Number of '-' and '+' lines inside hunks (context excluded)."""
-    return sum(len(h.removed) + len(h.added) for fd in files for h in fd.hunks)
-
-
 def check_eligibility(c: RawCommit) -> EligibilityReport:
     """Apply the dataset filters: not a merge, modifies a .c/.h file
-    in place, and the reported diff is at most 100 lines.  The lengths
-    come from the scanner's line counts; no CodeLine is built."""
+    in place, and the reported diff is at most 100 lines.
+
+    The reported length of a hunk is old_count (its context and removed
+    lines) plus its added lines.  Line counts are read from each hunk's
+    body, so no CodeLine is built.
+    """
     reasons: list[str] = []
     if len(c.parent_ids) > 1:
         reasons.append(MERGE_COMMIT)
     try:
-        files = _scan_diff(c.diff_text)
+        files = parse_unified_diff(c.diff_text)
     except ParseError as exc:
         reasons.append(f"{OTHER}: {exc}")
         return EligibilityReport(tuple(reasons), 0)
@@ -372,10 +299,15 @@ def check_eligibility(c: RawCommit) -> EligibilityReport:
         reasons.append(NO_C_OR_H_FILE_MODIFIED)
     elif not any(fd.is_modification for fd in relevant):
         reasons.append(ONLY_ADDS_OR_REMOVES_FILES)
-    hunks = [h for fd in files for h in fd.hunks]
-    if sum(h.old_count + h.added for h in hunks) > MAX_REPORTED_DIFF_LINES:
+    reported = changed = 0
+    for fd in files:
+        for h in fd.hunks:
+            added = h.body.startswith("+") + h.body.count("\n+")
+            reported += h.old_count + added
+            changed += h.body.startswith("-") + h.body.count("\n-") + added
+    if reported > MAX_REPORTED_DIFF_LINES:
         reasons.append(TOO_LONG)
-    return EligibilityReport(tuple(reasons), sum(h.removed + h.added for h in hunks))
+    return EligibilityReport(tuple(reasons), changed)
 
 
 def extract_stable_evidence(

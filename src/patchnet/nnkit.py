@@ -58,10 +58,6 @@ class Tensor:
         return f"Tensor(shape={self.data.shape})"
 
 
-def tensor(data) -> Tensor:
-    return Tensor(data)
-
-
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     t.grad = g if t.grad is None else t.grad + g
 

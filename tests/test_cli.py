@@ -795,6 +795,24 @@ def test_settings_nothing_can_use_exit_data(pipeline, tmp_path, capsys, setting,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "environment"])
+def test_train_refuses_a_negative_seed(pipeline, tmp_path, capsys, monkeypatch, source):
+    out = tmp_path / "m.ckpt"
+    flags = TRAIN_FLAGS[: TRAIN_FLAGS.index("--seed")]
+    argv = ["train", "--tensors", pipeline["tensors"], "--vocab", pipeline["vocab"],
+            "--functions", pipeline["tensors"] + ".functions.json", "--out", str(out), *flags]
+    if source == "flag":
+        seed = -1
+        argv += ["--seed", str(seed)]
+    else:
+        seed = -3
+        monkeypatch.setenv("PATCHNET_SEED", str(seed))
+    assert run(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err == f"error: seed must be a non-negative integer, got {seed}\n"
+    assert not out.exists()
+
+
 def test_module_entry_point_runs_the_cli(pipeline, tmp_path):
     src = str(Path(patchnet.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}

@@ -1,13 +1,17 @@
 """Domain type invariants."""
 
+import re
+
 import pytest
 
 from conftest import hex_id, make_commit
+from patchnet import core
 from patchnet.core import (
     CodeLine,
     FileDiff,
     Hunk,
     Label,
+    TrainConfig,
 )
 
 
@@ -49,9 +53,32 @@ class TestCodeLine:
             CodeLine(1, "a\nb", "+")
 
 
+class TestHunk:
+    def test_lines_are_built_from_the_body_once(self, monkeypatch):
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return CodeLine(*args)
+
+        monkeypatch.setattr(core, "CodeLine", counted)
+        h = Hunk(1, 10, 3, 20, 3, " keep\n-a\n\\ No newline at end of file\n+b\n")
+        assert built == []
+        assert h.removed == (CodeLine(11, "a", "-"),)
+        assert h.added == (CodeLine(21, "b", "+"),)
+        assert h.removed is h.removed and h.added is h.added
+        assert len(built) == 2
+
+    def test_equality_reads_the_fields_not_the_built_lines(self):
+        h = Hunk(1, 1, 1, 1, 1, "-a\n+b\n")
+        fresh = Hunk(1, 1, 1, 1, 1, "-a\n+b\n")
+        assert h.removed and h == fresh and hash(h) == hash(fresh)
+        assert h != Hunk(1, 1, 1, 1, 1, "-a\n+c\n")
+
+
 class TestFileDiff:
     def _hunk(self):
-        return Hunk(1, 10, 2, 10, 2, (CodeLine(10, "a", "-"),), (CodeLine(10, "b", "+"),))
+        return Hunk(1, 10, 1, 10, 1, "-a\n+b\n")
 
     def test_modification_when_both_sides_real(self):
         fd = FileDiff("a.c", (self._hunk(),), old_path="a.c")
@@ -66,6 +93,13 @@ class TestFileDiff:
         assert FileDiff("include/a.h", ()).language_relevant
         assert not FileDiff("Documentation/a.rst", ()).language_relevant
         assert not FileDiff("a.cc", ()).language_relevant
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("seed", [-1, True, 1.0, "3"])
+    def test_refuses_a_seed_that_is_not_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match=re.escape(f"seed must be a non-negative integer, got {seed!r}")):
+            TrainConfig(seed=seed)
 
 
 class TestRawCommit:

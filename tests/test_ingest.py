@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import balance_oracle
+import diff_oracle
 from conftest import (
     ERRNO_FIX_DIFF,
     ERRNO_FIX_EXPORT,
@@ -25,7 +26,7 @@ from conftest import (
     make_commit,
     simple_diff,
 )
-from patchnet import ingest
+from patchnet import core, ingest
 from patchnet.core import Label
 from patchnet.ingest import (
     MAX_REPORTED_DIFF_LINES,
@@ -37,11 +38,9 @@ from patchnet.ingest import (
     EligibilityReport,
     ParseError,
     build_balanced_dataset,
-    changed_line_count,
     check_eligibility,
     commit_from_json_obj,
     commit_to_json_obj,
-    diff_reported_length,
     extract_stable_evidence,
     label_commit,
     load_commits,
@@ -50,10 +49,11 @@ from patchnet.ingest import (
     read_rc_ids,
     write_commits_jsonl,
 )
+from test_export_reader import _benchmark_run
 
 
 def size_of(c) -> int:
-    return changed_line_count(parse_unified_diff(c.diff_text))
+    return diff_oracle.changed_line_count(parse_unified_diff(c.diff_text))
 
 
 def sized(labeled):
@@ -351,18 +351,22 @@ class TestParseUnifiedDiff:
 
 
 class TestDiffLengths:
+    """The lengths check_eligibility filters and balances on, counted
+    from the lines parse_unified_diff builds."""
+
     def test_reported_length_counts_context_plus_added(self):
         # old_count covers context and removals; added lines are extra.
-        assert diff_reported_length(parse_unified_diff(simple_diff())) == 3 + 2
+        assert diff_oracle.diff_reported_length(parse_unified_diff(simple_diff())) == 3 + 2
 
     def test_reported_length_on_sample_patches(self):
-        assert diff_reported_length(parse_unified_diff(ERRNO_FIX_DIFF)) == (7 + 1) * 2
-        assert diff_reported_length(parse_unified_diff(KMEMDUP_DIFF)) == 11 + 3
-        assert diff_reported_length(parse_unified_diff(POWER_REG_DIFF)) == 10
+        assert diff_oracle.diff_reported_length(parse_unified_diff(ERRNO_FIX_DIFF)) == (7 + 1) * 2
+        assert diff_oracle.diff_reported_length(parse_unified_diff(KMEMDUP_DIFF)) == 11 + 3
+        assert diff_oracle.diff_reported_length(parse_unified_diff(POWER_REG_DIFF)) == 10
 
     def test_changed_line_count_ignores_context(self):
-        assert changed_line_count(parse_unified_diff(simple_diff())) == 3
-        assert changed_line_count(parse_unified_diff(sized_diff(17))) == 17
+        for diff, count in ((simple_diff(), 3), (sized_diff(17), 17)):
+            assert diff_oracle.changed_line_count(parse_unified_diff(diff)) == count
+            assert check_eligibility(make_commit(1, diff=diff)).changed_lines == count
 
 
 class TestEligibility:
@@ -425,11 +429,11 @@ class TestEligibility:
 
 
 def oracle_eligibility(c) -> EligibilityReport:
-    """check_eligibility by the route it replaced: build every line with
-    parse_unified_diff, then count what was built."""
+    """check_eligibility by building every line with the oracle's
+    parse_unified_diff, then counting what was built."""
     reasons = [MERGE_COMMIT] if len(c.parent_ids) > 1 else []
     try:
-        files = parse_unified_diff(c.diff_text)
+        files = diff_oracle.parse_unified_diff(c.diff_text)
     except ParseError as exc:
         return EligibilityReport((*reasons, f"{OTHER}: {exc}"), 0)
     relevant = [fd for fd in files if fd.language_relevant]
@@ -437,9 +441,9 @@ def oracle_eligibility(c) -> EligibilityReport:
         reasons.append(NO_C_OR_H_FILE_MODIFIED)
     elif not any(fd.is_modification for fd in relevant):
         reasons.append(ONLY_ADDS_OR_REMOVES_FILES)
-    if diff_reported_length(files) > MAX_REPORTED_DIFF_LINES:
+    if diff_oracle.diff_reported_length(files) > MAX_REPORTED_DIFF_LINES:
         reasons.append(TOO_LONG)
-    return EligibilityReport(tuple(reasons), changed_line_count(files))
+    return EligibilityReport(tuple(reasons), diff_oracle.changed_line_count(files))
 
 
 HEAD = "diff --git a/x.c b/x.c\n--- a/x.c\n+++ b/x.c\n"
@@ -484,34 +488,57 @@ AGREEMENT_CASES = {
 }
 
 DIFF_ATOMS = [
-    "diff --git a/x.c b/x.c", "diff --git a/y.py b/y.py", "--- a/x.c", "--- /dev/null",
-    "+++ b/x.c", "+++ /dev/null", "@@ -1,3 +1,4 @@", "@@ -0,0 +1 @@ fn", "@@ broken @@",
-    "-old", "+new", " ctx", "", "\\ No newline at end of file", "new file mode 100644",
-    "deleted file mode 100644", "Binary files a/b and b/b differ", "index 1..2", "\r", "x",
+    "diff --git a/x.c b/x.c", "diff --git a/y.py b/y.py", "diff --git a/n.h b/n.h", "--- a/x.c",
+    "--- /dev/null", "--- x", "+++ b/x.c", "+++ b/n.h", "+++ /dev/null", "+++ y", "@@ -1,3 +1,4 @@",
+    "@@ -0,0 +1 @@ fn", "@@ -3 +3 @@", "@@ broken @@", "@@ -9 +9 @ broken", "-old", "+new", "-", "+",
+    "-- not a header", " ctx", "", "\\ No newline at end of file", "new file mode 100644",
+    "deleted file mode 100644", "Binary files a/b and b/b differ", "GIT binary patch", "literal 3",
+    "index 1..2", "\r", "x",
 ]
 
 
-class TestScannerAgreesWithParser:
-    """check_eligibility counts lines with the diff scanner and builds
-    none; it must report what counting parse_unified_diff's output does."""
+def diff_shape(parse, text):
+    """What parse makes of text as plain values, so the oracle's Hunks
+    compare with core's: per file the paths, the flags and per hunk the
+    header numbers and lines; or the ParseError's message."""
+    try:
+        files = parse(text)
+    except ParseError as exc:
+        return str(exc)
+    return [(fd.path, fd.old_path, fd.is_new_file, fd.is_deleted_file,
+             [(h.index, h.old_start, h.old_count, h.new_start, h.new_count, h.removed, h.added)
+              for h in fd.hunks])
+            for fd in files]
+
+
+def assert_agrees(c):
+    assert diff_shape(parse_unified_diff, c.diff_text) == diff_shape(diff_oracle.parse_unified_diff, c.diff_text)
+    assert check_eligibility(c) == diff_oracle.check_eligibility(c) == oracle_eligibility(c)
+
+
+class TestParserAgreesWithOracle:
+    """parse_unified_diff and check_eligibility against the parser they
+    replaced (tests/diff_oracle.py), whose scanner counted lines for
+    ingest beside a builder of every line for preprocess; check_eligibility
+    builds no line and must report what counting the built lines does."""
 
     @pytest.mark.parametrize("name", sorted(AGREEMENT_CASES))
     def test_on_diff_edge_cases(self, name):
         diff, reasons, changed = AGREEMENT_CASES[name]
         assert check_eligibility(make_commit(1, diff=diff)) == EligibilityReport(reasons, changed)
         for parents in ((hex_id(2),), (hex_id(2), hex_id(3))):
-            c = make_commit(1, parents=parents, diff=diff)
-            assert check_eligibility(c) == oracle_eligibility(c)
+            assert_agrees(make_commit(1, parents=parents, diff=diff))
 
     @given(
-        st.lists(st.sampled_from(DIFF_ATOMS), max_size=14),
+        st.lists(st.sampled_from(DIFF_ATOMS), max_size=20),
         st.sampled_from(["\n", "\r\n"]),
         st.sampled_from(["", "\n", "\n\n"]),
+        st.booleans(),
     )
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    def test_on_diffs_made_of_grammar_lines(self, lines, newline, tail):
-        c = make_commit(1, diff=newline.join(lines) + tail)
-        assert check_eligibility(c) == oracle_eligibility(c)
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    def test_on_diffs_made_of_grammar_lines(self, lines, newline, tail, merge):
+        parents = (hex_id(2), hex_id(3)) if merge else (hex_id(2),)
+        assert_agrees(make_commit(1, parents=parents, diff=newline.join(lines) + tail))
 
     def test_on_a_seeded_benchmark_corpus(self, tmp_path, monkeypatch):
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "benchmarks"))
@@ -523,21 +550,45 @@ class TestScannerAgreesWithParser:
         )
         corpus.generate(shape, 5, tmp_path)
         commits = load_commits(str(tmp_path / "mainline.export"))
-        reports = [check_eligibility(c) for c in commits]
-        assert reports == [oracle_eligibility(c) for c in commits]
-        seen = {r for report in reports for r in report.reasons}
+        for c in commits:
+            assert_agrees(c)
+        seen = {r for c in commits for r in check_eligibility(c).reasons}
         assert seen == {MERGE_COMMIT, NO_C_OR_H_FILE_MODIFIED, ONLY_ADDS_OR_REMOVES_FILES, TOO_LONG}
+
+    @pytest.mark.parametrize("workload", ["kernel-default", "corpus-compact"])
+    def test_on_the_benchmark_exports(self, workload, tmp_path, monkeypatch):
+        run = _benchmark_run(monkeypatch)
+        info = run.corpus.generate(run.WORKLOADS[workload].shape, 5, tmp_path)
+        for name in ("mainline", "stable"):
+            for c in load_commits(info["paths"][name]):
+                assert_agrees(c)
 
     def test_builds_no_lines(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("built a line, hunk or file")
+            raise AssertionError("built a line")
 
-        for name in ("CodeLine", "Hunk", "FileDiff"):
-            monkeypatch.setattr(ingest, name, refuse)
+        monkeypatch.setattr(core, "CodeLine", refuse)
         for diff, reasons, changed in AGREEMENT_CASES.values():
             assert check_eligibility(make_commit(1, diff=diff)) == EligibilityReport(reasons, changed)
+        (fd,) = parse_unified_diff(simple_diff())
         with pytest.raises(AssertionError, match="built a line"):
-            parse_unified_diff(simple_diff())
+            fd.hunks[0].removed
+
+    def test_check_eligibility_parses_through_the_module_global(self, monkeypatch):
+        # A tracer wraps ingest.parse_unified_diff where it is looked up,
+        # so each commit's one parse shows as one call of that global.
+        parsed = []
+        parse = ingest.parse_unified_diff
+
+        def counted(text):
+            parsed.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(ingest, "parse_unified_diff", counted)
+        commits = [make_commit(i, diff=case[0]) for i, case in enumerate(AGREEMENT_CASES.values(), start=1)]
+        for c in commits:
+            check_eligibility(c)
+        assert parsed == [c.diff_text for c in commits]
 
 
 class TestLabeling:

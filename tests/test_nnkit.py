@@ -32,7 +32,6 @@ from patchnet.nnkit import (
     reshape,
     sigmoid_score,
     stack,
-    tensor,
 )
 
 REL_TOL = 1e-4
@@ -130,7 +129,7 @@ def test_conv_text_matches_naive_bit_exact():
         M = rng.standard_normal((*lead, n, d)) * scale
         filters = rng.standard_normal((F, k, d))
         bias = rng.standard_normal(F)
-        out = conv_text(tensor(cut_windows(M, k, 1)), tensor(filters), tensor(bias)).data  # (..., P, F)
+        out = conv_text(Tensor(cut_windows(M, k, 1)), Tensor(filters), Tensor(bias)).data  # (..., P, F)
         got = np.moveaxis(out, -1, -2)
         want = naive_conv_text(M, filters, bias)
         assert got.shape == (*lead, F, n - k + 1)
@@ -151,7 +150,7 @@ def test_conv3d_matches_naive_bit_exact():
         B = rng.standard_normal((*lead, H, N, E))
         filters = rng.standard_normal((F, k, N, E))
         bias = rng.standard_normal(F)
-        out = conv3d_hunks(tensor(cut_windows(B, k, 2)), tensor(filters), tensor(bias)).data  # (..., P, F)
+        out = conv3d_hunks(Tensor(cut_windows(B, k, 2)), Tensor(filters), Tensor(bias)).data  # (..., P, F)
         got = np.moveaxis(out, -1, -2)
         want = naive_conv3d(B, filters, bias)
         assert got.shape == (*lead, F, H - k + 1)
@@ -173,29 +172,29 @@ def test_conv_text_chunked_path_bit_exact(chunk_case, chunk, monkeypatch):
     # 4000 windows, so the forward runs in blocks; the result must not change.
     monkeypatch.setattr(nnkit, "_CHUNK_ELEMS", chunk)
     M, filters, bias, want = chunk_case
-    got = conv_text(tensor(cut_windows(M, 3, 1)), tensor(filters), tensor(bias))
+    got = conv_text(Tensor(cut_windows(M, 3, 1)), Tensor(filters), Tensor(bias))
     assert np.array_equal(np.moveaxis(got.data, -1, -2), want)
 
 
 def test_conv_batched_equals_per_item():
     rng = np.random.default_rng(404)
     M = rng.standard_normal((6, 9, 5))
-    filters = tensor(rng.standard_normal((4, 2, 5)))
-    bias = tensor(rng.standard_normal(4))
-    batched = conv_text(tensor(cut_windows(M, 2, 1)), filters, bias)
+    filters = Tensor(rng.standard_normal((4, 2, 5)))
+    bias = Tensor(rng.standard_normal(4))
+    batched = conv_text(Tensor(cut_windows(M, 2, 1)), filters, bias)
     for b in range(6):
-        single = conv_text(tensor(cut_windows(M[b], 2, 1)), filters, bias)
+        single = conv_text(Tensor(cut_windows(M[b], 2, 1)), filters, bias)
         assert np.array_equal(batched.data[b], single.data)
 
 
 def test_conv_shape_validation():
     with pytest.raises(ValueError, match="window shape"):
-        conv_text(tensor(np.zeros((3, 1, 4))), tensor(np.zeros((2, 2, 4))), tensor(np.zeros(2)))
+        conv_text(Tensor(np.zeros((3, 1, 4))), Tensor(np.zeros((2, 2, 4))), Tensor(np.zeros(2)))
     with pytest.raises(ValueError, match="window shape"):
-        conv_text(tensor(np.zeros((3, 2, 4))), tensor(np.zeros((2, 2, 3))), tensor(np.zeros(2)))
+        conv_text(Tensor(np.zeros((3, 2, 4))), Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros(2)))
     with pytest.raises(ValueError, match="window shape"):
         conv3d_hunks(
-            tensor(np.zeros((2, 1, 3, 4))), tensor(np.zeros((2, 2, 3, 4))), tensor(np.zeros(2))
+            Tensor(np.zeros((2, 1, 3, 4))), Tensor(np.zeros((2, 2, 3, 4))), Tensor(np.zeros(2))
         )
 
 
@@ -244,7 +243,7 @@ def test_max_pool_matches_the_dense_route_bit_for_bit():
         if case % 2:
             data = np.round(data)  # ties within and across rows
         R = rng.standard_normal((*lead, F)) * rng.choice((1e-8, 1.0, 1e8), (*lead, F))
-        t = tensor(data)
+        t = Tensor(data)
         got = max_pool(t, where)
         want = naive_pool_by_ids(t, where)
         assert got.data.shape == (*lead, F)
@@ -263,7 +262,7 @@ def test_embed_lookup_gradient_matches_add_at_bit_for_bit():
         lead = tuple(int(rng.integers(1, 40)) for _ in range(int(rng.integers(0, 3))))
         idx = rng.integers(0, n, lead).astype(np.uint32)
         R = rng.standard_normal((*lead, d)) * rng.choice((1e-9, 1.0, 1e9), (*lead, d))
-        W = tensor(rng.standard_normal((n, d)))
+        W = Tensor(rng.standard_normal((n, d)))
         (got,) = backward(weighted_sum(embed_lookup(W, idx), R), [W])
         (want,) = backward(weighted_sum(naive_embed_lookup(W, idx), R), [W])
         assert np.array_equal(got, want), f"case {case}"
@@ -275,7 +274,7 @@ def test_embed_lookup_gradient_matches_add_at_bit_for_bit():
 
 def test_grad_embed_lookup():
     rng = np.random.default_rng(410)
-    W = tensor(rng.standard_normal((6, 4)) * 0.5)
+    W = Tensor(rng.standard_normal((6, 4)) * 0.5)
     R = rng.standard_normal((2, 3, 4))
     idx = np.array([[0, 1, 1], [5, 0, 2]])
     assert_grads_match(lambda: weighted_sum(embed_lookup(W, idx), R), [W])
@@ -283,9 +282,9 @@ def test_grad_embed_lookup():
 
 def test_grad_conv_text():
     rng = np.random.default_rng(411)
-    M = tensor(cut_windows(rng.standard_normal((2, 3, 7, 4)) * 0.7, 2, 1).copy())
-    filters = tensor(rng.standard_normal((3, 2, 4)) * 0.7)
-    bias = tensor(rng.standard_normal(3) * 0.5)
+    M = Tensor(cut_windows(rng.standard_normal((2, 3, 7, 4)) * 0.7, 2, 1).copy())
+    filters = Tensor(rng.standard_normal((3, 2, 4)) * 0.7)
+    bias = Tensor(rng.standard_normal(3) * 0.5)
     R = rng.standard_normal((2, 3, 6, 3))
     assert_grads_match(
         lambda: weighted_sum(conv_text(M, filters, bias), R), [M, filters, bias]
@@ -294,9 +293,9 @@ def test_grad_conv_text():
 
 def test_grad_conv3d_hunks():
     rng = np.random.default_rng(412)
-    B = tensor(cut_windows(rng.standard_normal((2, 5, 3, 4)) * 0.6, 2, 2).copy())
-    filters = tensor(rng.standard_normal((2, 2, 3, 4)) * 0.6)
-    bias = tensor(rng.standard_normal(2) * 0.5)
+    B = Tensor(cut_windows(rng.standard_normal((2, 5, 3, 4)) * 0.6, 2, 2).copy())
+    filters = Tensor(rng.standard_normal((2, 2, 3, 4)) * 0.6)
+    bias = Tensor(rng.standard_normal(2) * 0.5)
     R = rng.standard_normal((2, 4, 2))
     assert_grads_match(
         lambda: weighted_sum(conv3d_hunks(B, filters, bias), R), [B, filters, bias]
@@ -305,7 +304,7 @@ def test_grad_conv3d_hunks():
 
 def test_grad_max_pool():
     rng = np.random.default_rng(413)
-    t = tensor(rng.standard_normal((5, 4)))
+    t = Tensor(rng.standard_normal((5, 4)))
     where = rng.integers(0, 5, (2, 3, 6))
     R = rng.standard_normal((2, 3, 4))
     assert_grads_match(lambda: weighted_sum(max_pool(t, where), R), [t])
@@ -313,30 +312,30 @@ def test_grad_max_pool():
 
 def test_grad_dense():
     rng = np.random.default_rng(414)
-    e = tensor(rng.standard_normal((4, 7)) * 0.8)
-    w = tensor(rng.standard_normal((3, 7)) * 0.8)
-    b = tensor(rng.standard_normal(3) * 0.5)
+    e = Tensor(rng.standard_normal((4, 7)) * 0.8)
+    w = Tensor(rng.standard_normal((3, 7)) * 0.8)
+    b = Tensor(rng.standard_normal(3) * 0.5)
     R = rng.standard_normal((4, 3))
     assert_grads_match(lambda: weighted_sum(dense(e, w, b), R), [e, w, b])
 
 
 def test_grad_sigmoid_score():
     rng = np.random.default_rng(415)
-    h = tensor(rng.standard_normal((5, 3)))
-    w_o = tensor(rng.standard_normal(3))
+    h = Tensor(rng.standard_normal((5, 3)))
+    w_o = Tensor(rng.standard_normal(3))
     R = rng.standard_normal(5)
     assert_grads_match(lambda: weighted_sum(sigmoid_score(h, w_o), R), [h, w_o])
 
 
 def test_grad_concat_and_stack():
     rng = np.random.default_rng(416)
-    a = tensor(rng.standard_normal((2, 3)))
-    b = tensor(rng.standard_normal((2, 5)))
+    a = Tensor(rng.standard_normal((2, 3)))
+    b = Tensor(rng.standard_normal((2, 5)))
     R = rng.standard_normal((2, 8))
     assert_grads_match(lambda: weighted_sum(concat([a, b], axis=-1), R), [a, b])
 
-    c = tensor(rng.standard_normal((2, 2)))
-    d = tensor(rng.standard_normal((2, 2)))
+    c = Tensor(rng.standard_normal((2, 2)))
+    d = Tensor(rng.standard_normal((2, 2)))
     R2 = rng.standard_normal((2, 2, 2))
     assert_grads_match(lambda: weighted_sum(stack([c, d]), R2), [c, d])
 
@@ -345,8 +344,8 @@ def test_grad_reshape():
     # The model's e_c: (files, E) per side, joined on the last axis and
     # flattened in slot order.
     rng = np.random.default_rng(420)
-    r = tensor(rng.standard_normal((3, 2)))
-    a = tensor(rng.standard_normal((3, 2)))
+    r = Tensor(rng.standard_normal((3, 2)))
+    a = Tensor(rng.standard_normal((3, 2)))
     R = rng.standard_normal(12)
     build = lambda: weighted_sum(reshape(concat([r, a], axis=-1), (-1,)), R)
     assert_grads_match(build, [r, a])
@@ -354,7 +353,7 @@ def test_grad_reshape():
 
 def test_grad_dropout_fixed_mask():
     rng = np.random.default_rng(417)
-    t = tensor(rng.standard_normal((6, 5)))
+    t = Tensor(rng.standard_normal((6, 5)))
     R = rng.standard_normal((6, 5))
     build = lambda: weighted_sum(
         dropout(t, 0.4, np.random.default_rng(99), training=True), R
@@ -364,9 +363,9 @@ def test_grad_dropout_fixed_mask():
 
 def test_grad_loss_with_regularization():
     rng = np.random.default_rng(418)
-    h = tensor(rng.standard_normal((4, 3)))
-    w_o = tensor(rng.standard_normal(3))
-    extra = tensor(rng.standard_normal((2, 2)))
+    h = Tensor(rng.standard_normal((4, 3)))
+    w_o = Tensor(rng.standard_normal(3))
+    extra = Tensor(rng.standard_normal((2, 2)))
     y = np.array([0.0, 1.0, 1.0, 0.0])
     build = lambda: loss(sigmoid_score(h, w_o), y, [h, w_o, extra], lam=0.01)
     assert_grads_match(build, [h, w_o, extra])
@@ -376,14 +375,14 @@ def test_grad_composite_graph():
     # embed -> conv -> pool -> concat -> dense -> score -> loss,
     # the same op chain the real model uses.
     rng = np.random.default_rng(419)
-    W = tensor(rng.uniform(-0.5, 0.5, (7, 4)))
-    f1 = tensor(rng.uniform(-0.5, 0.5, (2, 1, 4)))
-    b1 = tensor(rng.uniform(-0.2, 0.2, 2))
-    f2 = tensor(rng.uniform(-0.5, 0.5, (2, 2, 4)))
-    b2 = tensor(rng.uniform(-0.2, 0.2, 2))
-    wh = tensor(rng.uniform(-0.5, 0.5, (3, 4)))
-    bh = tensor(rng.uniform(-0.2, 0.2, 3))
-    wo = tensor(rng.uniform(-0.5, 0.5, 3))
+    W = Tensor(rng.uniform(-0.5, 0.5, (7, 4)))
+    f1 = Tensor(rng.uniform(-0.5, 0.5, (2, 1, 4)))
+    b1 = Tensor(rng.uniform(-0.2, 0.2, 2))
+    f2 = Tensor(rng.uniform(-0.5, 0.5, (2, 2, 4)))
+    b2 = Tensor(rng.uniform(-0.2, 0.2, 2))
+    wh = Tensor(rng.uniform(-0.5, 0.5, (3, 4)))
+    bh = Tensor(rng.uniform(-0.2, 0.2, 3))
+    wo = Tensor(rng.uniform(-0.5, 0.5, 3))
     idx = np.array([2, 0, 5, 1, 6])
     params = [W, f1, b1, f2, b2, wh, bh, wo]
 
@@ -404,7 +403,7 @@ def test_grad_composite_graph():
 
 
 def test_embed_lookup_values_and_repeat_accumulation():
-    W = tensor(np.arange(12, dtype=np.float64).reshape(4, 3))
+    W = Tensor(np.arange(12, dtype=np.float64).reshape(4, 3))
     out = embed_lookup(W, [0, 2, 0])
     assert np.array_equal(out.data, W.data[[0, 2, 0]])
     total = weighted_sum(out, np.ones((3, 3)))
@@ -415,7 +414,7 @@ def test_embed_lookup_values_and_repeat_accumulation():
 
 
 def test_embed_lookup_range_check():
-    W = tensor(np.zeros((4, 3)))
+    W = Tensor(np.zeros((4, 3)))
     with pytest.raises(IndexError):
         embed_lookup(W, [4])
     with pytest.raises(IndexError):
@@ -423,7 +422,7 @@ def test_embed_lookup_range_check():
 
 
 def test_embed_lookup_refuses_non_integer_indices():
-    W = tensor(np.zeros((4, 3)))
+    W = Tensor(np.zeros((4, 3)))
     for bad in ([0.0, 1.0], np.array([1.5]), np.array([True])):
         with pytest.raises(TypeError, match="integers"):
             embed_lookup(W, bad)
@@ -431,7 +430,7 @@ def test_embed_lookup_refuses_non_integer_indices():
 
 def test_embed_lookup_indexes_with_the_given_dtype():
     """uint32 indices are used as they are: no int64 copy, same gradient."""
-    W = tensor(np.arange(8.0).reshape(8, 1))
+    W = Tensor(np.arange(8.0).reshape(8, 1))
     idx = (np.arange(1 << 18) % 8).astype(np.uint32)
     tracemalloc.start()
     try:
@@ -446,7 +445,7 @@ def test_embed_lookup_indexes_with_the_given_dtype():
 
 
 def test_max_pool_gathers_by_position_and_sums_repeats():
-    t = tensor(np.array([[1.0, 9.0], [4.0, 0.0], [2.0, 3.0]]))
+    t = Tensor(np.array([[1.0, 9.0], [4.0, 0.0], [2.0, 3.0]]))
     where = np.array([[0, 1, 1], [2, 2, 0], [1, 1, 1]], dtype=np.uint32)
     out = max_pool(t, where)
     assert out.data.tolist() == [[4.0, 9.0], [2.0, 9.0], [4.0, 0.0]]
@@ -456,7 +455,7 @@ def test_max_pool_gathers_by_position_and_sums_repeats():
 
 
 def test_max_pool_single_position():
-    t = tensor(np.array([[1.0, -2.0], [3.0, 4.0]]))
+    t = Tensor(np.array([[1.0, -2.0], [3.0, 4.0]]))
     out = max_pool(t, np.array([[1], [0], [1]]))
     assert out.data.tolist() == [[3.0, 4.0], [1.0, -2.0], [3.0, 4.0]]
     (gt,) = backward(weighted_sum(out, np.ones((3, 2))), [t])
@@ -464,7 +463,7 @@ def test_max_pool_single_position():
 
 
 def test_max_pool_first_argmax_wins_ties():
-    t = tensor(np.array([[3.0], [5.0], [5.0]]))
+    t = Tensor(np.array([[3.0], [5.0], [5.0]]))
     out = max_pool(t, np.array([0, 1, 2]))
     assert out.data.tolist() == [5.0]
     (gt,) = backward(weighted_sum(out, np.array([2.0])), [t])
@@ -476,11 +475,11 @@ def test_max_pool_first_argmax_wins_ties():
 
 def test_max_pool_empty_axis_rejected():
     with pytest.raises(ValueError, match="empty"):
-        max_pool(tensor(np.zeros((2, 3))), np.zeros((2, 0), dtype=np.intp))
+        max_pool(Tensor(np.zeros((2, 3))), np.zeros((2, 0), dtype=np.intp))
 
 
 def test_max_pool_checks_position_ids():
-    t = tensor(np.zeros((2, 3)))
+    t = Tensor(np.zeros((2, 3)))
     with pytest.raises(IndexError):
         max_pool(t, np.array([0, 2]))
     with pytest.raises(TypeError, match="integers"):
@@ -491,7 +490,7 @@ def test_max_pool_backward_stays_below_one_dense_position_block():
     """The backward scatters the (B, F) winners, never a (B, P, F) block."""
     B, P, F, U = 4, 20000, 8, 64
     rng = np.random.default_rng(423)
-    t = tensor(rng.standard_normal((U, F)))
+    t = Tensor(rng.standard_normal((U, F)))
     where = rng.integers(0, U, (B, P)).astype(np.uint32)
     total = weighted_sum(max_pool(t, where), np.ones((B, F)))
     tracemalloc.start()
@@ -505,52 +504,52 @@ def test_max_pool_backward_stays_below_one_dense_position_block():
 
 
 def test_dense_shape_check_and_relu():
-    e = tensor(np.array([1.0, -1.0]))
-    w = tensor(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
-    b = tensor(np.array([0.0, 0.0, 0.5]))
+    e = Tensor(np.array([1.0, -1.0]))
+    w = Tensor(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+    b = Tensor(np.array([0.0, 0.0, 0.5]))
     out = dense(e, w, b)
     assert out.data.tolist() == [1.0, 0.0, 0.5]
     with pytest.raises(ValueError, match="dense"):
-        dense(tensor(np.zeros(3)), w, b)
+        dense(Tensor(np.zeros(3)), w, b)
 
 
 def test_dense_and_sigmoid_score_rows_do_not_depend_on_their_batch():
     rng = np.random.default_rng(509)
     e = rng.standard_normal((32, 1408))
-    w = tensor(rng.standard_normal((100, 1408)) * 0.05)
-    b = tensor(rng.standard_normal(100) * 0.1)
-    w_o = tensor(rng.standard_normal(100))
-    h = dense(tensor(e), w, b)
+    w = Tensor(rng.standard_normal((100, 1408)) * 0.05)
+    b = Tensor(rng.standard_normal(100) * 0.1)
+    w_o = Tensor(rng.standard_normal(100))
+    h = dense(Tensor(e), w, b)
     z = sigmoid_score(h, w_o)
     naive = [[max((e[q] * w.data[f]).sum() + b.data[f], 0.0) for f in range(100)] for q in range(32)]
     assert h.data.tolist() == naive
     for q in range(32):
-        h_q = dense(tensor(e[q]), w, b)
+        h_q = dense(Tensor(e[q]), w, b)
         assert np.array_equal(h_q.data, h.data[q])
         assert sigmoid_score(h_q, w_o).data == z.data[q]
-        assert sigmoid_score(tensor(h.data[q : q + 1]), w_o).data[0] == z.data[q]
+        assert sigmoid_score(Tensor(h.data[q : q + 1]), w_o).data[0] == z.data[q]
 
 
 def test_sigmoid_score_is_overflow_safe():
-    w = tensor(np.array([1.0]))
+    w = Tensor(np.array([1.0]))
     with np.errstate(over="raise"):
-        hi = sigmoid_score(tensor(np.array([[1000.0]])), w)
-        lo = sigmoid_score(tensor(np.array([[-1000.0]])), w)
+        hi = sigmoid_score(Tensor(np.array([[1000.0]])), w)
+        lo = sigmoid_score(Tensor(np.array([[-1000.0]])), w)
     assert hi.data[0] == 1.0
     assert lo.data[0] == 0.0
-    mid = sigmoid_score(tensor(np.array([[0.0]])), w)
+    mid = sigmoid_score(Tensor(np.array([[0.0]])), w)
     assert mid.data[0] == 0.5
 
 
 def test_dropout_inference_is_identity_object():
-    t = tensor(np.ones((3, 3)))
+    t = Tensor(np.ones((3, 3)))
     assert dropout(t, 0.5, np.random.default_rng(0), training=False) is t
     assert dropout(t, 0.0, np.random.default_rng(0), training=True) is t
 
 
 def test_dropout_monte_carlo():
     rng = np.random.default_rng(420)
-    t = tensor(np.ones(20000))
+    t = Tensor(np.ones(20000))
     out = dropout(t, 0.3, rng, training=True)
     kept = out.data != 0.0
     assert abs(kept.mean() - 0.7) < 0.02
@@ -562,7 +561,7 @@ def test_dropout_monte_carlo():
 
 
 def test_dropout_rate_validation():
-    t = tensor(np.ones(3))
+    t = Tensor(np.ones(3))
     for bad in (-0.1, 1.0, 1.5):
         with pytest.raises(ValueError):
             dropout(t, bad, np.random.default_rng(0), training=True)
@@ -573,7 +572,7 @@ def test_loss_closed_form_and_batch_sum():
     out = loss(z, np.array([1.0, 0.0]), [], lam=0.0)
     assert math.isclose(float(out.data), 2.0 * -math.log(0.5), rel_tol=1e-12)
 
-    p = tensor(np.array([2.0, -1.0]))
+    p = Tensor(np.array([2.0, -1.0]))
     reg_only = loss(Tensor(np.array(0.5)), np.asarray(1.0), [p], lam=0.1)
     expected = -math.log(0.5) + 0.05 * 5.0
     assert math.isclose(float(reg_only.data), expected, rel_tol=1e-12)
@@ -589,7 +588,7 @@ def test_loss_clamps_extreme_scores_without_gradient():
 
 
 def test_loss_regularization_gradient():
-    p = tensor(np.array([2.0, -1.0]))
+    p = Tensor(np.array([2.0, -1.0]))
     z = Tensor(np.array(0.5))
     out = loss(z, np.asarray(1.0), [p], lam=0.1)
     (gp,) = backward(out, [p])
@@ -607,12 +606,12 @@ def test_loss_shape_mismatch():
 
 def test_backward_rejects_non_scalar():
     with pytest.raises(ValueError, match="scalar"):
-        backward(tensor(np.zeros(3)))
+        backward(Tensor(np.zeros(3)))
 
 
 def test_backward_zero_for_off_tape_params():
-    x = tensor(np.array([1.0, 2.0]))
-    unused = tensor(np.array([[5.0]]))
+    x = Tensor(np.array([1.0, 2.0]))
+    unused = Tensor(np.array([[5.0]]))
     total = weighted_sum(x, np.array([1.0, 1.0]))
     gx, gu = backward(total, [x, unused])
     assert np.array_equal(gx, [1.0, 1.0])
@@ -621,7 +620,7 @@ def test_backward_zero_for_off_tape_params():
 
 
 def test_backward_resets_between_calls():
-    x = tensor(np.array([3.0]))
+    x = Tensor(np.array([3.0]))
     build = lambda: weighted_sum(x, np.array([2.0]))
     (g1,) = backward(build(), [x])
     (g2,) = backward(build(), [x])
@@ -629,7 +628,7 @@ def test_backward_resets_between_calls():
 
 
 def test_backward_diamond_graph_accumulates():
-    x = tensor(np.array([1.0, 2.0]))
+    x = Tensor(np.array([1.0, 2.0]))
     a = weighted_sum(x, np.array([1.0, 0.0]))
     b = weighted_sum(x, np.array([0.0, 3.0]))
     total = weighted_sum(stack([a, b]), np.array([1.0, 1.0]))
@@ -670,10 +669,10 @@ def _backward_keeping_every_grad(root, params):
 
 
 def _small_model(rng):
-    W = tensor(rng.uniform(-0.5, 0.5, (6, 3)))
-    f = tensor(rng.uniform(-0.5, 0.5, (2, 2, 3)))
-    b = tensor(rng.uniform(-0.2, 0.2, 2))
-    wo = tensor(rng.uniform(-0.5, 0.5, 4))
+    W = Tensor(rng.uniform(-0.5, 0.5, (6, 3)))
+    f = Tensor(rng.uniform(-0.5, 0.5, (2, 2, 3)))
+    b = Tensor(rng.uniform(-0.2, 0.2, 2))
+    wo = Tensor(rng.uniform(-0.5, 0.5, 4))
     idx = np.array([[0, 1, 5, 2], [3, 3, 4, 0]])
     params = [W, f, b, wo]
 
@@ -703,7 +702,7 @@ def test_backward_releases_interior_grads():
 
 
 def test_backward_keeps_grads_of_interior_params():
-    x = tensor(np.array([1.0, 2.0]))
+    x = Tensor(np.array([1.0, 2.0]))
     doubled = concat([x, x])
     total = weighted_sum(doubled, np.array([1.0, 2.0, 3.0, 4.0]))
     g_doubled, gx = backward(total, [doubled, x])
@@ -718,7 +717,7 @@ def test_backward_keeps_grads_of_interior_params():
 
 
 def test_adam_first_step_matches_hand_calculation():
-    p = tensor(np.array([1.0, -2.0]))
+    p = Tensor(np.array([1.0, -2.0]))
     state = AdamState.for_param(p, learning_rate=0.1)
     g = np.array([0.5, -1.0])
     adam_step(p, g, state)
@@ -732,7 +731,7 @@ def test_adam_first_step_matches_hand_calculation():
 
 
 def test_adam_second_step_matches_hand_calculation():
-    p = tensor(np.array([0.0]))
+    p = Tensor(np.array([0.0]))
     state = AdamState.for_param(p, learning_rate=0.01)
     g1, g2 = 0.3, -0.2
     adam_step(p, np.array([g1]), state)
@@ -752,7 +751,7 @@ def test_adam_second_step_matches_hand_calculation():
 
 def test_adam_is_bit_identical_to_the_formula_it_updates_in_place():
     rng = np.random.default_rng(11)
-    p = tensor(rng.standard_normal((40, 7)))
+    p = Tensor(rng.standard_normal((40, 7)))
     state = AdamState.for_param(p, learning_rate=0.01)
     want, m, v = p.data.copy(), np.zeros((40, 7)), np.zeros((40, 7))
     b1, b2, lr, eps = state.beta1, state.beta2, state.learning_rate, state.eps
@@ -774,7 +773,7 @@ def test_adam_accepts_raw_arrays():
 
 
 def test_adam_descends_on_quadratic():
-    p = tensor(np.array([4.0]))
+    p = Tensor(np.array([4.0]))
     state = AdamState.for_param(p, learning_rate=0.2)
     for _ in range(400):
         adam_step(p, 2.0 * p.data, state)
@@ -786,10 +785,10 @@ def test_adam_descends_on_quadratic():
 
 
 def test_tensor_dtype_is_float64():
-    t = tensor([1, 2, 3])
+    t = Tensor([1, 2, 3])
     assert t.data.dtype == np.float64
     assert conv_text(
-        tensor(np.zeros((3, 1, 2), dtype=np.float32)),
-        tensor(np.zeros((1, 1, 2))),
-        tensor(np.zeros(1)),
+        Tensor(np.zeros((3, 1, 2), dtype=np.float32)),
+        Tensor(np.zeros((1, 1, 2))),
+        Tensor(np.zeros(1)),
     ).data.dtype == np.float64
